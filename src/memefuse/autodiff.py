@@ -4,8 +4,9 @@ A Tensor wraps an ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar walks the tape in reverse topological order and
 accumulates gradients into every reachable leaf with ``requires_grad``.
 Only the operations needed by the encoders, fusion heads, and losses are
-implemented. All arithmetic is float64; any NaN/Inf produced by an op is
-treated as a hard error by the callers.
+implemented; layers that would otherwise chain many small ops are single
+`fused` nodes with hand-derived gradients. All arithmetic is float64; any
+NaN/Inf produced by an op is treated as a hard error by the callers.
 """
 
 from __future__ import annotations
@@ -52,9 +53,13 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, vjps):
-        track = any(p.requires_grad or p._parents for p in parents)
-        if not track:
+        # only parents that lead to a trainable leaf go on the tape, so
+        # backward never computes gradients for constants
+        tracked = [(p, f) for p, f in zip(parents, vjps)
+                   if p.requires_grad or p._parents]
+        if not tracked:
             return Tensor(data)
+        parents, vjps = zip(*tracked)
         return Tensor(data, parents=parents, vjps=vjps)
 
     # -- arithmetic -----------------------------------------------------
@@ -125,13 +130,6 @@ class Tensor:
         return self._make(self.data.reshape(*shape), (self,),
                           (lambda g: g.reshape(old),))
 
-    def swapaxes(self, a, b):
-        return self._make(np.swapaxes(self.data, a, b), (self,),
-                          (lambda g: np.swapaxes(g, a, b),))
-
-    def transpose_last(self):
-        return self.swapaxes(-1, -2)
-
     def __getitem__(self, idx):
         def vjp(g):
             out = np.zeros(self.shape)
@@ -176,12 +174,6 @@ class Tensor:
 
     # -- nonlinearities ------------------------------------------------------
 
-    def clip(self, lo, hi):
-        """Clamp values; gradient is zero where the clamp binds."""
-        inside = (self.data >= lo) & (self.data <= hi)
-        return self._make(np.clip(self.data, lo, hi), (self,),
-                          (lambda g: g * inside,))
-
     def relu(self):
         mask = self.data > 0
         return self._make(self.data * mask, (self,), (lambda g: g * mask,))
@@ -189,26 +181,6 @@ class Tensor:
     def sigmoid(self):
         s = 0.5 * (1.0 + np.tanh(0.5 * self.data))  # stable logistic
         return self._make(s, (self,), (lambda g: g * s * (1.0 - s),))
-
-    def log(self):
-        return self._make(np.log(self.data), (self,),
-                          (lambda g: g / self.data,))
-
-    def sqrt(self):
-        r = np.sqrt(self.data)
-        return self._make(r, (self,), (lambda g: g * 0.5 / r,))
-
-    def softmax(self):
-        """Row-wise softmax along the last axis."""
-        shifted = self.data - self.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        s = e / e.sum(axis=-1, keepdims=True)
-
-        def vjp(g):
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            return s * (g - dot)
-
-        return self._make(s, (self,), (vjp,))
 
     # -- backward ----------------------------------------------------------
 
@@ -245,6 +217,27 @@ class Tensor:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
+
+
+def fused(data, parents, backward) -> Tensor:
+    """One tape node for a whole layer with a hand-derived gradient.
+
+    `backward(g)` maps the gradient of the output to a tuple with one
+    gradient per parent, in order. It runs once per backward pass, however
+    many of the parents need their gradient.
+    """
+    memo = [None, None]
+
+    def pick(i):
+        def vjp(g):
+            if memo[0] is not g:
+                memo[0], memo[1] = g, backward(g)
+            return memo[1][i]
+
+        return vjp
+
+    return Tensor._make(data, tuple(parents),
+                        tuple(pick(i) for i in range(len(parents))))
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

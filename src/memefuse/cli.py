@@ -14,9 +14,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .dataio import MODEL_MEMBERS, RunConfig, ingest, load_config
-from .ensemble import EnsemblePrediction, derive_taskA_labels, f1_scores, \
-    hard_vote, mann_whitney_u, significance_stars, soft_vote, taskA_macro_f1, \
-    weighted_f1
+from .ensemble import derive_taskA_labels, hard_vote, mann_whitney_u, \
+    significance_stars, soft_vote, taskA_macro_f1, weighted_f1
 from .nn import NumericError
 from .pipeline import CvContext, DependencyError, load_fold_runs, \
     read_predictions, train_model_cv, write_predictions
@@ -175,8 +174,9 @@ def cmd_ensemble(args) -> int:
 def _read_f1_column(path: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        column = header.index("test_taskA_f1") if "test_taskA_f1" in header \
-            else 1
+        if "test_taskA_f1" not in header:
+            raise DataError(f"{path} has no test_taskA_f1 column")
+        column = header.index("test_taskA_f1")
         return np.array([float(line.split("\t")[column]) for line in fh])
 
 

@@ -3,7 +3,9 @@
 Every encoder produces a ModelOutput with class probabilities `p` and a
 classification feature vector `f`. Layers are built on the autodiff
 Tensor, so exact parameter gradients are available for any scalar loss.
-The graph-attention layer reweights each attention head output with a
+Attention, linear and layer-norm layers are each a single tape node with
+a hand-derived gradient, which keeps the per-step tape short. The
+graph-attention layer reweights each attention head output with a
 per-document normalized adjacency block before the output projection;
 with an identity block it degenerates to a plain transformer layer.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, parameter, rows
+from .autodiff import Tensor, concat, fused, parameter, rows
 
 
 class NumericError(ArithmeticError):
@@ -35,11 +37,6 @@ class AttentionConfig:
         return self.d_att // self.n_heads
 
 
-# hyperparameters used at full scale; the toy defaults above keep the same
-# topology at desk-scale capacity
-FULL_SCALE = AttentionConfig(d_att=1024, n_heads=8, n_layers=3)
-
-
 @dataclass
 class ModelOutput:
     p: Tensor  # (B, n) class probabilities, each strictly in (0, 1)
@@ -54,15 +51,32 @@ def assert_finite(name: str, *tensors: Tensor) -> None:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """y = x W^T + b."""
-    return x @ weight.transpose_last() + bias
+    xd, w = x.data, weight.data
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g @ w, g2.T @ xd.reshape(-1, xd.shape[-1]),
+                g2.sum(axis=0))
+
+    return fused(xd @ w.T + bias.data, (x, weight, bias), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                eps: float = 1e-5) -> Tensor:
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gain + bias
+    xd, gd = x.data, gain.data
+    centered = xd - xd.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / std
+
+    def backward(g):
+        gn = g * gd
+        gx = (gn - gn.mean(axis=-1, keepdims=True)
+              - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
+        width = g.shape[-1]
+        return (gx, (g * normed).reshape(-1, width).sum(axis=0),
+                g.reshape(-1, width).sum(axis=0))
+
+    return fused(normed * gd + bias.data, (x, gain, bias), backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -74,26 +88,62 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 
 
 def multi_head_attention(x: Tensor, params: dict[str, Tensor], prefix: str,
-                         cfg: AttentionConfig) -> Tensor:
-    """Self-attention head outputs, shape (B, h, L, d_k).
+                         cfg: AttentionConfig, adj: np.ndarray | None = None,
+                         is_last: bool = False) -> Tensor:
+    """Self-attention with merged heads, as one tape node.
 
-    Queries, keys, and values are all the layer input; logits are scaled
-    by 1/sqrt(d_k) and softmaxed row-wise over the sequence.
+    Queries, keys, and values are all the layer input, projected by one
+    matmul with the stacked [wq; wk; wv]; logits are scaled by 1/sqrt(d_k)
+    and softmaxed row-wise over the sequence. Each head output is then
+    left-multiplied by the adjacency block `adj` (B, L, L), when given.
+    Heads merge by concatenation to (B, L, d_att), or by averaging to
+    (B, L, d_k) when `is_last`.
     """
-    b, seq_len, _ = x.shape
+    b, seq_len, d = x.shape
+    h, d_k = cfg.n_heads, cfg.d_k
+    weights = [params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")]
+    w = np.concatenate([t.data for t in weights])          # (3d, d)
+    xd = x.data
+    qkv = (xd @ w.T).reshape(b, seq_len, 3, h, d_k)
+    q, k, v = qkv.transpose(2, 0, 3, 1, 4)                 # (B, h, L, d_k)
+    scale = 1.0 / np.sqrt(d_k)
+    logits = (q @ k.swapaxes(-1, -2)) * scale
+    if not np.all(np.isfinite(logits)):
+        raise NumericError(f"non-finite values in {prefix} attention logits")
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)               # (B, h, L, L)
+    heads = attn @ v                                       # (B, h, L, d_k)
+    if adj is not None:
+        heads = adj[:, None] @ heads
+    if is_last:
+        out = heads.mean(axis=1)
+    else:
+        out = heads.transpose(0, 2, 1, 3).reshape(b, seq_len, d)
 
-    def split_heads(proj: Tensor) -> Tensor:
-        return proj.reshape(b, seq_len, cfg.n_heads, cfg.d_k).swapaxes(1, 2)
+    def backward(g):
+        if is_last:
+            g_heads = np.broadcast_to((g / h)[:, None], heads.shape)
+        else:
+            g_heads = g.reshape(b, seq_len, h, d_k).transpose(0, 2, 1, 3)
+        if adj is not None:
+            g_heads = adj.swapaxes(-1, -2)[:, None] @ g_heads
+        g_attn = g_heads @ v.swapaxes(-1, -2)
+        g_v = attn.swapaxes(-1, -2) @ g_heads
+        g_logits = attn * (g_attn - (g_attn * attn).sum(axis=-1,
+                                                        keepdims=True))
+        g_logits *= scale
+        g_q = g_logits @ k
+        g_k = g_logits.swapaxes(-1, -2) @ q
+        g_qkv = np.stack((g_q, g_k, g_v)).transpose(1, 3, 0, 2, 4) \
+            .reshape(b * seq_len, 3 * d)
+        g_w = g_qkv.T @ xd.reshape(b * seq_len, d)
+        return ((g_qkv @ w).reshape(xd.shape),
+                g_w[:d], g_w[d:2 * d], g_w[2 * d:])
 
-    q = split_heads(x @ params[f"{prefix}.wq"].transpose_last())
-    k = split_heads(x @ params[f"{prefix}.wk"].transpose_last())
-    v = split_heads(x @ params[f"{prefix}.wv"].transpose_last())
-    logits = (q @ k.transpose_last()) * (1.0 / np.sqrt(cfg.d_k))
-    assert_finite("attention logits", logits)
-    return logits.softmax() @ v
+    return fused(out, (x, *weights), backward)
 
 
-def gcan_layer(x: Tensor, adj: Tensor | None, params: dict[str, Tensor],
+def gcan_layer(x: Tensor, adj: np.ndarray | None, params: dict[str, Tensor],
                prefix: str, cfg: AttentionConfig, is_last: bool) -> Tensor:
     """One graph-attention layer with residual connection and layer norm.
 
@@ -103,15 +153,8 @@ def gcan_layer(x: Tensor, adj: Tensor | None, params: dict[str, Tensor],
     """
     if adj is not None and adj.shape[-1] != x.shape[-2]:
         raise ValueError("adjacency block size does not match sequence length")
-    heads = multi_head_attention(x, params, prefix, cfg)
-    if adj is not None:
-        heads = adj.reshape(adj.shape[0], 1, *adj.shape[1:]) @ heads
-    stacked = heads.swapaxes(1, 2)  # (B, L, h, d_k)
-    if is_last:
-        fused = stacked.mean(axis=2)
-    else:
-        fused = stacked.reshape(x.shape[0], x.shape[1], cfg.d_att)
-    branch = linear(fused, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    merged = multi_head_attention(x, params, prefix, cfg, adj, is_last)
+    branch = linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
     return layer_norm(x + branch, params[f"{prefix}.ln_g"],
                       params[f"{prefix}.ln_b"])
 
@@ -157,8 +200,8 @@ def _init_head(params: dict[str, Tensor], prefix: str, in_dim: int,
     params[f"{prefix}.b2"] = parameter(np.zeros(n_classes))
 
 
-def _encoder_stack(x: Tensor, adj: Tensor | None, params: dict[str, Tensor],
-                   cfg: AttentionConfig) -> Tensor:
+def _encoder_stack(x: Tensor, adj: np.ndarray | None,
+                   params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
     for layer in range(cfg.n_layers):
         x = gcan_layer(x, adj, params, f"layer{layer}", cfg,
                        is_last=layer == cfg.n_layers - 1)
@@ -217,8 +260,8 @@ class GcanEncoder:
     def stack(self, ids: np.ndarray, adj: np.ndarray) -> Tensor:
         if adj.shape[-1] != ids.shape[-1]:
             raise ValueError("adjacency blocks do not match the sequence")
-        return _encoder_stack(self._inner.embed(ids), Tensor(adj),
-                              self.params, self.cfg)
+        return _encoder_stack(self._inner.embed(ids), adj, self.params,
+                              self.cfg)
 
     def forward(self, ids: np.ndarray, adj: np.ndarray,
                 rng: np.random.Generator | None = None) -> ModelOutput:

@@ -406,9 +406,12 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
     return artifacts
 
 
-def load_fold_runs(out_root: str, model_name: str,
-                   setup: str = "B") -> list[FoldRun]:
-    """Reassemble FoldRuns (validation F1 + test probabilities) from disk."""
+def load_fold_runs(out_root: str, model_name: str) -> list[FoldRun]:
+    """Reassemble FoldRuns (validation F1 + test probabilities) from disk.
+
+    Each fold's setup comes from its checkpoint's metadata: setup-A runs
+    keep their single probability in the p_mis column of the predictions.
+    """
     model_dir = os.path.join(out_root, model_name)
     runs_path = os.path.join(model_dir, "runs.tsv")
     if not os.path.exists(runs_path):
@@ -420,10 +423,11 @@ def load_fold_runs(out_root: str, model_name: str,
         for line in fh:
             parts = line.split("\t")
             fold, best = int(parts[0]), float(parts[1])
+            _, meta = ckpt.load_checkpoint(
+                os.path.join(model_dir, f"fold{fold}.ckpt"))
             pred_path = os.path.join(model_dir, f"fold{fold}_preds.tsv")
-            _, probs, labels = read_predictions(pred_path)
-            if setup == "A":
-                # task-A runs store the single probability in the mis column
+            _, probs, _ = read_predictions(pred_path)
+            if meta["setup"] == "A":
                 with open(pred_path, encoding="utf-8") as pf:
                     pf.readline()
                     probs = np.array([[float(l.split("\t")[5])]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, zero_grads
+from .autodiff import Tensor, fused, zero_grads
 from .ensemble import taskA_macro_f1, weighted_f1
 from .nn import NumericError
 
@@ -64,11 +64,27 @@ class EpochRecord:
     lr: float
 
 
+def _weighted_bce_sum(p: Tensor, y, weights) -> Tensor:
+    """-sum(weights * (y log p + (1 - y) log(1 - p))) as one tape node.
+
+    `weights` broadcasts against p. Probabilities are clamped to
+    [PROB_EPS, 1 - PROB_EPS]; the gradient is zero where the clamp binds.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    pd = p.data
+    pc = np.clip(pd, PROB_EPS, 1.0 - PROB_EPS)
+    value = -(weights * (y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))).sum()
+
+    def backward(g):
+        inside = (pd >= PROB_EPS) & (pd <= 1.0 - PROB_EPS)
+        return (-g * weights * (y / pc - (1.0 - y) / (1.0 - pc)) * inside,)
+
+    return fused(np.asarray(value), (p,), backward)
+
+
 def bce(p: Tensor, y: np.ndarray) -> Tensor:
     """Mean binary cross-entropy; probabilities clamped away from 0 and 1."""
-    y = np.asarray(y, dtype=np.float64)
-    pc = p.clip(PROB_EPS, 1.0 - PROB_EPS)
-    return -(Tensor(y) * pc.log() + Tensor(1.0 - y) * (1.0 - pc).log()).mean()
+    return _weighted_bce_sum(p, y, 1.0 / p.data.size)
 
 
 def class_weights(counts, total: int) -> LossWeights:
@@ -82,11 +98,7 @@ def class_weights(counts, total: int) -> LossWeights:
 
 def weighted_bce(p: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:
     """Sum over the four classes of w_c * BCE on that class column."""
-    total = None
-    for c in range(4):
-        term = bce(p[:, c], y[:, c]) * weights.w[c]
-        total = term if total is None else total + term
-    return total
+    return _weighted_bce_sum(p, y, weights.w / p.shape[0])
 
 
 def teacher_forcing_loss(p: Tensor, y_mis: np.ndarray) -> Tensor:
@@ -123,7 +135,15 @@ def lr_at(step: int, base_lr: float, warmup_steps: int,
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive-moment optimizer."""
+    """Decoupled-weight-decay adaptive-moment optimizer.
+
+    The parameter values and both moments live in flat buffers, with a
+    view per parameter name, so a step is a few vector operations over
+    all parameters at once. Each parameter's `data` is the view into the
+    value buffer; a step first copies back any `data` that was replaced
+    since. A parameter whose `grad` is None is neither moved nor decayed,
+    and its moments stay as they were.
+    """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8,
@@ -132,28 +152,55 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._bounds = np.cumsum([0] + [p.data.size for p in params.values()])
+        self._theta = np.zeros(self._bounds[-1])
+        self._m = np.zeros_like(self._theta)
+        self._v = np.zeros_like(self._theta)
+        self._views, self.m, self.v = [], {}, {}
+        for (name, p), lo, hi in zip(params.items(), self._bounds,
+                                     self._bounds[1:]):
+            view = self._theta[lo:hi].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._views.append(view)
+            self.m[name] = self._m[lo:hi].reshape(view.shape)
+            self.v[name] = self._v[lo:hi].reshape(view.shape)
 
     def step(self, lr: float) -> None:
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for {name}")
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+        grads, live = [], []
+        for i, p in enumerate(self.params.values()):
+            view = self._views[i]
+            if p.data is not view:
+                view[...] = p.data
+                p.data = view
+            if p.grad is not None:
+                grads.append(p.grad.ravel())
+                live.append(i)
         self.t += 1
+        if not live:
+            return
+        g = np.concatenate(grads)
+        if not np.all(np.isfinite(g)):
+            names = list(self.params)
+            for i, grad in zip(live, grads):
+                if not np.all(np.isfinite(grad)):
+                    raise NumericError(f"non-finite gradient for {names[i]}")
+        if len(live) == len(self._views):
+            sel = slice(None)
+        else:
+            sel = np.concatenate([np.arange(self._bounds[i],
+                                            self._bounds[i + 1])
+                                  for i in live])
+        m = self.beta1 * self._m[sel] + (1 - self.beta1) * g
+        v = self.beta2 * self._v[sel] + (1 - self.beta2) * g * g
+        self._m[sel] = m
+        self._v[sel] = v
         bc1 = 1 - self.beta1 ** self.t
         bc2 = 1 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data = p.data - lr * (m_hat / (np.sqrt(v_hat) + self.eps)
-                                    + self.weight_decay * p.data)
+        theta = self._theta[sel]
+        self._theta[sel] = theta - lr * (
+            m / bc1 / (np.sqrt(v / bc2) + self.eps)
+            + self.weight_decay * theta)
 
 
 def snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -120,6 +120,32 @@ def naive_attention_layer(x, adj, p, d_att, n_heads, is_last):
     return (pre - mean) / np.sqrt(var + 1e-5) * p["ln_g"] + p["ln_b"]
 
 
+def column_weighted_bce(p, y, w, eps=1e-12):
+    """sum_c w_c * BCE(p[:, c], y[:, c]), one class column at a time.
+
+    Each column's BCE is the batch mean of -(y log p + (1 - y) log(1 - p))
+    with p clamped to [eps, 1 - eps].
+    """
+    total = 0.0
+    for c in range(p.shape[1]):
+        pc = np.clip(p[:, c], eps, 1.0 - eps)
+        terms = y[:, c] * np.log(pc) + (1.0 - y[:, c]) * np.log(1.0 - pc)
+        total += w[c] * -terms.mean()
+    return total
+
+
+def adamw_reference_step(theta, g, m, v, t, lr, beta1=0.9, beta2=0.999,
+                         eps=1e-8, weight_decay=0.01):
+    """One AdamW step on one tensor; returns (theta, m, v)."""
+    m = beta1 * m + (1 - beta1) * g
+    v = beta2 * v + (1 - beta2) * g * g
+    m_hat = m / (1 - beta1 ** t)
+    v_hat = v / (1 - beta2 ** t)
+    theta = theta - lr * (m_hat / (np.sqrt(v_hat) + eps)
+                          + weight_decay * theta)
+    return theta, m, v
+
+
 def f1_oracle(pred, true):
     """Positive-class F1 from an explicit confusion matrix."""
     pred = np.asarray(pred).ravel()

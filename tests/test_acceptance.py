@@ -117,11 +117,11 @@ def test_criterion_3_gradient_checks():
         lp = {}
         _init_layer(lp, "l", cfg, gen, is_last=False)
         xa = parameter(gen.standard_normal((1, 3, cfg.d_att)))
-        mixa = Tensor(gen.standard_normal((1, cfg.n_heads, 3, cfg.d_k)))
+        mixa = Tensor(gen.standard_normal((1, 3, cfg.d_att)))
         worst_layer = max(worst_layer, check(
             lambda: (multi_head_attention(xa, lp, "l", cfg) * mixa).sum(),
             {"x": xa, **lp}))
-        adj = Tensor(gen.random((1, 3, 3)))
+        adj = gen.random((1, 3, 3))
         mixg = Tensor(gen.standard_normal((1, 3, cfg.d_att)))
         worst_layer = max(worst_layer, check(
             lambda: (gcan_layer(xa, adj, lp, "l", cfg, False) * mixg).sum(),

@@ -250,6 +250,39 @@ def test_cli_full_flow(tiny_run, capsys):
     assert stars in ("****", "***", "**", "*", "ns")
 
 
+def test_cli_evaluate_and_ensemble_setup_a(tiny_run, capsys):
+    out = os.path.join(tiny_run["root"], "runs_a")
+    assert main(["train", "--config", tiny_run["cfg"], "--data",
+                 tiny_run["data"], "--model", "vit", "--setup", "A",
+                 "--out", out]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "vit", "runs.tsv")) as fh:
+        fh.readline()
+        trained = [f"{float(line.split(chr(9))[2]):.4f}" for line in fh]
+
+    assert main(["evaluate", "--runs", out, "--test", tiny_run["data"]]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()[1:]
+    evaluated = [l.split("\t")[2] for l in lines if "soft-vote" not in l]
+    assert evaluated == trained  # same F1 that training printed per fold
+
+    preds = os.path.join(tiny_run["root"], "soft_a.tsv")
+    assert main(["ensemble", "--runs", os.path.join(out, "vit"),
+                 "--mode", "soft", "--out", preds]) == 0
+    with open(preds) as fh:
+        fh.readline()
+        p_mis = [float(line.split("\t")[5]) for line in fh]
+    assert len(p_mis) == 8
+    assert all(0.0 < p < 1.0 for p in p_mis)
+
+
+def test_cli_significance_needs_test_f1_column(tmp_path, capsys):
+    path = os.path.join(tmp_path, "runs.tsv")
+    with open(path, "w") as fh:
+        fh.write("fold\tbest_val_f1\n0\t0.5\n1\t0.6\n")
+    assert main(["significance", "--a", path, "--b", path]) == 2
+    assert "test_taskA_f1" in capsys.readouterr().err
+
+
 def test_cli_run_artifacts(tiny_run):
     gcan_dir = os.path.join(tiny_run["out"], "gcan")
     names = set(os.listdir(gcan_dir))

@@ -8,6 +8,7 @@ from memefuse.nn import (AttentionConfig, GcanEncoder, ImageEncoder,
                          NumericError, TextEncoder, classifier_head,
                          gcan_layer, layer_norm, linear, multi_head_attention,
                          sinusoidal_positions, _init_head, _init_layer)
+from memefuse.training import TrainConfig, class_weights, setup_loss
 from oracles import naive_attention_layer, numeric_gradient, rel_error
 
 CFG = AttentionConfig(d_att=8, n_heads=2, n_layers=3, dropout=0.0)
@@ -68,45 +69,64 @@ def test_attention_zero_qk_is_uniform(rng):
     params["l.wq"].data[:] = 0.0
     params["l.wk"].data[:] = 0.0
     x = Tensor(rng.standard_normal((1, 5, CFG.d_att)))
-    heads = multi_head_attention(x, params, "l", CFG).data
-    v = (x.data @ params["l.wv"].data.T).reshape(1, 5, CFG.n_heads, CFG.d_k)
-    v = v.transpose(0, 2, 1, 3)
-    assert np.allclose(heads, np.broadcast_to(
-        v.mean(axis=2, keepdims=True), heads.shape), atol=1e-12)
+    merged = multi_head_attention(x, params, "l", CFG).data
+    v = x.data @ params["l.wv"].data.T
+    assert np.allclose(merged, np.broadcast_to(
+        v.mean(axis=1, keepdims=True), merged.shape), atol=1e-12)
 
 
 def test_attention_single_row(rng):
     params = make_layer_params(1)
     x = Tensor(rng.standard_normal((1, 1, CFG.d_att)))
-    heads = multi_head_attention(x, params, "l", CFG).data
-    v = (x.data @ params["l.wv"].data.T).reshape(1, 1, CFG.n_heads, CFG.d_k)
-    assert np.allclose(heads, v.transpose(0, 2, 1, 3), atol=1e-12)
+    merged = multi_head_attention(x, params, "l", CFG).data
+    assert np.allclose(merged, x.data @ params["l.wv"].data.T, atol=1e-12)
+
+
+def test_attention_last_layer_averages_heads(rng):
+    params = make_layer_params(4)
+    x = Tensor(rng.standard_normal((2, 3, CFG.d_att)))
+    concat_heads = multi_head_attention(x, params, "l", CFG).data
+    mean_heads = multi_head_attention(x, params, "l", CFG, is_last=True).data
+    per_head = concat_heads.reshape(2, 3, CFG.n_heads, CFG.d_k)
+    assert np.allclose(mean_heads, per_head.mean(axis=2), atol=1e-12)
 
 
 def test_attention_softmax_rows(rng):
     params = make_layer_params(2)
-    x = Tensor(rng.standard_normal((1, 3, CFG.d_att)))
-    q = (x.data @ params["l.wq"].data.T).reshape(1, 3, CFG.n_heads, CFG.d_k)
-    k = (x.data @ params["l.wk"].data.T).reshape(1, 3, CFG.n_heads, CFG.d_k)
-    logits = Tensor(np.einsum("bqhd,bkhd->bhqk", q, k) / np.sqrt(CFG.d_k))
-    assert np.allclose(logits.softmax().data.sum(axis=-1), 1.0, atol=1e-12)
+    x = rng.standard_normal((1, 3, CFG.d_att))
+    q = (x @ params["l.wq"].data.T).reshape(1, 3, CFG.n_heads, CFG.d_k)
+    k = (x @ params["l.wk"].data.T).reshape(1, 3, CFG.n_heads, CFG.d_k)
+    logits = np.einsum("bqhd,bkhd->bhqk", q, k) / np.sqrt(CFG.d_k)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    assert np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
+    v = (x @ params["l.wv"].data.T).reshape(1, 3, CFG.n_heads, CFG.d_k)
+    heads = np.einsum("bhqk,bkhd->bqhd", alpha, v).reshape(1, 3, CFG.d_att)
+    merged = multi_head_attention(Tensor(x), params, "l", CFG).data
+    assert np.allclose(merged, heads, atol=1e-12)
 
 
 def test_attention_non_finite_logits_error():
-    params = make_layer_params(3)
+    params = {}
+    _init_layer(params, "layer1", CFG, np.random.default_rng(3), False)
     x = Tensor(np.full((1, 2, CFG.d_att), 1e200))
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
-        multi_head_attention(x, params, "l", CFG)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match="non-finite values in layer1 attention "
+                                "logits"):
+        multi_head_attention(x, params, "layer1", CFG)
 
 
 def test_attention_gradients():
     for seed in range(10):
         gen = np.random.default_rng(seed)
-        params = make_layer_params(seed)
+        is_last = bool(seed % 2)
+        params = make_layer_params(seed, is_last=is_last)
         x = parameter(gen.standard_normal((2, 3, CFG.d_att)))
-        w = gen.standard_normal((2, CFG.n_heads, 3, CFG.d_k))
-        grads_ok(lambda: (multi_head_attention(x, params, "l", CFG)
-                          * Tensor(w)).sum(),
+        adj = gen.random((2, 3, 3)) if seed % 3 else None
+        width = CFG.d_k if is_last else CFG.d_att
+        w = gen.standard_normal((2, 3, width))
+        grads_ok(lambda: (multi_head_attention(x, params, "l", CFG, adj,
+                                               is_last) * Tensor(w)).sum(),
                  {"x": x, **params}, LAYER_TOL)
 
 
@@ -116,7 +136,7 @@ def test_gcan_layer_identity_adjacency_matches_plain_path(rng):
     for is_last in (False, True):
         params = make_layer_params(5, is_last=is_last)
         x = Tensor(rng.standard_normal((2, 4, CFG.d_att)))
-        eye = Tensor(np.broadcast_to(np.eye(4), (2, 4, 4)).copy())
+        eye = np.broadcast_to(np.eye(4), (2, 4, 4)).copy()
         with_adj = gcan_layer(x, eye, params, "l", CFG, is_last)
         without = gcan_layer(x, None, params, "l", CFG, is_last)
         assert np.array_equal(with_adj.data, without.data)  # bitwise
@@ -127,14 +147,13 @@ def test_gcan_layer_pad_rows_pass_through(rng):
     # weighting leaves those head-output rows unchanged
     params = make_layer_params(6)
     x = Tensor(rng.standard_normal((1, 4, CFG.d_att)))
-    heads = multi_head_attention(x, params, "l", CFG)
+    plain = multi_head_attention(x, params, "l", CFG)
     adj = np.zeros((1, 4, 4))
     adj[0, 2, 2] = 1.0
     adj[0, 3, 3] = 1.0
-    weighted = Tensor(adj.reshape(1, 1, 4, 4)) @ heads
-    assert np.allclose(weighted.data[:, :, 2:], heads.data[:, :, 2:],
-                       atol=1e-15)
-    assert np.all(weighted.data[:, :, :2] == 0.0)
+    weighted = multi_head_attention(x, params, "l", CFG, adj)
+    assert np.allclose(weighted.data[:, 2:], plain.data[:, 2:], atol=1e-15)
+    assert np.all(weighted.data[:, :2] == 0.0)
 
 
 def test_gcan_layer_matches_dense_oracle(rng):
@@ -143,14 +162,13 @@ def test_gcan_layer_matches_dense_oracle(rng):
     adj = rng.random((4, 4))
     adj = (adj + adj.T) / 2
     x = Tensor(x0[None])
-    adj_t = Tensor(adj[None])
     for layer in range(cfg.n_layers):
         is_last = layer == cfg.n_layers - 1
         params = make_layer_params(10 + layer, is_last=is_last)
         plain = {k.split(".")[1]: v.data for k, v in params.items()}
         ref = naive_attention_layer(
             np.asarray(x.data[0]), adj, plain, cfg.d_att, cfg.n_heads, is_last)
-        x = gcan_layer(x, adj_t, params, "l", cfg, is_last)
+        x = gcan_layer(x, adj[None], params, "l", cfg, is_last)
         assert np.max(np.abs(x.data[0] - ref)) < 1e-10
 
 
@@ -158,7 +176,7 @@ def test_gcan_layer_rejects_size_mismatch(rng):
     params = make_layer_params(7)
     x = Tensor(rng.standard_normal((1, 4, CFG.d_att)))
     with pytest.raises(ValueError):
-        gcan_layer(x, Tensor(np.eye(3)[None]), params, "l", CFG, False)
+        gcan_layer(x, np.eye(3)[None], params, "l", CFG, False)
 
 
 def test_gcan_layer_gradients():
@@ -167,7 +185,7 @@ def test_gcan_layer_gradients():
         is_last = bool(seed % 2)
         params = make_layer_params(seed, is_last=is_last)
         x = parameter(gen.standard_normal((1, 3, CFG.d_att)))
-        adj = Tensor(np.eye(3)[None] * 0.5 + 0.1)
+        adj = np.eye(3)[None] * 0.5 + 0.1
         w = gen.standard_normal((1, 3, CFG.d_att))
         grads_ok(lambda: (gcan_layer(x, adj, params, "l", CFG, is_last)
                           * Tensor(w)).sum(),
@@ -318,6 +336,33 @@ def test_sinusoidal_positions_shape_and_range():
     assert np.all(np.abs(enc) <= 1.0)
     assert np.allclose(enc[0, 0::2], 0.0)
     assert np.allclose(enc[0, 1::2], 1.0)
+
+
+def tape_nodes(loss):
+    """Distinct tensors reachable from `loss` through the tape."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_gcan_train_step_tape_stays_fused():
+    # 26 parameter leaves, then embedding and positions (2), three layers
+    # of attention, linear, residual add and layer norm (12), sum pooling
+    # (1), the classifier head (5) and the setup-B loss (9): a layer that
+    # falls back to a chain of small ops makes this grow
+    enc = GcanEncoder(10, 4, 4, CFG, seed=0)
+    ids = np.array([[1, 3, 4, 0], [2, 5, 6, 7]])
+    adj = np.broadcast_to(np.eye(4), (2, 4, 4)).copy()
+    out = enc.forward(ids, adj, rng=np.random.default_rng(0))
+    y_sub = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+    loss = setup_loss(out.p, y_sub.max(axis=1), y_sub,
+                      TrainConfig(epochs=5, warmup_epochs=1),
+                      class_weights([1, 1, 1, 1], 2))
+    assert tape_nodes(loss) <= 55
 
 
 # --------------------------------------------------- end-to-end gradient checks

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 import memefuse.training as training
 from memefuse.autodiff import Tensor, parameter
 from memefuse.checkpoint import average_checkpoints
-from memefuse.nn import ModelOutput, NumericError
+from memefuse.nn import ModelOutput, NumericError, linear
 from memefuse.training import (AdamW, EpochRecord, LossWeights, TrainConfig,
                                bce, class_weights, combined_loss, lr_at,
                                restore, select_top2, setup_loss, snapshot,
                                teacher_forcing_loss, train_model,
                                validation_f1, weighted_bce)
+from oracles import (adamw_reference_step, column_weighted_bce,
+                     numeric_gradient, rel_error)
 
 # Table 1 training-split counts: 10000 misogynous memes total
 TABLE1_COUNTS = (1274, 2810, 2202, 953)
@@ -79,6 +81,28 @@ def test_weighted_bce_uniform_equals_sum_of_means():
     w = LossWeights(np.full(4, 0.25))
     total = sum(0.25 * float(bce(p[:, c], y[:, c]).data) for c in range(4))
     assert abs(float(weighted_bce(p, y, w).data) - total) < 1e-12
+
+
+def test_weighted_bce_matches_column_oracle():
+    for seed in range(10):
+        gen = np.random.default_rng(seed)
+        p = parameter(gen.random((5, 4)) * 0.9 + 0.05)
+        y = gen.integers(0, 2, size=(5, 4)).astype(float)
+        w = class_weights(gen.integers(1, 50, size=4), 100)
+        loss = weighted_bce(p, y, w)
+        assert abs(float(loss.data)
+                   - column_weighted_bce(p.data, y, w.w)) < 1e-12
+        loss.backward()
+        ref = numeric_gradient(lambda: column_weighted_bce(p.data, y, w.w),
+                               p.data)
+        assert rel_error(p.grad, ref) < 1e-6
+
+
+def test_bce_gradient_zero_where_clamped():
+    p = parameter(np.array([[0.0, 0.5, 1.0]]))
+    bce(p, [[1.0, 1.0, 0.0]]).backward()
+    assert p.grad[0, 0] == 0.0 and p.grad[0, 2] == 0.0
+    assert p.grad[0, 1] == pytest.approx(-1.0 / (3 * 0.5))
 
 
 def test_weighted_bce_perfect_predictions():
@@ -218,10 +242,49 @@ def test_adamw_single_step_closed_form():
 
 
 def test_adamw_rejects_non_finite_gradient():
-    p = parameter(np.array([1.0]))
-    p.grad = np.array([np.nan])
-    with pytest.raises(NumericError):
-        AdamW({"p": p}).step(0.1)
+    ok = parameter(np.array([1.0]))
+    ok.grad = np.array([0.5])
+    bad = parameter(np.array([1.0, 2.0]))
+    bad.grad = np.array([0.0, np.nan])
+    with pytest.raises(NumericError, match="non-finite gradient for bad$"):
+        AdamW({"ok": ok, "bad": bad}).step(0.1)
+    assert ok.data[0] == 1.0  # nothing moved
+
+
+def test_adamw_flat_buffer_matches_per_tensor_reference():
+    gen = np.random.default_rng(0)
+    shapes = {"w": (3, 4), "b": (4,), "frozen": (2, 2), "s": ()}
+    params = {k: parameter(gen.standard_normal(s)) for k, s in shapes.items()}
+    ref = {k: p.data.copy() for k, p in params.items()}
+    ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+    ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = AdamW(params, weight_decay=0.05)
+    for t in range(1, 6):
+        grads = {k: gen.standard_normal(s) for k, s in shapes.items()}
+        grads["frozen"] = None  # no gradient: not moved, not decayed
+        for k, p in params.items():
+            p.grad = grads[k]
+        lr = 0.01 * t
+        opt.step(lr)
+        for k in params:
+            if grads[k] is not None:
+                ref[k], ref_m[k], ref_v[k] = adamw_reference_step(
+                    ref[k], grads[k], ref_m[k], ref_v[k], t, lr,
+                    weight_decay=0.05)
+    for k, p in params.items():
+        assert np.array_equal(p.data, ref[k]), k
+        assert np.array_equal(opt.m[k], ref_m[k]), k
+        assert np.array_equal(opt.v[k], ref_v[k]), k
+    assert not np.any(opt.m["frozen"]) and not np.any(opt.v["frozen"])
+
+
+def test_adamw_picks_up_replaced_parameter_data():
+    p = parameter(np.array([1.0, 2.0]))
+    opt = AdamW({"p": p}, weight_decay=0.0)
+    p.data = np.array([5.0, 6.0])  # e.g. restore() of a snapshot
+    p.grad = np.zeros(2)
+    opt.step(0.1)
+    assert np.array_equal(p.data, [5.0, 6.0])
 
 
 def test_snapshot_restore_roundtrip():
@@ -342,8 +405,8 @@ def test_training_loss_decreases_on_separable_data():
                            "b": parameter(np.zeros(4))}
 
         def forward_batch(self, idx, rng_):
-            logits = Tensor(self.x[idx]) @ self.params["w"].transpose_last() \
-                + self.params["b"]
+            logits = linear(Tensor(self.x[idx]), self.params["w"],
+                            self.params["b"])
             return ModelOutput(p=logits.sigmoid(), f=Tensor(self.x[idx]))
 
         def eval_val(self):
