@@ -139,6 +139,21 @@ class RunConfig:
                              f"{sorted(MODEL_MEMBERS)}")
         if self.setup not in ("A", "B"):
             raise ValueError(f"setup must be A or B, got {self.setup!r}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.folds < 2:
+            raise ValueError(f"folds must be at least 2, got {self.folds}")
+        if self.seq_len < 2:
+            raise ValueError(f"seq_len must be at least 2 (CLS and one "
+                             f"token), got {self.seq_len}")
+        if self.crop > self.resize:
+            raise ValueError(f"crop {self.crop} exceeds resize {self.resize}")
+        if self.patch < 1 or self.crop % self.patch:
+            raise ValueError(f"patch {self.patch} does not divide crop "
+                             f"{self.crop}")
+        if self.n_heads < 1 or self.d_att % self.n_heads:
+            raise ValueError(f"n_heads {self.n_heads} does not divide d_att "
+                             f"{self.d_att}")
 
 
 def emit_config(config: RunConfig) -> str:

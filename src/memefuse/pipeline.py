@@ -10,8 +10,11 @@ train only the fusion heads.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,7 @@ from .ensemble import FoldRun, derive_taskA_labels, derive_taskA_probs, \
 from .fusion import FusionModel
 from .nn import AttentionConfig, GcanEncoder, ImageEncoder, ModelOutput, \
     TextEncoder
-from .preprocess import RawSample, clean_text, combine_texts, \
+from .preprocess import DataError, RawSample, clean_text, combine_texts, \
     encode_document, build_vocabulary, normalize_image, tokenize
 from .textgraph import build_adjacency, count_windows, \
     extract_document_adjacency, extract_unseen_adjacency
@@ -66,6 +69,9 @@ class CvContext:
 
     def __init__(self, train_samples: list[RawSample],
                  test_samples: list[RawSample], cfg: RunConfig):
+        if cfg.folds > len(train_samples):
+            raise DataError(f"cannot split {len(train_samples)} training "
+                            f"samples into {cfg.folds} folds")
         self.cfg = cfg
         self.train_samples = train_samples
         self.test_samples = test_samples
@@ -238,6 +244,10 @@ class FoldArtifacts:
     meta: dict[str, str]
     test_taskA_f1: float
     test_weighted_f1: float | None
+    pid: int            # process that trained the fold
+    start: float        # time.perf_counter() when the fold started
+    wall_s: float
+    cpu_s: float        # CPU time of the training process
 
 
 def _test_scores(probs: np.ndarray, y_mis, y_sub, setup: str):
@@ -251,6 +261,7 @@ def _test_scores(probs: np.ndarray, y_mis, y_sub, setup: str):
 def train_fold(ctx: CvContext, model_name: str, fold: int,
                out_root: str | None = None) -> FoldArtifacts:
     """Train one model on one fold; fusion members are read from out_root."""
+    start, cpu_start = time.perf_counter(), time.process_time()
     cfg = ctx.cfg
     data = ctx.fold_data(fold)
     n_classes = 1 if cfg.setup == "A" else 4
@@ -306,7 +317,10 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
     run = FoldRun(model_name=model_name, fold=fold, best_f1=best_f1,
                   test_probs=test_probs)
     return FoldArtifacts(run=run, records=records, params=params, meta=meta,
-                         test_taskA_f1=task_a, test_weighted_f1=weighted)
+                         test_taskA_f1=task_a, test_weighted_f1=weighted,
+                         pid=os.getpid(), start=start,
+                         wall_s=time.perf_counter() - start,
+                         cpu_s=time.process_time() - cpu_start)
 
 
 def write_predictions(path: str, ids: list[str], probs: np.ndarray,
@@ -345,26 +359,52 @@ def read_predictions(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     return ids, np.array(probs), np.array(labels, dtype=int)
 
 
+_worker_job: tuple = ()  # (ctx, model_name, out_root) in a fold worker
+
+
+def _init_fold_worker(ctx: CvContext, model_name: str, out_root: str):
+    global _worker_job
+    _worker_job = (ctx, model_name, out_root)
+
+
+def _train_worker_fold(fold: int) -> FoldArtifacts:
+    ctx, model_name, out_root = _worker_job
+    return train_fold(ctx, model_name, fold, out_root)
+
+
 def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
                    jobs: int = 1, log=print) -> list[FoldArtifacts]:
-    """Train all folds of one model and persist the run directory."""
+    """Train all folds of one model and persist the run directory.
+
+    With jobs > 1 the folds train in up to `jobs` worker processes, which
+    are joined before this returns. The parent writes every file, so each
+    file in the manifest is byte-identical to a jobs=1 run; fold timings
+    go to events.jsonl, outside the manifest.
+    """
     cfg = ctx.cfg
     model_dir = os.path.join(out_root, model_name)
     os.makedirs(model_dir, exist_ok=True)
+    start = time.perf_counter()
 
-    def one(fold: int) -> FoldArtifacts:
-        art = train_fold(ctx, model_name, fold, out_root)
+    def logged(art: FoldArtifacts) -> FoldArtifacts:
         if log is not None:
-            log(f"{model_name} fold {fold}: best val F1 "
+            log(f"{model_name} fold {art.run.fold}: best val F1 "
                 f"{art.run.best_f1:.4f}, test task-A F1 "
                 f"{art.test_taskA_f1:.4f}")
         return art
 
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            artifacts = list(pool.map(one, range(cfg.folds)))
+        # fork: workers inherit the context instead of unpickling a copy
+        with ProcessPoolExecutor(
+                max_workers=min(jobs, cfg.folds),
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_fold_worker,
+                initargs=(ctx, model_name, out_root)) as pool:
+            artifacts = [logged(art) for art in
+                         pool.map(_train_worker_fold, range(cfg.folds))]
     else:
-        artifacts = [one(fold) for fold in range(cfg.folds)]
+        artifacts = [logged(train_fold(ctx, model_name, fold, out_root))
+                     for fold in range(cfg.folds)]
 
     files = {}
     log_path = os.path.join(model_dir, "train_log.tsv")
@@ -403,6 +443,14 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
         for name in sorted(files):
             digest = ckpt.file_hash(os.path.join(model_dir, name))
             fh.write(f"{name}\t{files[name]}\t{digest}\n")
+
+    with open(os.path.join(model_dir, "events.jsonl"), "w",
+              encoding="utf-8") as fh:
+        for fold, art in enumerate(artifacts):
+            fh.write(json.dumps({
+                "event": "fold", "fold": fold, "pid": art.pid,
+                "start_s": art.start - start, "wall_s": art.wall_s,
+                "cpu_s": art.cpu_s}) + "\n")
     return artifacts
 
 

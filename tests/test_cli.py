@@ -120,6 +120,16 @@ def test_config_validation():
         RunConfig(setup="C").validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("jobs", 0), ("jobs", -3), ("folds", 1), ("seq_len", 1), ("crop", 40),
+    ("patch", 5), ("patch", 0), ("n_heads", 3), ("n_heads", 0)])
+def test_config_validation_numeric_fields(field, value):
+    # defaults: resize 36, crop 32, patch 8, d_att 32, n_heads 4
+    RunConfig().validate()
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value}).validate()
+
+
 # ----------------------------------------------------------------- generator
 
 def test_generate_deterministic_and_valid():
@@ -203,12 +213,42 @@ def tiny_run(tmp_path_factory):
     return {"root": root, "data": data, "out": out, "cfg": cfg_path}
 
 
-def test_cli_train_dependency_error(tiny_run, capsys):
+def test_cli_train_dependency_error(tiny_run, tmp_path, capsys):
+    for jobs in ("1", "2"):
+        code = main(["train", "--config", tiny_run["cfg"], "--data",
+                     tiny_run["data"], "--model", "gcan-vit", "--jobs", jobs,
+                     "--out", str(tmp_path)])
+        assert code == 2, jobs
+        assert "member model 'gcan'" in capsys.readouterr().err, jobs
+
+
+def test_cli_worker_errors_keep_exit_codes(tiny_run, tmp_path, capsys,
+                                          monkeypatch):
+    from memefuse import pipeline
+    from memefuse.nn import NumericError
+    for error, expected in ((DataError("bad sample"), 2),
+                            (pipeline.DependencyError("no member"), 2),
+                            (NumericError("non-finite values in loss"), 3)):
+        def failing(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(pipeline, "train_fold", failing)
+        code = main(["train", "--config", tiny_run["cfg"], "--data",
+                     tiny_run["data"], "--model", "vit", "--jobs", "2",
+                     "--out", str(tmp_path)])
+        assert code == expected, type(error)
+        assert str(error) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--jobs", "0"], ["--jobs", "-3"],
+                                  ["--folds", "1"], ["--folds", "31"]])
+def test_cli_train_refuses_bad_config_before_work(tiny_run, tmp_path, capsys,
+                                                  args):
+    out = os.path.join(tmp_path, "runs")
     code = main(["train", "--config", tiny_run["cfg"], "--data",
-                 tiny_run["data"], "--model", "gcan-vit",
-                 "--out", tiny_run["out"]])
+                 tiny_run["data"], "--model", "gcan", "--out", out] + args)
     assert code == 2
-    assert "gcan" in capsys.readouterr().err
+    assert args[0][2:] in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_full_flow(tiny_run, capsys):

@@ -1,5 +1,7 @@
 """Cross-validation pipeline: fold encoding, determinism, predictions I/O."""
 
+import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -10,6 +12,7 @@ from memefuse.dataio import RunConfig, ingest
 from memefuse.pipeline import (CvContext, DependencyError, load_fold_runs,
                                read_predictions, train_fold, train_model_cv,
                                write_predictions)
+from memefuse.preprocess import DataError
 from memefuse.synth import SynthSpec, gen_synth
 
 CFG_KW = dict(folds=3, epochs=3, warmup_epochs=1, base_lr=3e-3,
@@ -45,6 +48,12 @@ def test_fold_encoding_shapes_and_leakage(dataset):
     # every adjacency block is symmetric with ones on PAD diagonals
     for adjs in (data.train.adjs, data.val.adjs, data.test.adjs):
         assert np.allclose(adjs, np.swapaxes(adjs, 1, 2), atol=0)
+
+
+def test_context_refuses_more_folds_than_samples(dataset):
+    make_ctx(dataset, folds=24)
+    with pytest.raises(DataError, match="25 folds"):
+        make_ctx(dataset, folds=25)
 
 
 def test_vocabulary_built_per_fold_without_validation_docs(dataset):
@@ -87,17 +96,50 @@ def test_fusion_requires_members(dataset, tmp_path):
         train_fold(ctx, "gcan-vit", 0, None)
 
 
+def manifest_names(model_dir):
+    with open(os.path.join(model_dir, "manifest.tsv")) as fh:
+        fh.readline()
+        return [line.split("\t")[0] for line in fh]
+
+
 def test_cv_deterministic_and_parallel_equivalent(dataset, tmp_path):
-    out1 = os.path.join(tmp_path, "r1")
-    out2 = os.path.join(tmp_path, "r2")
-    ctx1 = make_ctx(dataset)
-    ctx2 = make_ctx(dataset)
-    train_model_cv(ctx1, "vit", out1, jobs=1, log=None)
-    train_model_cv(ctx2, "vit", out2, jobs=2, log=None)
-    for name in ("runs.tsv", "fold0.ckpt", "fold1.ckpt", "fold2.ckpt",
-                 "fold0_preds.tsv"):
-        assert file_hash(os.path.join(out1, "vit", name)) == \
-            file_hash(os.path.join(out2, "vit", name)), name
+    # gcan carries the adjacency blocks; jobs=5 asks for more workers
+    # than the 3 folds
+    for model, jobs in (("vit", 2), ("gcan", 2), ("vit", 5)):
+        serial = os.path.join(tmp_path, f"{model}-{jobs}-serial")
+        parallel = os.path.join(tmp_path, f"{model}-{jobs}-parallel")
+        train_model_cv(make_ctx(dataset), model, serial, jobs=1, log=None)
+        train_model_cv(make_ctx(dataset), model, parallel, jobs=jobs,
+                       log=None)
+        assert multiprocessing.active_children() == []
+        names = manifest_names(os.path.join(serial, model))
+        assert names == manifest_names(os.path.join(parallel, model))
+        assert {"train_log.tsv", "runs.tsv", "fold2.ckpt",
+                "fold2_preds.tsv"} <= set(names)
+        assert "events.jsonl" not in names
+        for name in names + ["manifest.tsv"]:
+            assert file_hash(os.path.join(serial, model, name)) == \
+                file_hash(os.path.join(parallel, model, name)), \
+                (model, jobs, name)
+
+
+def test_events_and_log_one_line_per_fold(dataset, tmp_path):
+    for jobs in (1, 2):
+        out = os.path.join(tmp_path, str(jobs))
+        lines = []
+        arts = train_model_cv(make_ctx(dataset), "vit", out, jobs=jobs,
+                              log=lines.append)
+        assert [line.split()[2] for line in lines] == ["0:", "1:", "2:"]
+        with open(os.path.join(out, "vit", "events.jsonl")) as fh:
+            events = [json.loads(line) for line in fh]
+        assert [e["fold"] for e in events] == [0, 1, 2]
+        assert all(e["event"] == "fold" and e["start_s"] >= 0
+                   and e["wall_s"] > 0 and e["cpu_s"] > 0 for e in events)
+        assert [e["pid"] for e in events] == [a.pid for a in arts]
+        if jobs == 1:
+            assert {e["pid"] for e in events} == {os.getpid()}
+        else:
+            assert os.getpid() not in {e["pid"] for e in events}
 
 
 def test_load_fold_runs_roundtrip(dataset, tmp_path):
