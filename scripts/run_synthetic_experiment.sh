@@ -44,7 +44,6 @@ seed = 11
 EOF
 
 memefuse gen-synth --spec "$ROOT/synth.spec" --out "$ROOT/data"
-memefuse build-graph --data "$ROOT/data" --out "$ROOT/graph.txt"
 
 for model in gcan vit gcan-vit; do
     echo "=== training $model ==="

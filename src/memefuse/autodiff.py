@@ -11,6 +11,8 @@ NaN/Inf produced by an op is treated as a hard error by the callers.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -278,6 +280,24 @@ def parameter(data, rng: np.random.Generator | None = None,
     if rng is not None:
         data = rng.standard_normal(data) * (scale if scale is not None else 1.0)
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+
+
+@contextmanager
+def frozen(params: dict[str, Tensor]):
+    """Keep `params` off the tape inside the block.
+
+    With no trainable leaf in reach, forward passes record no parents and
+    no backward closures; their values are unchanged. Each parameter's
+    `requires_grad` is restored on exit.
+    """
+    saved = [(p, p.requires_grad) for p in params.values()]
+    for p, _ in saved:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in saved:
+            p.requires_grad = flag
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

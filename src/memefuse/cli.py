@@ -19,10 +19,8 @@ from .ensemble import derive_taskA_labels, hard_vote, mann_whitney_u, \
 from .nn import NumericError
 from .pipeline import CvContext, DependencyError, load_fold_runs, \
     read_predictions, train_model_cv, write_predictions
-from .preprocess import DataError, build_vocabulary
+from .preprocess import DataError
 from .synth import SynthSpec, gen_synth
-from .textgraph import build_adjacency, count_windows, save_graph
-from .pipeline import document_tokens
 
 
 def _load_synth_spec(path: str | None) -> SynthSpec:
@@ -54,20 +52,6 @@ def cmd_gen_synth(args) -> int:
             fh.write(f"{os.path.basename(path)}\t{role}\t"
                      f"{ckpt.file_hash(path)}\n")
     print(f"wrote {train_path} and {test_path}")
-    return 0
-
-
-def cmd_build_graph(args) -> int:
-    samples = ingest(os.path.join(args.data, "train.tsv"),
-                     os.path.join(args.data, "images"))
-    tokens = [document_tokens(s) for s in samples]
-    vocab = build_vocabulary(tokens)
-    id_corpus = [[vocab.lookup(t) for t in doc] for doc in tokens]
-    stats = count_windows(id_corpus, args.window)
-    graph = build_adjacency(id_corpus, stats, vocab)
-    save_graph(graph, args.out)
-    print(f"graph with {graph.n_D} document and {graph.n_W} word nodes "
-          f"written to {args.out}")
     return 0
 
 
@@ -200,12 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_gen_synth)
-
-    p = sub.add_parser("build-graph", help="build and save the corpus graph")
-    p.add_argument("--data", required=True)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("train", help="k-fold training of one model")
     p.add_argument("--config")

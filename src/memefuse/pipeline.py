@@ -1,9 +1,11 @@
 """Cross-validated training runs over a dataset, plus run-directory I/O.
 
 A CvContext precomputes tokenized documents, normalized images, and fold
-splits for one dataset. Each fold builds its corpus graph from the
-fold's training documents only; validation and test documents get their
-adjacency blocks synthesized against the training statistics. Fusion
+splits for one dataset. Only models that read the graph (`gcan` and the
+fusion models with a `gcan` member) get a corpus graph: each fold builds
+it from the fold's training documents only, and extracts the adjacency
+blocks of each split in one batch; validation and test documents get
+their blocks synthesized against the training statistics. Fusion
 models load the fold checkpoints of their members, freeze them, and
 train only the fusion heads.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint as ckpt
-from .autodiff import Tensor
+from .autodiff import Tensor, frozen
 from .dataio import MODEL_MEMBERS, RunConfig
 from .ensemble import FoldRun, derive_taskA_labels, derive_taskA_probs, \
     kfold_split, taskA_macro_f1, weighted_f1
@@ -92,56 +94,61 @@ class CvContext:
         self.test_y_sub = np.stack([s.labels.sub_labels()
                                     for s in test_samples])
         self.folds = kfold_split(len(train_samples), cfg.folds, cfg.seed)
-        self._cache: dict[int, FoldData] = {}
+        self._cache: dict[tuple[int, bool], FoldData] = {}
 
-    def fold_data(self, fold: int) -> FoldData:
-        if fold not in self._cache:
-            self._cache[fold] = self._build_fold(fold)
-        return self._cache[fold]
+    def fold_data(self, fold: int, with_graph: bool = True) -> FoldData:
+        """A fold's encoded splits; adjacency blocks only `with_graph`."""
+        key = (fold, with_graph)
+        if key not in self._cache:
+            self._cache[key] = self._build_fold(fold, with_graph)
+        return self._cache[key]
 
-    def _build_fold(self, fold: int) -> FoldData:
+    def _build_fold(self, fold: int, with_graph: bool) -> FoldData:
         cfg = self.cfg
         val_idx = self.folds[fold]
         mask = np.ones(len(self.train_samples), dtype=bool)
         mask[val_idx] = False
         train_idx = np.flatnonzero(mask)
-
-        corpus_tokens = [self.train_tokens[i] for i in train_idx]
-        vocab = build_vocabulary(corpus_tokens, cfg.min_freq, cfg.max_vocab)
-        id_corpus = [[vocab.lookup(t) for t in doc] for doc in corpus_tokens]
-        stats = count_windows(id_corpus, cfg.window_len)
-        graph = build_adjacency(id_corpus, stats, vocab)
+        test_idx = np.arange(len(self.test_samples))
+        vocab = build_vocabulary([self.train_tokens[i] for i in train_idx],
+                                 cfg.min_freq, cfg.max_vocab)
 
         def encode_split(indices, tokens_all, images_all, y_mis, y_sub,
-                         ids_all, in_graph):
-            seqs, adjs = [], []
-            for local, i in enumerate(indices):
-                seq = encode_document(tokens_all[i], vocab, cfg.seq_len)
-                seqs.append(seq.ids)
-                if in_graph:
-                    adj = extract_document_adjacency(graph, local, seq)
-                else:
-                    doc_ids = [vocab.lookup(t) for t in tokens_all[i]]
-                    adj = extract_unseen_adjacency(graph, doc_ids, seq)
-                adjs.append(adj.matrix)
-            return EncodedSplit(
+                         ids_all):
+            encoded = [encode_document(tokens_all[i], vocab, cfg.seq_len)
+                       for i in indices]
+            split = EncodedSplit(
                 ids=[ids_all[i] for i in indices],
-                seqs=np.stack(seqs), adjs=np.stack(adjs),
+                seqs=np.stack([seq.ids for seq in encoded]), adjs=None,
                 images=images_all[indices],
                 y_mis=y_mis[indices], y_sub=y_sub[indices])
+            return split, np.array([seq.true_length for seq in encoded])
+
+        def id_docs(indices, tokens_all):
+            return [[vocab.lookup(t) for t in tokens_all[i]] for i in indices]
 
         train_ids_all = [s.id for s in self.train_samples]
-        test_ids_all = [s.id for s in self.test_samples]
-        train = encode_split(train_idx, self.train_tokens, self.train_images,
-                             self.train_y_mis, self.train_y_sub,
-                             train_ids_all, in_graph=True)
-        val = encode_split(val_idx, self.train_tokens, self.train_images,
-                           self.train_y_mis, self.train_y_sub,
-                           train_ids_all, in_graph=False)
-        test = encode_split(np.arange(len(self.test_samples)),
-                            self.test_tokens, self.test_images,
-                            self.test_y_mis, self.test_y_sub,
-                            test_ids_all, in_graph=False)
+        train, train_lengths = encode_split(
+            train_idx, self.train_tokens, self.train_images,
+            self.train_y_mis, self.train_y_sub, train_ids_all)
+        val, val_lengths = encode_split(
+            val_idx, self.train_tokens, self.train_images,
+            self.train_y_mis, self.train_y_sub, train_ids_all)
+        test, test_lengths = encode_split(
+            test_idx, self.test_tokens, self.test_images, self.test_y_mis,
+            self.test_y_sub, [s.id for s in self.test_samples])
+        if with_graph:
+            id_corpus = id_docs(train_idx, self.train_tokens)
+            stats = count_windows(id_corpus, cfg.window_len)
+            graph = build_adjacency(id_corpus, stats, vocab)
+            train.adjs = extract_document_adjacency(graph, train.seqs,
+                                                    train_lengths)
+            val.adjs = extract_unseen_adjacency(
+                graph, val.seqs, val_lengths,
+                id_docs(val_idx, self.train_tokens))
+            test.adjs = extract_unseen_adjacency(
+                graph, test.seqs, test_lengths,
+                id_docs(test_idx, self.test_tokens))
         return FoldData(train=train, val=val, test=test,
                         vocab_size=len(vocab.id_to_token))
 
@@ -187,11 +194,12 @@ class UnimodalTrainable:
         """Eval-mode probabilities and features, batched."""
         n = len(split.ids)
         probs, feats = [], []
-        for start in range(0, n, EVAL_BATCH):
-            idx = np.arange(start, min(start + EVAL_BATCH, n))
-            out = self._forward(split, idx, None)
-            probs.append(out.p.data)
-            feats.append(out.f.data)
+        with frozen(self.params):
+            for start in range(0, n, EVAL_BATCH):
+                idx = np.arange(start, min(start + EVAL_BATCH, n))
+                out = self._forward(split, idx, None)
+                probs.append(out.p.data)
+                feats.append(out.f.data)
         return np.concatenate(probs), np.concatenate(feats)
 
     def eval_val(self) -> np.ndarray:
@@ -217,9 +225,11 @@ class FusionTrainable:
     def eval_cached(self, cached) -> np.ndarray:
         n = len(cached[0][0])
         probs = []
-        for start in range(0, n, EVAL_BATCH):
-            idx = np.arange(start, min(start + EVAL_BATCH, n))
-            probs.append(self.model.forward(self._outputs(cached, idx)).p.data)
+        with frozen(self.params):
+            for start in range(0, n, EVAL_BATCH):
+                idx = np.arange(start, min(start + EVAL_BATCH, n))
+                probs.append(
+                    self.model.forward(self._outputs(cached, idx)).p.data)
         return np.concatenate(probs)
 
     def eval_val(self) -> np.ndarray:
@@ -263,9 +273,11 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
     """Train one model on one fold; fusion members are read from out_root."""
     start, cpu_start = time.perf_counter(), time.process_time()
     cfg = ctx.cfg
-    data = ctx.fold_data(fold)
-    n_classes = 1 if cfg.setup == "A" else 4
     members = MODEL_MEMBERS[model_name]
+    # only gcan reads the corpus graph, as a model or as a fusion member
+    data = ctx.fold_data(fold,
+                         with_graph="gcan" in (members or [model_name]))
+    n_classes = 1 if cfg.setup == "A" else 4
     tconf = _train_config(cfg, fold, fusion=members is not None)
     meta = {"model": model_name, "fold": str(fold), "setup": cfg.setup}
 

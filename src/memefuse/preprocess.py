@@ -62,7 +62,6 @@ class Vocabulary:
     token_to_id: dict[str, int]
     id_to_token: list[str]
     n_W: int
-    n_D: int
 
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
@@ -131,7 +130,7 @@ def build_vocabulary(corpus: list[list[str]], min_freq: int = 1,
     id_to_token = list(RESERVED_TOKENS) + kept
     token_to_id = {t: i for i, t in enumerate(id_to_token)}
     return Vocabulary(token_to_id=token_to_id, id_to_token=id_to_token,
-                      n_W=len(kept), n_D=len(corpus))
+                      n_W=len(kept))
 
 
 def encode_document(tokens: list[str], vocab: Vocabulary,

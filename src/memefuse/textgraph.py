@@ -3,13 +3,15 @@
 Word-word edges carry positive pointwise mutual information gathered with
 a sliding window; document-word edges carry TF-IDF; the diagonal is 1.
 The adjacency matrix is symmetrically normalized by inverse square-root
-degrees. Per-document L_S x L_S adjacency blocks are extracted for the
-graph-attention encoder: sequence position 0 maps to the document node,
-the remaining positions map to their word nodes.
+degrees. The graph-attention encoder reads one L_S x L_S adjacency block
+per document, extracted for a whole split at once: sequence position 0
+maps to the document node, the remaining positions map to their word
+nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .preprocess import PAD_ID, TokenIdSequence, Vocabulary
+from .preprocess import Vocabulary
 
 NEG_INF = float("-inf")
 _FIRST_WORD_ID = 3  # ids 0..2 are PAD/CLS/UNK and never become word nodes
@@ -32,19 +34,13 @@ class WindowStats:
 
 
 @dataclass
-class DocAdjacency:
-    matrix: np.ndarray  # dense (L_S, L_S)
-    doc_index: int      # -1 for documents outside the corpus graph
-
-
-@dataclass
 class CorpusGraph:
     n_D: int
     n_W: int
     raw: sp.csr_matrix         # A, symmetric, unit diagonal
     normalized: sp.csr_matrix  # D^{-1/2} A D^{-1/2}
     degree: np.ndarray
-    idf: np.ndarray | None     # per word id (offset by reserved ids), ln(n_D/df)
+    idf: np.ndarray            # per word id (offset by reserved ids), ln(n_D/df)
 
     @property
     def n_nodes(self) -> int:
@@ -74,9 +70,7 @@ def count_windows(corpus: list[list[int]], window_len: int) -> WindowStats:
         for start in range(n_windows):
             members = sorted(set(doc[start: start + window_len]))
             per_token.update(members)
-            for a_idx in range(len(members)):
-                for b_idx in range(a_idx + 1, len(members)):
-                    per_pair[(members[a_idx], members[b_idx])] += 1
+            per_pair.update(itertools.combinations(members, 2))
     return WindowStats(total=total, per_token=per_token, per_pair=per_pair,
                        window_len=window_len)
 
@@ -180,113 +174,77 @@ def _normalize(raw: sp.csr_matrix, degree: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((data, (coo.row, coo.col)), shape=raw.shape).tocsr()
 
 
-def _fill_word_block(graph: CorpusGraph, seq: TokenIdSequence,
-                     matrix: np.ndarray) -> list[int | None]:
-    """Word-word entries of the extracted block; returns per-position nodes."""
-    nodes: list[int | None] = [None]
-    for p in range(1, seq.length):
-        if p >= seq.true_length or seq.ids[p] == PAD_ID:
-            nodes.append(None)
-            continue
-        nodes.append(graph.word_node(int(seq.ids[p])))
-    positions = [p for p in range(1, seq.length) if nodes[p] is not None]
-    if positions:
-        node_arr = np.array([nodes[p] for p in positions])
-        block = graph.normalized[node_arr][:, node_arr].toarray()
-        matrix[np.ix_(positions, positions)] = block
-    for p in range(1, seq.length):
-        if nodes[p] is None:
-            matrix[p, p] = 1.0  # PAD/unknown: unit self-loop only
-    return nodes
+def _position_nodes(graph: CorpusGraph, seqs: np.ndarray,
+                    lengths: np.ndarray) -> np.ndarray:
+    """(N, L) word node of every position; -1 at position 0, PAD, UNK,
+    reserved ids, words outside the graph and past the true length."""
+    seqs = np.asarray(seqs)
+    pos = np.arange(seqs.shape[1])
+    nodes = graph.n_D + seqs - _FIRST_WORD_ID
+    valid = ((pos >= 1) & (pos < np.asarray(lengths)[:, None])
+             & (seqs >= _FIRST_WORD_ID) & (nodes < graph.n_nodes))
+    return np.where(valid, nodes, -1)
 
 
-def extract_document_adjacency(graph: CorpusGraph, doc: int,
-                               seq: TokenIdSequence) -> DocAdjacency:
-    """Dense L_S x L_S block of the normalized adjacency for one document.
+def _gather_blocks(graph: CorpusGraph, nodes: np.ndarray) -> np.ndarray:
+    """(N, L, L) normalized entries between every pair of positions with a
+    node, in one sparse gather; a position without one keeps a unit
+    self-loop only."""
+    n, seq_len = nodes.shape
+    has_node = nodes >= 0
+    doc, p, q = np.nonzero(has_node[:, :, None] & has_node[:, None, :])
+    blocks = np.zeros((n, seq_len, seq_len))
+    if len(doc):
+        blocks[doc, p, q] = np.asarray(
+            graph.normalized[nodes[doc, p], nodes[doc, q]]).ravel()
+    diag = np.arange(seq_len)
+    blocks[:, diag, diag] = np.where(has_node, blocks[:, diag, diag], 1.0)
+    return blocks
+
+
+def extract_document_adjacency(graph: CorpusGraph, seqs: np.ndarray,
+                               lengths: np.ndarray) -> np.ndarray:
+    """Dense (N, L_S, L_S) blocks of the normalized adjacency for the
+    graph's own documents, given in graph order.
 
     Row/column 0 is the document node (its edges carry normalized TF-IDF),
     the other positions are word nodes; PAD and out-of-vocabulary
     positions keep only a unit self-loop.
     """
-    if not 0 <= doc < graph.n_D:
-        raise IndexError(f"document index {doc} out of range")
-    matrix = np.zeros((seq.length, seq.length))
-    nodes = _fill_word_block(graph, seq, matrix)
-    norm = graph.normalized
-    matrix[0, 0] = norm[doc, doc]
-    for p in range(1, seq.length):
-        if nodes[p] is not None:
-            value = norm[doc, nodes[p]]
-            matrix[0, p] = value
-            matrix[p, 0] = value
-    return DocAdjacency(matrix=matrix, doc_index=doc)
+    if len(seqs) != graph.n_D:
+        raise ValueError(f"got {len(seqs)} documents for a graph of "
+                         f"{graph.n_D}")
+    nodes = _position_nodes(graph, seqs, lengths)
+    nodes[:, 0] = np.arange(graph.n_D)
+    return _gather_blocks(graph, nodes)
 
 
-def extract_unseen_adjacency(graph: CorpusGraph, doc_tokens: list[int],
-                             seq: TokenIdSequence) -> DocAdjacency:
-    """Adjacency block for a document that is not a node of the graph.
+def extract_unseen_adjacency(graph: CorpusGraph, seqs: np.ndarray,
+                             lengths: np.ndarray,
+                             doc_ids: list[list[int]]) -> np.ndarray:
+    """Adjacency blocks for documents that are not nodes of the graph.
 
-    The document row is synthesized: TF-IDF against the training IDF
-    values, pseudo-degree 1 + sum of those entries, and the symmetric
-    normalization applied with the stored word degrees. Word-word entries
-    are reused from the training graph.
+    `doc_ids` holds each document's full token-id list. The document row
+    is synthesized: TF-IDF against the training IDF values, pseudo-degree
+    1 + sum of those entries, and the symmetric normalization applied
+    with the stored word degrees. Word-word entries are reused from the
+    training graph.
     """
-    if graph.idf is None:
-        raise ValueError("graph was loaded without IDF values; "
-                         "rebuild it from the corpus")
-    matrix = np.zeros((seq.length, seq.length))
-    nodes = _fill_word_block(graph, seq, matrix)
-
-    counts = Counter(t for t in doc_tokens if graph.word_node(t) is not None)
-    row = {t: tf * graph.idf[t - _FIRST_WORD_ID] for t, tf in counts.items()}
-    pseudo_degree = 1.0 + sum(row.values())
-    matrix[0, 0] = 1.0 / pseudo_degree
-    for p in range(1, seq.length):
-        node = nodes[p]
-        if node is None:
-            continue
-        token = int(seq.ids[p])
-        value = row.get(token, 0.0)
-        value /= math.sqrt(pseudo_degree * graph.degree[node])
-        matrix[0, p] = value
-        matrix[p, 0] = value
-    return DocAdjacency(matrix=matrix, doc_index=-1)
-
-
-def save_graph(graph: CorpusGraph, path: str) -> None:
-    """Text format: header line, then upper-triangle `row col value` triplets."""
-    coo = sp.triu(graph.raw).tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"TEXTGCN v1 {graph.n_D} {graph.n_W} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")
-
-
-def load_graph(path: str) -> CorpusGraph:
-    """Inverse of save_graph; the normalization is recomputed on load.
-
-    IDF values are not part of the file format, so adjacency extraction
-    for unseen documents is unavailable on a loaded graph.
-    """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != "TEXTGCN" or header[1] != "v1":
-            raise ValueError(f"not a TEXTGCN v1 graph file: {path}")
-        n_D, n_W, nnz = int(header[2]), int(header[3]), int(header[4])
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            r, c, v = fh.readline().split()
-            r, c, v = int(r), int(c), float(v)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-            if r != c:
-                rows.append(c)
-                cols.append(r)
-                vals.append(v)
-    n = n_D + n_W
-    raw = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    degree = np.asarray(raw.sum(axis=1)).ravel()
-    return CorpusGraph(n_D=n_D, n_W=n_W, raw=raw,
-                       normalized=_normalize(raw, degree),
-                       degree=degree, idf=None)
+    nodes = _position_nodes(graph, seqs, lengths)
+    blocks = _gather_blocks(graph, nodes)
+    tfidf_at = np.zeros(nodes.shape)
+    pseudo_degree = np.ones(len(nodes))
+    for k, tokens in enumerate(doc_ids):
+        counts = Counter(t for t in tokens if graph.word_node(t) is not None)
+        row = {t: tf * graph.idf[t - _FIRST_WORD_ID]
+               for t, tf in counts.items()}
+        # summed in first-occurrence order: the blocks' bytes depend on it
+        pseudo_degree[k] = 1.0 + sum(row.values())
+        tfidf_at[k] = [row.get(t, 0.0) for t in seqs[k].tolist()]
+    # tfidf_at is 0 wherever a position has no node
+    row0 = tfidf_at / np.sqrt(pseudo_degree[:, None]
+                              * graph.degree[np.maximum(nodes, 0)])
+    blocks[:, 0, :] = row0
+    blocks[:, :, 0] = row0
+    blocks[:, 0, 0] = 1.0 / pseudo_degree
+    return blocks

@@ -6,6 +6,7 @@ package is a genuine cross-check rather than a tautology.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -63,6 +64,77 @@ def dense_graph(id_corpus, window_len, n_word_ids):
     degree = a_mat.sum(axis=1)
     inv_sqrt = np.diag(1.0 / np.sqrt(degree))
     return a_mat, inv_sqrt @ a_mat @ inv_sqrt
+
+
+def _word_block(graph, ids, true_length, matrix):
+    """Word-word entries of one document's block; returns per-position
+    graph nodes (None for position 0, PAD, UNK and words off the graph)."""
+    nodes = [None]
+    for p in range(1, len(ids)):
+        token = int(ids[p])
+        node = graph.n_D + token - FIRST_WORD_ID
+        if p >= true_length or token < FIRST_WORD_ID \
+                or node >= graph.n_D + graph.n_W:
+            nodes.append(None)
+        else:
+            nodes.append(node)
+    positions = [p for p in range(1, len(ids)) if nodes[p] is not None]
+    if positions:
+        node_arr = np.array([nodes[p] for p in positions])
+        block = graph.normalized[node_arr][:, node_arr].toarray()
+        matrix[np.ix_(positions, positions)] = block
+    for p in range(1, len(ids)):
+        if nodes[p] is None:
+            matrix[p, p] = 1.0
+    return nodes
+
+
+def document_block(graph, doc, ids, true_length):
+    """One in-graph document's (L, L) block, scalar index by index."""
+    matrix = np.zeros((len(ids), len(ids)))
+    nodes = _word_block(graph, ids, true_length, matrix)
+    norm = graph.normalized
+    matrix[0, 0] = norm[doc, doc]
+    for p in range(1, len(ids)):
+        if nodes[p] is not None:
+            value = norm[doc, nodes[p]]
+            matrix[0, p] = value
+            matrix[p, 0] = value
+    return matrix
+
+
+def unseen_block(graph, doc_tokens, ids, true_length):
+    """One unseen document's (L, L) block: TF-IDF row against the graph's
+    IDF, pseudo-degree 1 + sum of that row in first-occurrence order."""
+    matrix = np.zeros((len(ids), len(ids)))
+    nodes = _word_block(graph, ids, true_length, matrix)
+    row = {}
+    for t in doc_tokens:
+        if FIRST_WORD_ID <= t < FIRST_WORD_ID + graph.n_W and t not in row:
+            row[t] = doc_tokens.count(t) * graph.idf[t - FIRST_WORD_ID]
+    pseudo_degree = 1.0 + sum(row.values())
+    matrix[0, 0] = 1.0 / pseudo_degree
+    for p in range(1, len(ids)):
+        if nodes[p] is None:
+            continue
+        value = row.get(int(ids[p]), 0.0)
+        value /= math.sqrt(pseudo_degree * graph.degree[nodes[p]])
+        matrix[0, p] = value
+        matrix[p, 0] = value
+    return matrix
+
+
+def count_windows_loop(corpus, window_len):
+    """(per_token, per_pair) window counts with the nested pair loop."""
+    per_token, per_pair = Counter(), Counter()
+    for doc in corpus:
+        for start in range(max(1, len(doc) - window_len + 1)):
+            members = sorted(set(doc[start: start + window_len]))
+            per_token.update(members)
+            for a_idx in range(len(members)):
+                for b_idx in range(a_idx + 1, len(members)):
+                    per_pair[(members[a_idx], members[b_idx])] += 1
+    return per_token, per_pair
 
 
 def numeric_gradient(fn, arr, eps=1e-5):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from memefuse.autodiff import (Tensor, concat, fused, parameter, rows,
-                               zero_grads)
+from memefuse.autodiff import (Tensor, concat, frozen, fused, parameter,
+                               rows, zero_grads)
 from oracles import numeric_gradient, rel_error
 
 TOL = 1e-6
@@ -121,6 +121,11 @@ def test_no_tape_for_constant_inputs():
     a = parameter(np.ones(3))
     mixed = a * Tensor(np.ones(3))
     assert mixed._parents == (a,)  # constants never go on the tape
+    b = parameter(np.ones(3))
+    b.requires_grad = False
+    with frozen({"a": a, "b": b}):
+        assert (a * b)._parents == ()
+    assert a.requires_grad and not b.requires_grad  # restored on exit
 
 
 def test_fused_backward_runs_once_per_pass(rng):

@@ -349,15 +349,6 @@ def test_cli_fusion_preserves_member_checkpoints(tiny_run):
         assert recorded == current
 
 
-def test_cli_build_graph(tiny_run, tmp_path, capsys):
-    out = os.path.join(tmp_path, "g.txg")
-    assert main(["build-graph", "--data", tiny_run["data"],
-                 "--out", out]) == 0
-    from memefuse.textgraph import load_graph
-    graph = load_graph(out)
-    assert graph.n_D == 30
-
-
 def test_cli_usage_errors(capsys):
     assert main(["train", "--model", "resnet"]) == 1  # argparse choice
     assert main([]) == 1
@@ -365,6 +356,7 @@ def test_cli_usage_errors(capsys):
 
 
 def test_cli_data_errors(tmp_path, capsys):
-    assert main(["build-graph", "--data", str(tmp_path),
-                 "--out", os.path.join(tmp_path, "g")]) == 2
+    assert main(["train", "--model", "gcan",
+                 "--data", os.path.join(tmp_path, "missing"),
+                 "--out", os.path.join(tmp_path, "out")]) == 2
     assert main(["train", "--model", "gcan"]) == 2  # no dataset given

@@ -6,14 +6,21 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from memefuse.checkpoint import file_hash
+from memefuse import pipeline
+from memefuse.checkpoint import file_hash, save_checkpoint
 from memefuse.dataio import RunConfig, ingest
-from memefuse.pipeline import (CvContext, DependencyError, load_fold_runs,
-                               read_predictions, train_fold, train_model_cv,
-                               write_predictions)
-from memefuse.preprocess import DataError
+from memefuse.fusion import FusionModel
+from memefuse.nn import GcanEncoder
+from memefuse.pipeline import (CvContext, DependencyError, FusionTrainable,
+                               UnimodalTrainable, load_fold_runs,
+                               make_unimodal, read_predictions, train_fold,
+                               train_model_cv, write_predictions)
+from memefuse.preprocess import DataError, build_vocabulary, encode_document
+from memefuse.textgraph import build_adjacency, count_windows
 from memefuse.synth import SynthSpec, gen_synth
+from oracles import document_block, unseen_block
 
 CFG_KW = dict(folds=3, epochs=3, warmup_epochs=1, base_lr=3e-3,
               fusion_lr=1e-2, seq_len=10, resize=12, crop=8, patch=4,
@@ -48,6 +55,124 @@ def test_fold_encoding_shapes_and_leakage(dataset):
     # every adjacency block is symmetric with ones on PAD diagonals
     for adjs in (data.train.adjs, data.val.adjs, data.test.adjs):
         assert np.allclose(adjs, np.swapaxes(adjs, 1, 2), atol=0)
+
+
+def test_fold_blocks_equal_per_document_reference(dataset):
+    ctx = make_ctx(dataset)
+    data = ctx.fold_data(1)
+    val_idx = ctx.folds[1]
+    train_idx = np.setdiff1d(np.arange(24), val_idx)
+    vocab = build_vocabulary([ctx.train_tokens[i] for i in train_idx],
+                             ctx.cfg.min_freq, ctx.cfg.max_vocab)
+    id_corpus = [[vocab.lookup(t) for t in ctx.train_tokens[i]]
+                 for i in train_idx]
+    graph = build_adjacency(id_corpus,
+                            count_windows(id_corpus, ctx.cfg.window_len),
+                            vocab)
+    splits = ((data.train, [ctx.train_tokens[i] for i in train_idx], True),
+              (data.val, [ctx.train_tokens[i] for i in val_idx], False),
+              (data.test, ctx.test_tokens, False))
+    for split, tokens, in_graph in splits:
+        for k, doc in enumerate(tokens):
+            seq = encode_document(doc, vocab, ctx.cfg.seq_len)
+            if in_graph:
+                ref = document_block(graph, k, seq.ids, seq.true_length)
+            else:
+                ref = unseen_block(graph, [vocab.lookup(t) for t in doc],
+                                   seq.ids, seq.true_length)
+            assert split.adjs[k].tobytes() == ref.tobytes()
+
+
+class CountingCsr(sp.csr_matrix):
+    calls = 0
+
+    def __getitem__(self, key):
+        CountingCsr.calls += 1
+        return super().__getitem__(key)
+
+
+def test_fold_build_indexes_graph_a_few_times_per_split(dataset,
+                                                         monkeypatch):
+    # a per-document (or per-position) loop over the sparse matrix would
+    # index it hundreds of times on this 24-document fixture
+    build = pipeline.build_adjacency
+
+    def counting_graph(*args):
+        graph = build(*args)
+        graph.normalized = CountingCsr(graph.normalized)
+        return graph
+
+    monkeypatch.setattr(pipeline, "build_adjacency", counting_graph)
+    CountingCsr.calls = 0
+    make_ctx(dataset).fold_data(0)
+    assert 1 <= CountingCsr.calls <= 2 * 3
+
+
+def test_models_without_gcan_build_no_graph(dataset, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("built a corpus graph nothing reads")
+
+    monkeypatch.setattr(pipeline, "build_adjacency", no_graph)
+    ctx = make_ctx(dataset)
+    for model in ("vit", "bertc"):
+        train_fold(ctx, model, 0)
+    with pytest.raises(DependencyError):  # raised after the fold build
+        train_fold(ctx, "bertc-vit", 1, None)
+    for fold in (0, 1):
+        data = ctx.fold_data(fold, with_graph=False)
+        assert (data.train.adjs, data.val.adjs, data.test.adjs) == \
+            (None, None, None)
+
+
+def test_gcan_member_of_fusion_reads_blocks(dataset, tmp_path, monkeypatch):
+    ctx = make_ctx(dataset)
+    for member in ("gcan", "vit"):
+        art = train_fold(ctx, member, 0)
+        os.makedirs(os.path.join(tmp_path, member))
+        save_checkpoint(os.path.join(tmp_path, member, "fold0.ckpt"),
+                        art.params, art.meta)
+    adj_shapes = []
+    forward = GcanEncoder.forward
+
+    def recording_forward(self, ids, adj, rng=None):
+        adj_shapes.append(adj.shape)
+        return forward(self, ids, adj, rng)
+
+    monkeypatch.setattr(GcanEncoder, "forward", recording_forward)
+    train_fold(ctx, "gcan-vit", 0, str(tmp_path))
+    n_val = len(ctx.folds[0])
+    # member inference over the train, val and test splits, one batch each
+    assert adj_shapes == [(24 - n_val, 10, 10), (n_val, 10, 10), (6, 10, 10)]
+
+
+def test_eval_forwards_record_no_tape(dataset):
+    ctx = make_ctx(dataset)
+    data = ctx.fold_data(0)
+    model = make_unimodal("gcan", ctx.cfg, data.vocab_size, 4, seed=1)
+    outputs = []
+    forward = model.forward
+
+    def recording_forward(*args, **kwargs):
+        outputs.append(forward(*args, **kwargs))
+        return outputs[-1]
+
+    model.forward = recording_forward
+    probs, feats = UnimodalTrainable(model, data).eval_split(data.val)
+    assert outputs and all(out.p._parents == () and out.f._parents == ()
+                           for out in outputs)
+    taped = forward(data.val.seqs, data.val.adjs)
+    assert taped.p._parents  # outside eval the same forward is on the tape
+    assert probs.tobytes() == taped.p.data.tobytes()
+    assert feats.tobytes() == taped.f.data.tobytes()
+    assert all(p.requires_grad for p in model.params.values())
+
+    fmodel = FusionModel([(4, 8)] * 2, 4, 0.1, seed=0)
+    cached = [(probs, feats)] * 2
+    trainable = FusionTrainable(fmodel, cached, cached)
+    fused = trainable.eval_val()
+    ref = fmodel.forward(trainable._outputs(cached, np.arange(len(probs))))
+    assert ref.p._parents
+    assert fused.tobytes() == ref.p.data.tobytes()
 
 
 def test_context_refuses_more_folds_than_samples(dataset):

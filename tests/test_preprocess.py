@@ -113,7 +113,6 @@ def test_vocabulary_order_and_reserved_ids():
     vocab = build_vocabulary([["a", "b"], ["a"]])
     assert vocab.id_to_token == list(RESERVED_TOKENS) + ["a", "b"]
     assert vocab.n_W == 2
-    assert vocab.n_D == 2
     assert (vocab.token_to_id["<pad>"], vocab.token_to_id["<cls>"],
             vocab.token_to_id["<unk>"]) == (PAD_ID, CLS_ID, UNK_ID)
 

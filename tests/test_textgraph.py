@@ -1,20 +1,18 @@
 """Window statistics, PMI/TF-IDF, adjacency assembly, block extraction."""
 
 import math
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memefuse.preprocess import (CLS_ID, PAD_ID, build_vocabulary,
-                                 encode_document)
+from memefuse.preprocess import build_vocabulary, encode_document
 from memefuse.textgraph import (NEG_INF, WindowStats, build_adjacency,
                                 count_windows, extract_document_adjacency,
-                                extract_unseen_adjacency, load_graph, pmi,
-                                save_graph, tfidf)
-from oracles import dense_graph
+                                extract_unseen_adjacency, pmi, tfidf)
+from oracles import (count_windows_loop, dense_graph, document_block,
+                     unseen_block)
 
 token_lists = st.lists(
     st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]),
@@ -27,6 +25,20 @@ def make_graph(corpus_tokens, window_len=3, min_freq=1):
     id_corpus = [[vocab.lookup(t) for t in doc] for doc in corpus_tokens]
     stats = count_windows(id_corpus, window_len)
     return vocab, id_corpus, stats, build_adjacency(id_corpus, stats, vocab)
+
+
+def batch(seqs):
+    """(ids, true lengths) of a list of TokenIdSequence."""
+    return (np.stack([seq.ids for seq in seqs]),
+            np.array([seq.true_length for seq in seqs]))
+
+
+def doc_blocks(graph, seqs):
+    return extract_document_adjacency(graph, *batch(seqs))
+
+
+def unseen_blocks(graph, seqs, doc_ids):
+    return extract_unseen_adjacency(graph, *batch(seqs), doc_ids)
 
 
 # -------------------------------------------------------------- window stats
@@ -61,6 +73,19 @@ def test_count_windows_membership_not_occurrences():
 def test_count_windows_rejects_bad_length():
     with pytest.raises(ValueError):
         count_windows([[1]], 0)
+
+
+@given(token_lists, st.integers(min_value=1, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_count_windows_matches_pair_loop_in_order(corpus_tokens, window_len):
+    # build_adjacency walks per_pair in insertion order, so the order of
+    # the graph's entries (and its degree sums) depends on it
+    vocab = build_vocabulary(corpus_tokens)
+    ids = [[vocab.lookup(t) for t in doc] for doc in corpus_tokens]
+    stats = count_windows(ids, window_len)
+    per_token, per_pair = count_windows_loop(ids, window_len)
+    assert list(stats.per_token.items()) == list(per_token.items())
+    assert list(stats.per_pair.items()) == list(per_pair.items())
 
 
 @given(token_lists, st.integers(min_value=1, max_value=6))
@@ -171,17 +196,16 @@ def test_normalized_entries_in_unit_interval():
 def test_extract_pad_only_sequence():
     vocab, _, _, graph = make_graph([["a", "b"]], window_len=2)
     seq = encode_document([], vocab, 3)
-    adj = extract_document_adjacency(graph, 0, seq)
+    m = doc_blocks(graph, [seq])[0]
     expected = np.eye(3)
     expected[0, 0] = graph.normalized[0, 0]
-    assert np.allclose(adj.matrix, expected)
-    assert adj.doc_index == 0
+    assert np.allclose(m, expected)
 
 
 def test_extract_repeated_token_identical_rows():
     vocab, _, _, graph = make_graph([["a", "b", "a"]], window_len=2)
     seq = encode_document(["a", "b", "a"], vocab, 4)
-    m = extract_document_adjacency(graph, 0, seq).matrix
+    m = doc_blocks(graph, [seq])[0]
     assert np.array_equal(m[1], m[3])
     assert np.array_equal(m[:, 1], m[:, 3])
 
@@ -190,20 +214,21 @@ def test_extract_matches_dense_submatrix():
     corpus = [["a", "b", "c"], ["b", "c", "d"]]
     vocab, ids, stats, graph = make_graph(corpus, window_len=2)
     a_ref, norm_ref = dense_graph(ids, 2, vocab.n_W)
-    for doc in range(2):
-        tokens = corpus[doc]
-        seq = encode_document(tokens, vocab, len(tokens) + 1)
-        m = extract_document_adjacency(graph, doc, seq).matrix
+    seqs = [encode_document(tokens, vocab, len(tokens) + 1)
+            for tokens in corpus]
+    blocks = doc_blocks(graph, seqs)
+    for doc, tokens in enumerate(corpus):
         nodes = [doc] + [graph.n_D + vocab.lookup(t) - 3 for t in tokens]
         ref = norm_ref[np.ix_(nodes, nodes)]
-        assert np.max(np.abs(m - ref)) < 1e-12
+        assert np.max(np.abs(blocks[doc] - ref)) < 1e-12
 
 
 def test_extract_symmetry_and_pad_rows():
     corpus = [["a", "b"], ["b", "c", "c"]]
     vocab, _, _, graph = make_graph(corpus, window_len=2)
-    seq = encode_document(["a", "zz"], vocab, 5)  # zz is out of vocabulary
-    m = extract_document_adjacency(graph, 0, seq).matrix
+    seqs = [encode_document(["a", "zz"], vocab, 5),  # zz is out of vocabulary
+            encode_document(corpus[1], vocab, 5)]
+    m = doc_blocks(graph, seqs)[0]
     assert np.array_equal(m, m.T)
     # UNK position 2 and PAD positions 3, 4: unit self-loop only
     for p in (2, 3, 4):
@@ -212,11 +237,13 @@ def test_extract_symmetry_and_pad_rows():
         assert np.all(row == 0) and m[p, p] == 1.0
 
 
-def test_extract_doc_out_of_range():
+def test_extract_refuses_batch_that_is_not_the_graph_documents():
     vocab, _, _, graph = make_graph([["a"]])
     seq = encode_document(["a"], vocab, 3)
-    with pytest.raises(IndexError):
-        extract_document_adjacency(graph, 5, seq)
+    for seqs in ([seq, seq], []):
+        ids = np.zeros((len(seqs), 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="graph of 1"):
+            extract_document_adjacency(graph, ids, np.ones(len(seqs)))
 
 
 def test_extract_commutes_with_vocab_permutation():
@@ -227,12 +254,9 @@ def test_extract_commutes_with_vocab_permutation():
     corpus_b = [[rename[t] for t in doc] for doc in corpus_a]
     va, _, _, ga = make_graph(corpus_a, window_len=2)
     vb, _, _, gb = make_graph(corpus_b, window_len=2)
-    for doc in range(2):
-        sa = encode_document(corpus_a[doc], va, 6)
-        sb = encode_document(corpus_b[doc], vb, 6)
-        ma = extract_document_adjacency(ga, doc, sa).matrix
-        mb = extract_document_adjacency(gb, doc, sb).matrix
-        assert np.max(np.abs(ma - mb)) < 1e-12
+    ma = doc_blocks(ga, [encode_document(doc, va, 6) for doc in corpus_a])
+    mb = doc_blocks(gb, [encode_document(doc, vb, 6) for doc in corpus_b])
+    assert np.max(np.abs(ma - mb)) < 1e-12
 
 
 def test_extract_unseen_document():
@@ -241,9 +265,7 @@ def test_extract_unseen_document():
     tokens = ["a", "c", "q"]
     doc_ids = [vocab.lookup(t) for t in tokens]
     seq = encode_document(tokens, vocab, 5)
-    adj = extract_unseen_adjacency(graph, doc_ids, seq)
-    m = adj.matrix
-    assert adj.doc_index == -1
+    m = unseen_blocks(graph, [seq], [doc_ids])[0]
     assert np.array_equal(m, m.T)
     # document row from the stated pseudo-degree formula
     row = {t: doc_ids.count(t) * graph.idf[t - 3]
@@ -258,31 +280,31 @@ def test_extract_unseen_document():
     assert m[1, 2] == graph.normalized[node_a, node_c]
 
 
-# ----------------------------------------------------------------- file I/O
-
-def test_graph_roundtrip(tmp_path):
-    corpus = [["a", "b", "c"], ["b", "c"], ["a", "d", "a"]]
-    _, _, _, graph = make_graph(corpus, window_len=2)
-    path = os.path.join(tmp_path, "g.txg")
-    save_graph(graph, path)
-    with open(path) as fh:
-        header = fh.readline().split()
-    assert header[:2] == ["TEXTGCN", "v1"]
-    assert (int(header[2]), int(header[3])) == (graph.n_D, graph.n_W)
-    loaded = load_graph(path)
-    assert np.max(np.abs(loaded.raw.toarray()
-                         - graph.raw.toarray())) < 1e-15
-    assert np.max(np.abs(loaded.normalized.toarray()
-                         - graph.normalized.toarray())) < 1e-15
-    assert loaded.idf is None
-    seq = encode_document(["a"], build_vocabulary(corpus), 3)
-    with pytest.raises(ValueError):
-        extract_unseen_adjacency(loaded, [3], seq)
+# training words, and words that never reach the graph
+words = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+unseen_words = st.sampled_from(["a", "b", "c", "x", "y"])
 
 
-def test_load_rejects_other_files(tmp_path):
-    path = os.path.join(tmp_path, "junk.txt")
-    with open(path, "w") as fh:
-        fh.write("not a graph\n")
-    with pytest.raises(ValueError):
-        load_graph(path)
+@given(st.lists(st.lists(words, max_size=14), min_size=1, max_size=6),
+       st.lists(st.lists(unseen_words, max_size=14), min_size=1, max_size=4),
+       st.integers(min_value=2, max_value=9),
+       st.integers(min_value=1, max_value=2))
+@settings(max_examples=150, deadline=None)
+def test_batched_blocks_equal_per_document_reference(corpus, unseen, seq_len,
+                                                     min_freq):
+    # PAD and truncation (documents up to 14 tokens against seq_len 2..9),
+    # UNK (min_freq 2, words x/y), repeated tokens, empty and all-OOV
+    # documents, for the graph's own documents and for unseen ones
+    vocab, id_corpus, _, graph = make_graph(corpus, 2, min_freq)
+    seqs = [encode_document(doc, vocab, seq_len) for doc in corpus]
+    blocks = doc_blocks(graph, seqs)
+    ref = np.stack([document_block(graph, k, seq.ids, seq.true_length)
+                    for k, seq in enumerate(seqs)])
+    assert blocks.tobytes() == ref.tobytes()
+
+    seqs = [encode_document(doc, vocab, seq_len) for doc in unseen]
+    doc_ids = [[vocab.lookup(t) for t in doc] for doc in unseen]
+    blocks = unseen_blocks(graph, seqs, doc_ids)
+    ref = np.stack([unseen_block(graph, ids, seq.ids, seq.true_length)
+                    for ids, seq in zip(doc_ids, seqs)])
+    assert blocks.tobytes() == ref.tobytes()
