@@ -4,7 +4,9 @@ Layout: an ASCII header (magic line, counts line, metadata lines, one
 manifest line per parameter with its shape), then the raw little-endian
 float64 values in manifest order. Fusion checkpoints record the content
 hashes of their frozen member checkpoints in the metadata, so the
-frozen-member guarantee can be audited after the fact.
+frozen-member guarantee can be audited after the fact. A file whose
+header is cut, or whose data is short or followed by more bytes, does
+not load.
 """
 
 from __future__ import annotations
@@ -39,25 +41,41 @@ def save_checkpoint(path: str, params: dict,
             fh.write(arrays[name].astype("<f8").tobytes())
 
 
+def _header_line(fh) -> str:
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise ValueError("header ends early")
+    return line[:-1].decode()
+
+
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Parameters and metadata; a cut or padded file is a ValueError."""
     with open(path, "rb") as fh:
         if fh.readline().rstrip(b"\n") != MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        n_meta, n_params = map(int, fh.readline().split())
-        meta = {}
-        for _ in range(n_meta):
-            key, value = fh.readline().decode().rstrip("\n").split("\t", 1)
-            meta[key] = value
-        manifest = []
-        for _ in range(n_params):
-            name, shape = fh.readline().decode().rstrip("\n").split("\t")
-            dims = tuple(int(d) for d in shape.split(",") if d)
-            manifest.append((name, dims))
+        try:
+            n_meta, n_params = map(int, _header_line(fh).split())
+            meta = dict(_header_line(fh).split("\t", 1)
+                        for _ in range(n_meta))
+            manifest = []
+            for _ in range(n_params):
+                name, shape = _header_line(fh).split("\t")
+                manifest.append(
+                    (name, tuple(int(d) for d in shape.split(",") if d)))
+        except ValueError as exc:
+            raise ValueError(f"malformed checkpoint header in {path}: "
+                             f"{exc}") from exc
         params = {}
         for name, dims in manifest:
-            count = int(np.prod(dims)) if dims else 1
-            buf = fh.read(count * 8)
+            size = 8 * int(np.prod(dims))
+            buf = fh.read(size)
+            if len(buf) < size:
+                raise ValueError(f"checkpoint {path} ends inside parameter "
+                                 f"{name}: {len(buf)} of {size} bytes")
             params[name] = np.frombuffer(buf, dtype="<f8").reshape(dims).copy()
+        if fh.read(1):
+            raise ValueError(f"checkpoint {path} has trailing bytes after "
+                             f"its last parameter")
     return params, meta
 
 

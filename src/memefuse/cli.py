@@ -12,45 +12,23 @@ import sys
 
 import numpy as np
 
-from . import checkpoint as ckpt
 from .dataio import MODEL_MEMBERS, RunConfig, ingest, load_config
-from .ensemble import derive_taskA_labels, hard_vote, mann_whitney_u, \
-    significance_stars, soft_vote, taskA_macro_f1, weighted_f1
+from .ensemble import hard_vote, mann_whitney_u, significance_stars, \
+    soft_vote, task_scores
 from .nn import NumericError
 from .pipeline import CvContext, DependencyError, load_fold_runs, \
-    read_predictions, train_model_cv, write_predictions
+    read_predictions, train_model_cv, write_manifest, write_predictions
 from .preprocess import DataError
 from .synth import SynthSpec, gen_synth
 
 
-def _load_synth_spec(path: str | None) -> SynthSpec:
-    spec = SynthSpec()
-    if path is None:
-        return spec
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, value = (p.strip() for p in line.split("=", 1))
-            if not hasattr(spec, key):
-                raise DataError(f"unknown synth spec key {key!r}")
-            current = getattr(spec, key)
-            setattr(spec, key, type(current)(value))
-    return spec
-
-
 def cmd_gen_synth(args) -> int:
-    spec = _load_synth_spec(args.spec)
+    spec = load_config(args.spec, SynthSpec) if args.spec else SynthSpec()
     if args.seed is not None:
         spec.seed = args.seed
     train_path, test_path = gen_synth(spec, args.out)
-    manifest = os.path.join(args.out, "manifest.tsv")
-    with open(manifest, "w", encoding="utf-8") as fh:
-        fh.write("file\trole\tsha256\n")
-        for path, role in ((train_path, "train"), (test_path, "test")):
-            fh.write(f"{os.path.basename(path)}\t{role}\t"
-                     f"{ckpt.file_hash(path)}\n")
+    write_manifest(args.out, [(os.path.basename(train_path), "train"),
+                              (os.path.basename(test_path), "test")])
     print(f"wrote {train_path} and {test_path}")
     return 0
 
@@ -91,6 +69,12 @@ def _test_labels(test_dir: str):
     return [s.id for s in samples], y_mis, y_sub
 
 
+def _score_line(model: str, fold, probs, y_mis, y_sub) -> str:
+    task_a, weighted = task_scores(probs, y_mis, y_sub)
+    task_b = "" if weighted is None else f"{weighted:.4f}"
+    return f"{model}\t{fold}\t{task_a:.4f}\t{task_b}"
+
+
 def cmd_evaluate(args) -> int:
     _, y_mis, y_sub = _test_labels(args.test)
     models = sorted(d for d in os.listdir(args.runs)
@@ -102,22 +86,9 @@ def cmd_evaluate(args) -> int:
     for model in models:
         runs = load_fold_runs(args.runs, model)
         for run in runs:
-            labels = (run.test_probs >= 0.5).astype(int)
-            if run.test_probs.shape[1] == 1:
-                task_a = taskA_macro_f1(labels[:, 0], y_mis)
-                task_b = ""
-            else:
-                task_a = taskA_macro_f1(derive_taskA_labels(labels), y_mis)
-                task_b = f"{weighted_f1(labels, y_sub):.4f}"
-            print(f"{model}\t{run.fold}\t{task_a:.4f}\t{task_b}")
-        vote = soft_vote(runs)
-        if vote.labels.shape[1] == 1:
-            task_a = taskA_macro_f1(vote.labels[:, 0], y_mis)
-            task_b = ""
-        else:
-            task_a = taskA_macro_f1(derive_taskA_labels(vote.labels), y_mis)
-            task_b = f"{weighted_f1(vote.labels, y_sub):.4f}"
-        print(f"{model}\tsoft-vote\t{task_a:.4f}\t{task_b}")
+            print(_score_line(model, run.fold, run.test_probs, y_mis, y_sub))
+        print(_score_line(model, "soft-vote", soft_vote(runs).probabilities,
+                          y_mis, y_sub))
     return 0
 
 
@@ -127,30 +98,15 @@ def _model_dir_runs(model_dir: str):
 
 
 def cmd_ensemble(args) -> int:
-    ids = None
+    if args.mode == "soft" and len(args.runs) != 1:
+        raise DataError("soft voting takes exactly one model directory")
+    votes = [soft_vote(_model_dir_runs(d)) for d in args.runs]
     if args.mode == "soft":
-        if len(args.runs) != 1:
-            raise DataError("soft voting takes exactly one model directory")
-        runs = _model_dir_runs(args.runs[0])
-        prediction = soft_vote(runs)
-        probs = prediction.probabilities
-    else:
-        votes = []
-        for model_dir in args.runs:
-            vote = soft_vote(_model_dir_runs(model_dir))
-            votes.append(vote.labels)
-        labels = hard_vote(votes)
-        probs = labels.astype(float)  # hard votes are 0/1 "probabilities"
-    first_pred = None
-    for model_dir in args.runs:
-        candidate = os.path.join(model_dir, "fold0_preds.tsv")
-        if os.path.exists(candidate):
-            first_pred = candidate
-            break
-    ids = read_predictions(first_pred)[0] if first_pred else \
-        [str(i) for i in range(len(probs))]
-    setup = "A" if probs.shape[1] == 1 else "B"
-    write_predictions(args.out, ids, probs, setup)
+        probs = votes[0].probabilities
+    else:  # hard votes are 0/1 "probabilities"
+        probs = hard_vote([v.labels for v in votes]).astype(float)
+    ids = read_predictions(os.path.join(args.runs[0], "fold0_preds.tsv"))[0]
+    write_predictions(args.out, ids, probs)
     print(f"wrote {args.out}")
     return 0
 

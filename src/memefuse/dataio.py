@@ -163,23 +163,32 @@ def emit_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str) -> RunConfig:
-    types = {f.name: f.type for f in fields(RunConfig)}
+def parse_config(text: str, cls=RunConfig, source: str = "config"):
+    """Build a `cls` dataclass from `key = value` lines; `#` comments.
+
+    Keys are the dataclass's field names and values convert to the
+    field's type; any other line is a DataError naming its line.
+    """
+    types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{source} line {lineno}"
         if "=" not in line:
-            raise DataError(f"config line {lineno}: expected key = value")
+            raise DataError(f"{where}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in types:
-            raise DataError(f"config line {lineno}: unknown key {key!r}")
-        caster = {"str": str, "int": int, "float": float}[types[key]]
-        kwargs[key] = caster(value)
-    return RunConfig(**kwargs)
+            raise DataError(f"{where}: unknown key {key!r}")
+        try:
+            kwargs[key] = {"str": str, "int": int, "float": float}[
+                types[key]](value)
+        except ValueError as exc:
+            raise DataError(f"{where}: {key}: {exc}") from exc
+    return cls(**kwargs)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, cls=RunConfig):
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), cls, source=path)

@@ -82,27 +82,6 @@ def weighted_f1(pred: np.ndarray, true: np.ndarray) -> float:
     return float((support * scores).sum() / support.sum())
 
 
-def f1_scores(pred: np.ndarray, true: np.ndarray) -> dict:
-    """Macro / weighted F1 plus the per-class scores.
-
-    1-D binary inputs are treated as the two-class task (macro over the
-    positive and negative class); 2-D inputs as multi-label columns.
-    """
-    pred, true = np.asarray(pred), np.asarray(true)
-    if pred.shape != true.shape:
-        raise ValueError("prediction and truth shapes differ")
-    if pred.ndim == 1 or pred.shape[1] == 1:
-        pos = binary_f1(pred, true)
-        neg = binary_f1(1 - pred.ravel(), 1 - true.ravel())
-        return {"macro_f1": 0.5 * (pos + neg), "weighted_f1": None,
-                "per_class": [neg, pos]}
-    per_class = [binary_f1(pred[:, c], true[:, c])
-                 for c in range(true.shape[1])]
-    return {"macro_f1": float(np.mean(per_class)),
-            "weighted_f1": weighted_f1(pred, true),
-            "per_class": per_class}
-
-
 def soft_vote(runs: list[FoldRun]) -> EnsemblePrediction:
     """F1-weighted average of per-fold probabilities for one model."""
     if not runs:
@@ -139,6 +118,21 @@ def derive_taskA_labels(labels_b: np.ndarray) -> np.ndarray:
 def derive_taskA_probs(probs_b: np.ndarray) -> np.ndarray:
     """Binary misogyny probability: max over the sub-category probabilities."""
     return np.asarray(probs_b).max(axis=-1)
+
+
+def task_scores(probs: np.ndarray, y_mis,
+                y_sub) -> tuple[float, float | None]:
+    """(task-A macro F1, task-B weighted F1) of thresholded probabilities.
+
+    The setup is the width of `probs`: one column is setup A, scored on
+    task A only (weighted F1 None); four columns are setup B, whose
+    task-A label is the OR over the sub-category labels.
+    """
+    labels = (np.asarray(probs) >= 0.5).astype(int)
+    if labels.shape[1] == 1:
+        return taskA_macro_f1(labels[:, 0], y_mis), None
+    return (taskA_macro_f1(derive_taskA_labels(labels), y_mis),
+            weighted_f1(labels, y_sub))
 
 
 EXACT_LIMIT = 16  # enumeration of C(n+m, n) rank assignments up to n+m = 16

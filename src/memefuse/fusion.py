@@ -66,11 +66,8 @@ def fuse(p_sw: Tensor, p_rf: Tensor) -> Tensor:
 class FusionModel:
     """The two trainable fusion heads over m frozen member models."""
 
-    kind = "fusion"
-
     def __init__(self, member_dims: list[tuple[int, int]], n_classes: int,
                  dropout: float = 0.5, seed: int = 0):
-        self.member_dims = list(member_dims)
         self.n_members = len(member_dims)
         self.n_classes = n_classes
         self.dropout = dropout

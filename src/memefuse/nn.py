@@ -8,6 +8,9 @@ a hand-derived gradient, which keeps the per-step tape short. The
 graph-attention layer reweights each attention head output with a
 per-document normalized adjacency block before the output projection;
 with an identity block it degenerates to a plain transformer layer.
+GcanEncoder is a TextEncoder whose forward passes adjacency blocks to
+the shared `stack` and pools by node sum instead of the [cls] row; all
+encoders share the layer and head initialisation and the head tail.
 """
 
 from __future__ import annotations
@@ -200,12 +203,29 @@ def _init_head(params: dict[str, Tensor], prefix: str, in_dim: int,
     params[f"{prefix}.b2"] = parameter(np.zeros(n_classes))
 
 
+def _init_encoder(params: dict[str, Tensor], cfg: AttentionConfig,
+                  n_classes: int, rng: np.random.Generator) -> None:
+    """The attention layers and the classifier head of every encoder."""
+    for layer in range(cfg.n_layers):
+        _init_layer(params, f"layer{layer}", cfg, rng,
+                    is_last=layer == cfg.n_layers - 1)
+    _init_head(params, "head", cfg.d_att, n_classes, rng)
+
+
 def _encoder_stack(x: Tensor, adj: np.ndarray | None,
                    params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
     for layer in range(cfg.n_layers):
         x = gcan_layer(x, adj, params, f"layer{layer}", cfg,
                        is_last=layer == cfg.n_layers - 1)
     return x
+
+
+def _classify(encoder, f: Tensor,
+              rng: np.random.Generator | None) -> ModelOutput:
+    """The classifier head over pooled features, checked to be finite."""
+    p = classifier_head(f, encoder.params, "head", encoder.cfg.dropout, rng)
+    assert_finite(f"{encoder.kind} encoder output", p, f)
+    return ModelOutput(p=p, f=f)
 
 
 class TextEncoder:
@@ -222,54 +242,27 @@ class TextEncoder:
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {
             "embed": parameter((vocab_size, cfg.d_att), rng, 0.1)}
-        for layer in range(cfg.n_layers):
-            _init_layer(self.params, f"layer{layer}", cfg, rng,
-                        is_last=layer == cfg.n_layers - 1)
-        _init_head(self.params, "head", cfg.d_att, n_classes, rng)
+        _init_encoder(self.params, cfg, n_classes, rng)
         self.positions = sinusoidal_positions(seq_len, cfg.d_att)
 
-    def embed(self, ids: np.ndarray) -> Tensor:
-        return rows(self.params["embed"], ids) + Tensor(self.positions)
-
-    def stack(self, ids: np.ndarray) -> Tensor:
-        return _encoder_stack(self.embed(ids), None, self.params, self.cfg)
+    def stack(self, ids: np.ndarray, adj: np.ndarray | None = None) -> Tensor:
+        """Token embeddings through the layers, reweighted by `adj` if given."""
+        x = rows(self.params["embed"], ids) + Tensor(self.positions)
+        return _encoder_stack(x, adj, self.params, self.cfg)
 
     def forward(self, ids: np.ndarray,
                 rng: np.random.Generator | None = None) -> ModelOutput:
-        out = self.stack(ids)
-        f = out[:, 0, :]
-        p = classifier_head(f, self.params, "head", self.cfg.dropout, rng)
-        assert_finite("text encoder output", p, f)
-        return ModelOutput(p=p, f=f)
+        return _classify(self, self.stack(ids)[:, 0, :], rng)
 
 
-class GcanEncoder:
+class GcanEncoder(TextEncoder):
     """Graph-attention text classifier; features are the node-sum pooling."""
 
     kind = "gcan"
 
-    def __init__(self, vocab_size: int, seq_len: int, n_classes: int,
-                 cfg: AttentionConfig, seed: int = 0):
-        self._inner = TextEncoder(vocab_size, seq_len, n_classes, cfg, seed)
-        self.cfg = cfg
-        self.seq_len = seq_len
-        self.vocab_size = vocab_size
-        self.n_classes = n_classes
-        self.params = self._inner.params
-
-    def stack(self, ids: np.ndarray, adj: np.ndarray) -> Tensor:
-        if adj.shape[-1] != ids.shape[-1]:
-            raise ValueError("adjacency blocks do not match the sequence")
-        return _encoder_stack(self._inner.embed(ids), adj, self.params,
-                              self.cfg)
-
     def forward(self, ids: np.ndarray, adj: np.ndarray,
                 rng: np.random.Generator | None = None) -> ModelOutput:
-        out = self.stack(ids, adj)
-        f = out.sum(axis=1)
-        p = classifier_head(f, self.params, "head", self.cfg.dropout, rng)
-        assert_finite("gcan encoder output", p, f)
-        return ModelOutput(p=p, f=f)
+        return _classify(self, self.stack(ids, adj).sum(axis=1), rng)
 
 
 class ImageEncoder:
@@ -295,10 +288,7 @@ class ImageEncoder:
             "proj_b": parameter(np.zeros(cfg.d_att)),
             "cls": parameter((cfg.d_att,), rng, 0.1),
         }
-        for layer in range(cfg.n_layers):
-            _init_layer(self.params, f"layer{layer}", cfg, rng,
-                        is_last=layer == cfg.n_layers - 1)
-        _init_head(self.params, "head", cfg.d_att, n_classes, rng)
+        _init_encoder(self.params, cfg, n_classes, rng)
         self.positions = sinusoidal_positions(self.seq_len, cfg.d_att)
 
     def patchify(self, images: np.ndarray) -> np.ndarray:
@@ -320,8 +310,4 @@ class ImageEncoder:
 
     def forward(self, images: np.ndarray,
                 rng: np.random.Generator | None = None) -> ModelOutput:
-        out = self.stack(images)
-        f = out[:, 0, :]
-        p = classifier_head(f, self.params, "head", self.cfg.dropout, rng)
-        assert_finite("image encoder output", p, f)
-        return ModelOutput(p=p, f=f)
+        return _classify(self, self.stack(images)[:, 0, :], rng)

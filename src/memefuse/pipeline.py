@@ -8,6 +8,12 @@ blocks of each split in one batch; validation and test documents get
 their blocks synthesized against the training statistics. Fusion
 models load the fold checkpoints of their members, freeze them, and
 train only the fusion heads.
+
+A run directory holds per-fold checkpoints and predictions, runs.tsv,
+train_log.tsv and a manifest.tsv of their SHA-256 hashes. Readers verify
+what they read against the manifest: `load_fold_runs` the scores and
+predictions, fusion training each member checkpoint. A predictions file
+records its own setup: setup A leaves the sub-category columns empty.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from . import checkpoint as ckpt
 from .autodiff import Tensor, frozen
 from .dataio import MODEL_MEMBERS, RunConfig
 from .ensemble import FoldRun, derive_taskA_labels, derive_taskA_probs, \
-    kfold_split, taskA_macro_f1, weighted_f1
+    kfold_split, task_scores
 from .fusion import FusionModel
 from .nn import AttentionConfig, GcanEncoder, ImageEncoder, ModelOutput, \
     TextEncoder
@@ -260,14 +266,6 @@ class FoldArtifacts:
     cpu_s: float        # CPU time of the training process
 
 
-def _test_scores(probs: np.ndarray, y_mis, y_sub, setup: str):
-    labels = (probs >= 0.5).astype(int)
-    if setup == "A":
-        return taskA_macro_f1(labels[:, 0], y_mis), None
-    task_a = taskA_macro_f1(derive_taskA_labels(labels), y_mis)
-    return task_a, weighted_f1(labels, y_sub)
-
-
 def train_fold(ctx: CvContext, model_name: str, fold: int,
                out_root: str | None = None) -> FoldArtifacts:
     """Train one model on one fold; fusion members are read from out_root."""
@@ -277,8 +275,8 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
     # only gcan reads the corpus graph, as a model or as a fusion member
     data = ctx.fold_data(fold,
                          with_graph="gcan" in (members or [model_name]))
-    n_classes = 1 if cfg.setup == "A" else 4
     tconf = _train_config(cfg, fold, fusion=members is not None)
+    n_classes = tconf.n_outputs
     meta = {"model": model_name, "fold": str(fold), "setup": cfg.setup}
 
     if members is None:
@@ -295,13 +293,19 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
                                   "with trained member models")
         caches = {"train": [], "val": [], "test": []}
         for member in members:
-            path = os.path.join(out_root, member, f"fold{fold}.ckpt")
+            member_dir = os.path.join(out_root, member)
+            path = os.path.join(member_dir, f"fold{fold}.ckpt")
             if not os.path.exists(path):
                 raise DependencyError(
                     f"member model {member!r} has no checkpoint for fold "
                     f"{fold}; train it before {model_name!r}")
-            member_params, member_meta = ckpt.load_checkpoint(path)
-            meta[f"member_hash:{member}"] = ckpt.file_hash(path)
+            digest = ckpt.file_hash(path)
+            if read_manifest(member_dir).get(f"fold{fold}.ckpt") != digest:
+                raise DependencyError(
+                    f"member checkpoint {path} does not match its "
+                    f"manifest.tsv entry; retrain {member!r}")
+            meta[f"member_hash:{member}"] = digest
+            member_params, _ = ckpt.load_checkpoint(path)
             mmodel = make_unimodal(member, cfg, data.vocab_size, n_classes,
                                    seed=0)
             for name, tensor in mmodel.params.items():
@@ -323,8 +327,8 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
             data.val.y_mis, data.val.y_sub, tconf)
         test_probs = trainable.eval_cached(caches["test"])
 
-    task_a, weighted = _test_scores(test_probs, data.test.y_mis,
-                                    data.test.y_sub, cfg.setup)
+    task_a, weighted = task_scores(test_probs, data.test.y_mis,
+                                   data.test.y_sub)
     meta["best_val_f1"] = f"{best_f1:.17g}"
     run = FoldRun(model_name=model_name, fold=fold, best_f1=best_f1,
                   test_probs=test_probs)
@@ -335,40 +339,77 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
                          cpu_s=time.process_time() - cpu_start)
 
 
-def write_predictions(path: str, ids: list[str], probs: np.ndarray,
-                      setup: str) -> None:
-    """TSV with per-class probabilities and thresholded labels."""
+def write_predictions(path: str, ids: list[str], probs: np.ndarray) -> None:
+    """TSV with per-class probabilities and thresholded labels.
+
+    Four probability columns are setup B: mis is their max, its label the
+    OR of the sub-labels. One column is setup A: it fills only p_mis and
+    label_mis, and the sub-category columns stay empty.
+    """
     labels = (probs >= 0.5).astype(int)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("id\tp_shm\tp_ste\tp_obj\tp_vio\tp_mis\t"
                  "label_shm\tlabel_ste\tlabel_obj\tlabel_vio\tlabel_mis\n")
-        for i, sid in enumerate(ids):
-            if setup == "A":
-                sub_p = np.zeros(4)
-                sub_l = np.zeros(4, dtype=int)
-                p_mis = probs[i, 0]
-                l_mis = labels[i, 0]
+        for sid, p, lab in zip(ids, probs, labels, strict=True):
+            if len(p) == 1:
+                sub_p, sub_l, p_mis, l_mis = [""] * 4, [""] * 4, p[0], lab[0]
             else:
-                sub_p = probs[i]
-                sub_l = labels[i]
-                p_mis = derive_taskA_probs(probs[i])
-                l_mis = derive_taskA_labels(labels[i])
-            cols = [sid] + [f"{v:.17g}" for v in sub_p] + [f"{p_mis:.17g}"] \
-                + [str(v) for v in sub_l] + [str(l_mis)]
-            fh.write("\t".join(cols) + "\n")
+                sub_p, sub_l = [f"{v:.17g}" for v in p], [str(v) for v in lab]
+                p_mis, l_mis = derive_taskA_probs(p), derive_taskA_labels(lab)
+            fh.write("\t".join([sid, *sub_p, f"{p_mis:.17g}", *sub_l,
+                                str(l_mis)]) + "\n")
 
 
 def read_predictions(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Returns (ids, sub-probabilities (N, 4), labels (N, 5) incl. mis)."""
+    """Returns (ids, probabilities, labels).
+
+    Setup B gives the sub-category probabilities (N, 4) and the labels
+    (N, 5) including mis; setup A gives p_mis (N, 1) and label_mis (N, 1).
+    """
     ids, probs, labels = [], [], []
     with open(path, encoding="utf-8") as fh:
         fh.readline()
         for line in fh:
             parts = line.rstrip("\n").split("\t")
+            setup_b = parts[1] != ""
             ids.append(parts[0])
-            probs.append([float(v) for v in parts[1:5]])
-            labels.append([int(v) for v in parts[6:11]])
+            probs.append([float(v) for v in
+                          (parts[1:5] if setup_b else parts[5:6])])
+            labels.append([int(v) for v in
+                           (parts[6:11] if setup_b else parts[10:11])])
     return ids, np.array(probs), np.array(labels, dtype=int)
+
+
+def write_manifest(directory: str, files) -> None:
+    """manifest.tsv: name, role and SHA-256 of each (name, role) in order."""
+    with open(os.path.join(directory, "manifest.tsv"), "w",
+              encoding="utf-8") as fh:
+        fh.write("file\trole\tsha256\n")
+        for name, role in files:
+            digest = ckpt.file_hash(os.path.join(directory, name))
+            fh.write(f"{name}\t{role}\t{digest}\n")
+
+
+def read_manifest(directory: str) -> dict[str, str]:
+    """File name -> SHA-256 recorded in the directory's manifest.tsv."""
+    path = os.path.join(directory, "manifest.tsv")
+    if not os.path.exists(path):
+        raise DataError(f"{path} is missing, so {directory} cannot be "
+                        f"verified")
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        return {name: digest for name, _, digest in
+                (line.rstrip("\n").split("\t") for line in fh)}
+
+
+def _verified(directory: str, name: str, manifest: dict[str, str]) -> str:
+    """The file's path, once its hash matches its manifest entry."""
+    path = os.path.join(directory, name)
+    if name not in manifest:
+        raise DataError(f"{path} has no entry in manifest.tsv")
+    if ckpt.file_hash(path) != manifest[name]:
+        raise DataError(f"{path} does not match its SHA-256 in manifest.tsv")
+    return path
 
 
 _worker_job: tuple = ()  # (ctx, model_name, out_root) in a fold worker
@@ -446,15 +487,9 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
         files[name] = "checkpoint"
         pred_name = f"fold{fold}_preds.tsv"
         write_predictions(os.path.join(model_dir, pred_name), test_ids,
-                          art.run.test_probs, cfg.setup)
+                          art.run.test_probs)
         files[pred_name] = "predictions"
-
-    with open(os.path.join(model_dir, "manifest.tsv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("file\trole\tsha256\n")
-        for name in sorted(files):
-            digest = ckpt.file_hash(os.path.join(model_dir, name))
-            fh.write(f"{name}\t{files[name]}\t{digest}\n")
+    write_manifest(model_dir, sorted(files.items()))
 
     with open(os.path.join(model_dir, "events.jsonl"), "w",
               encoding="utf-8") as fh:
@@ -469,29 +504,23 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
 def load_fold_runs(out_root: str, model_name: str) -> list[FoldRun]:
     """Reassemble FoldRuns (validation F1 + test probabilities) from disk.
 
-    Each fold's setup comes from its checkpoint's metadata: setup-A runs
-    keep their single probability in the p_mis column of the predictions.
+    runs.tsv and each fold's predictions are verified against the
+    manifest before they are read; the predictions carry the setup.
     """
     model_dir = os.path.join(out_root, model_name)
-    runs_path = os.path.join(model_dir, "runs.tsv")
-    if not os.path.exists(runs_path):
+    if not os.path.exists(os.path.join(model_dir, "runs.tsv")):
         raise DependencyError(f"no trained runs for {model_name!r} under "
                               f"{out_root}")
+    manifest = read_manifest(model_dir)
     runs = []
-    with open(runs_path, encoding="utf-8") as fh:
+    with open(_verified(model_dir, "runs.tsv", manifest),
+              encoding="utf-8") as fh:
         fh.readline()
         for line in fh:
             parts = line.split("\t")
             fold, best = int(parts[0]), float(parts[1])
-            _, meta = ckpt.load_checkpoint(
-                os.path.join(model_dir, f"fold{fold}.ckpt"))
-            pred_path = os.path.join(model_dir, f"fold{fold}_preds.tsv")
-            _, probs, _ = read_predictions(pred_path)
-            if meta["setup"] == "A":
-                with open(pred_path, encoding="utf-8") as pf:
-                    pf.readline()
-                    probs = np.array([[float(l.split("\t")[5])]
-                                      for l in pf])
+            _, probs, _ = read_predictions(_verified(
+                model_dir, f"fold{fold}_preds.tsv", manifest))
             runs.append(FoldRun(model_name=model_name, fold=fold,
                                 best_f1=best, test_probs=probs))
     return runs

@@ -72,10 +72,6 @@ class TokenIdSequence:
     ids: np.ndarray  # int64, fixed length L_S
     true_length: int
 
-    @property
-    def length(self) -> int:
-        return len(self.ids)
-
 
 def clean_text(raw: str) -> str:
     """Normalize raw meme text to a restricted lowercase-ASCII alphabet.

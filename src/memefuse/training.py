@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, fused, zero_grads
-from .ensemble import taskA_macro_f1, weighted_f1
+from .ensemble import task_scores
 from .nn import NumericError
 
 SUB_CLASSES = ("shm", "ste", "obj", "vio")
@@ -220,10 +220,13 @@ def select_top2(records: list[EpochRecord]) -> list[int]:
 
 def validation_f1(probs: np.ndarray, y_mis: np.ndarray, y_sub: np.ndarray,
                   setup: str) -> float:
-    labels = (probs >= 0.5).astype(int)
-    if setup == "A":
-        return taskA_macro_f1(labels[:, 0], y_mis)
-    return weighted_f1(labels, y_sub)
+    """Task-A macro F1 in setup A, task-B weighted F1 in setup B.
+
+    `task_scores` reads the setup from the width of `probs`, which the
+    model's output width already fixes to match `setup`.
+    """
+    task_a, weighted = task_scores(probs, y_mis, y_sub)
+    return task_a if weighted is None else weighted
 
 
 def train_model(trainable, y_mis: np.ndarray, y_sub: np.ndarray,

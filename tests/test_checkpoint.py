@@ -62,3 +62,24 @@ def test_average_manifest_mismatch():
         average_checkpoints({"a": np.zeros(2)}, {"b": np.zeros(2)})
     with pytest.raises(ValueError):
         average_checkpoints({"a": np.zeros(2)}, {"a": np.zeros(3)})
+
+
+def _saved_bytes(tmp_path):
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)}, {"k": "v"})
+    with open(path, "rb") as fh:
+        return path, fh.read()
+
+
+@pytest.mark.parametrize("cut, cause", [
+    (lambda data: data[:data.index(b"w\t")], "header"),
+    (lambda data: data[:-5], "ends inside parameter w"),
+    (lambda data: data + b"\0", "trailing bytes")],
+    ids=["cut-header", "short-data", "trailing-bytes"])
+def test_rejects_cut_or_padded_file(tmp_path, cut, cause):
+    path, data = _saved_bytes(tmp_path)
+    with open(path, "wb") as fh:
+        fh.write(cut(data))
+    with pytest.raises(ValueError, match=cause) as info:
+        load_checkpoint(path)
+    assert path in str(info.value)

@@ -1,6 +1,7 @@
 """Dataset I/O, synthetic generator, configuration, and the CLI surface."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ def test_config_parsing_details():
         parse_config("nope = 1")
     with pytest.raises(DataError, match="key = value"):
         parse_config("just words")
+    with pytest.raises(DataError, match="line 2: folds"):
+        parse_config("seed = 1\nfolds = x\n")
+
+
+def test_config_parser_builds_other_dataclasses():
+    spec = parse_config("n_train = 7\nkeyword_prob = 0.25\n", SynthSpec)
+    assert spec == SynthSpec(n_train=7, keyword_prob=0.25)
+    with pytest.raises(DataError, match="line 1: unknown key 'folds'"):
+        parse_config("folds = 3", SynthSpec)
 
 
 def test_config_validation():
@@ -360,3 +370,70 @@ def test_cli_data_errors(tmp_path, capsys):
                  "--data", os.path.join(tmp_path, "missing"),
                  "--out", os.path.join(tmp_path, "out")]) == 2
     assert main(["train", "--model", "gcan"]) == 2  # no dataset given
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("n_train = 5\n__init__ = 3\n", 2),
+    ("n_train = 5\n# note\nn_test 3\n", 3),
+    ("seed = 1\nimage_side = big\n", 2)],
+    ids=["dunder-key", "no-equals", "bad-value"])
+def test_cli_gen_synth_spec_errors_name_the_line(tmp_path, capsys, text,
+                                                 lineno):
+    spec = os.path.join(tmp_path, "bad.spec")
+    with open(spec, "w") as fh:
+        fh.write(text)
+    out = os.path.join(tmp_path, "data")
+    assert main(["gen-synth", "--spec", spec, "--out", out]) == 2
+    assert f"line {lineno}:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_config_value_error_names_the_line(tiny_run, tmp_path, capsys):
+    cfg = os.path.join(tmp_path, "bad.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("# run\nseed = 1\nfolds = x\n")
+    assert main(["train", "--config", cfg, "--data", tiny_run["data"],
+                 "--model", "gcan", "--out", str(tmp_path)]) == 2
+    assert "line 3: folds" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def member_runs(tiny_run, tmp_path_factory):
+    """gcan and vit trained into a run directory of their own."""
+    out = str(tmp_path_factory.mktemp("members"))
+    for model in ("gcan", "vit"):
+        assert main(["train", "--config", tiny_run["cfg"], "--data",
+                     tiny_run["data"], "--model", model, "--out", out]) == 0
+    return out
+
+
+def flip_byte(path, offset):
+    with open(path, "r+b") as fh:
+        fh.seek(offset, os.SEEK_END)
+        byte = fh.read(1)[0]
+        fh.seek(offset, os.SEEK_END)
+        fh.write(bytes([byte ^ 1]))
+
+
+def test_cli_evaluate_refuses_tampered_predictions(tiny_run, member_runs,
+                                                   tmp_path, capsys):
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    assert main(["evaluate", "--runs", runs, "--test", tiny_run["data"]]) == 0
+    preds = os.path.join(runs, "gcan", "fold0_preds.tsv")
+    flip_byte(preds, -2)  # the last label_mis
+    capsys.readouterr()
+    assert main(["evaluate", "--runs", runs, "--test", tiny_run["data"]]) == 2
+    assert preds in capsys.readouterr().err
+
+
+def test_cli_fusion_refuses_tampered_member(tiny_run, member_runs, tmp_path,
+                                            capsys):
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    member = os.path.join(runs, "gcan", "fold0.ckpt")
+    flip_byte(member, -8)  # low mantissa byte of the last float
+    code = main(["train", "--config", tiny_run["cfg"], "--data",
+                 tiny_run["data"], "--model", "gcan-vit", "--out", runs])
+    assert code == 2
+    assert member in capsys.readouterr().err

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from memefuse.ensemble import (EXACT_LIMIT, EnsemblePrediction, FoldRun,
                                _exact_p, _normal_p, binary_f1,
                                derive_taskA_labels, derive_taskA_probs,
-                               f1_scores, hard_vote, kfold_split,
-                               mann_whitney_u, significance_stars, soft_vote,
+                               hard_vote, kfold_split, mann_whitney_u,
+                               significance_stars, soft_vote, task_scores,
                                taskA_macro_f1, weighted_f1)
 from oracles import f1_oracle
 
@@ -67,24 +67,39 @@ def test_kfold_partition_properties(n, k, seed):
 # ------------------------------------------------------------------- metrics
 
 def test_f1_hand_cases():
-    assert f1_scores(np.array([1, 1, 0, 0]),
-                     np.array([1, 0, 1, 0]))["macro_f1"] == 0.5
-    scores = f1_scores(np.array([1, 1, 1, 1]), np.array([1, 1, 0, 0]))
-    assert abs(scores["per_class"][1] - 2 / 3) < 1e-12
-    assert scores["per_class"][0] == 0.0
-    assert abs(scores["macro_f1"] - 1 / 3) < 1e-12
+    assert taskA_macro_f1(np.array([1, 1, 0, 0]),
+                          np.array([1, 0, 1, 0])) == 0.5
+    pred, true = np.array([1, 1, 1, 1]), np.array([1, 1, 0, 0])
+    assert abs(binary_f1(pred, true) - 2 / 3) < 1e-12
+    assert binary_f1(1 - pred, 1 - true) == 0.0
+    assert abs(taskA_macro_f1(pred, true) - 1 / 3) < 1e-12
 
 
 def test_f1_perfect():
     pred = np.array([[1, 0], [0, 1]])
-    scores = f1_scores(pred, pred.copy())
-    assert scores["macro_f1"] == 1.0
-    assert scores["weighted_f1"] == 1.0
+    assert [binary_f1(pred[:, c], pred[:, c]) for c in (0, 1)] == [1.0, 1.0]
+    assert weighted_f1(pred, pred.copy()) == 1.0
 
 
 def test_f1_shape_mismatch():
     with pytest.raises(ValueError):
-        f1_scores(np.zeros(3), np.zeros(4))
+        binary_f1(np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError):
+        taskA_macro_f1(np.zeros(3), np.zeros(4))
+
+
+def test_task_scores_setup_from_width():
+    y_mis = np.array([1, 0, 1])
+    y_sub = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1]])
+    a_probs = np.array([[0.7], [0.2], [0.4]])
+    assert task_scores(a_probs, y_mis, None) == \
+        (taskA_macro_f1(np.array([1, 0, 0]), y_mis), None)
+    b_probs = np.array([[0.9, 0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.4],
+                        [0.1, 0.6, 0.1, 0.2]])
+    labels = (b_probs >= 0.5).astype(int)
+    assert task_scores(b_probs, y_mis, y_sub) == \
+        (taskA_macro_f1(derive_taskA_labels(labels), y_mis),
+         weighted_f1(labels, y_sub))
 
 
 def test_weighted_f1_zero_support():

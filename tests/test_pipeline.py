@@ -9,14 +9,16 @@ import pytest
 import scipy.sparse as sp
 
 from memefuse import pipeline
+from memefuse import checkpoint
 from memefuse.checkpoint import file_hash, save_checkpoint
 from memefuse.dataio import RunConfig, ingest
 from memefuse.fusion import FusionModel
 from memefuse.nn import GcanEncoder
 from memefuse.pipeline import (CvContext, DependencyError, FusionTrainable,
                                UnimodalTrainable, load_fold_runs,
-                               make_unimodal, read_predictions, train_fold,
-                               train_model_cv, write_predictions)
+                               make_unimodal, read_manifest,
+                               read_predictions, train_fold, train_model_cv,
+                               write_manifest, write_predictions)
 from memefuse.preprocess import DataError, build_vocabulary, encode_document
 from memefuse.textgraph import build_adjacency, count_windows
 from memefuse.synth import SynthSpec, gen_synth
@@ -131,6 +133,8 @@ def test_gcan_member_of_fusion_reads_blocks(dataset, tmp_path, monkeypatch):
         os.makedirs(os.path.join(tmp_path, member))
         save_checkpoint(os.path.join(tmp_path, member, "fold0.ckpt"),
                         art.params, art.meta)
+        write_manifest(os.path.join(tmp_path, member),
+                       [("fold0.ckpt", "checkpoint")])
     adj_shapes = []
     forward = GcanEncoder.forward
 
@@ -283,7 +287,7 @@ def test_load_fold_runs_roundtrip(dataset, tmp_path):
 def test_predictions_roundtrip(tmp_path):
     path = os.path.join(tmp_path, "p.tsv")
     probs = np.array([[0.9, 0.2, 0.4, 0.6], [0.1, 0.2, 0.3, 0.4]])
-    write_predictions(path, ["a", "b"], probs, "B")
+    write_predictions(path, ["a", "b"], probs)
     ids, loaded, labels = read_predictions(path)
     assert ids == ["a", "b"]
     assert np.max(np.abs(loaded - probs)) < 1e-15
@@ -294,3 +298,52 @@ def test_predictions_roundtrip(tmp_path):
         fh.readline()
         first = fh.readline().split("\t")
     assert float(first[5]) == 0.9
+
+
+def test_setup_a_predictions_leave_sub_columns_empty(tmp_path):
+    path = os.path.join(tmp_path, "p.tsv")
+    probs = np.array([[0.75], [0.25]])
+    write_predictions(path, ["a", "b"], probs)
+    with open(path) as fh:
+        fh.readline()
+        assert fh.readline() == "a\t\t\t\t\t0.75\t\t\t\t\t1\n"
+    ids, loaded, labels = read_predictions(path)
+    assert ids == ["a", "b"]
+    assert loaded.tolist() == [[0.75], [0.25]]
+    assert labels.tolist() == [[1], [0]]
+
+
+def test_load_fold_runs_reads_no_checkpoint(dataset, tmp_path, monkeypatch):
+    arts = {setup: train_model_cv(make_ctx(dataset, setup=setup), "vit",
+                                  os.path.join(tmp_path, setup), log=None)
+            for setup in ("A", "B")}
+
+    def no_checkpoint(*args):
+        raise AssertionError("opened a checkpoint")
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", no_checkpoint)
+    for setup, width in (("A", 1), ("B", 4)):
+        runs = load_fold_runs(os.path.join(tmp_path, setup), "vit")
+        assert [r.fold for r in runs] == [0, 1, 2]
+        for art, run in zip(arts[setup], runs):
+            assert run.test_probs.shape == (6, width)
+            assert run.test_probs.tobytes() == art.run.test_probs.tobytes()
+
+
+def test_load_fold_runs_verifies_manifest(dataset, tmp_path):
+    train_model_cv(make_ctx(dataset), "vit", str(tmp_path), log=None)
+    model_dir = os.path.join(tmp_path, "vit")
+    preds = os.path.join(model_dir, "fold1_preds.tsv")
+    with open(preds, "a") as fh:
+        fh.write("extra\n")
+    with pytest.raises(DataError, match="fold1_preds.tsv"):
+        load_fold_runs(str(tmp_path), "vit")
+    manifest = read_manifest(model_dir)
+    del manifest["runs.tsv"]
+    write_manifest(model_dir, [(name, "x") for name in manifest])
+    with pytest.raises(DataError, match="runs.tsv has no entry"):
+        load_fold_runs(str(tmp_path), "vit")
+    os.remove(os.path.join(model_dir, "manifest.tsv"))
+    with pytest.raises(DataError, match="manifest.tsv is missing"):
+        load_fold_runs(str(tmp_path), "vit")
+
