@@ -1,19 +1,28 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
-A Tensor wraps an ndarray and remembers how it was produced; calling
-``backward()`` on a scalar walks the tape in reverse topological order and
-accumulates gradients into every reachable leaf with ``requires_grad``.
-Only the operations needed by the encoders, fusion heads, and losses are
-implemented; layers that would otherwise chain many small ops are single
-`fused` nodes with hand-derived gradients. All arithmetic is float64; any
-NaN/Inf produced by an op is treated as a hard error by the callers.
+A Tensor wraps an ndarray. Every op makes its result with `fused`, the one
+kind of tape node: the new tensor keeps the parents that lead to a
+trainable leaf and one backward that maps the output gradient to a
+gradient per kept parent. Layers that would otherwise chain many small
+ops are single `fused` nodes with hand-derived gradients. Each tensor
+takes a creation number, and a node is always created after its parents,
+so ``backward()`` on a scalar visits the reachable nodes newest-first and
+accumulates gradients into every leaf with ``requires_grad``. All
+arithmetic is float64; any NaN/Inf produced by an op is treated as a hard
+error by the callers.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from contextlib import contextmanager
 
 import numpy as np
+
+# creation numbers: only their order is read, and a node always numbers
+# above its parents, so graphs built side by side never interfere
+_created = itertools.count()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -27,86 +36,58 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_order")
 
-    def __init__(self, data, requires_grad=False, parents=(), vjps=()):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = parents
-        self._vjps = vjps
+        self._parents = ()
+        self._backward = None
+        self._order = next(_created)
 
     @property
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
-
-    # -- graph construction helpers ------------------------------------
 
     @staticmethod
     def _lift(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    @staticmethod
-    def _make(data, parents, vjps):
-        # only parents that lead to a trainable leaf go on the tape, so
-        # backward never computes gradients for constants
-        tracked = [(p, f) for p, f in zip(parents, vjps)
-                   if p.requires_grad or p._parents]
-        if not tracked:
-            return Tensor(data)
-        parents, vjps = zip(*tracked)
-        return Tensor(data, parents=parents, vjps=vjps)
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
         other = self._lift(other)
-        out_data = self.data + other.data
-        return self._make(
-            out_data,
-            (self, other),
-            (lambda g: _unbroadcast(g, self.shape),
-             lambda g: _unbroadcast(g, other.shape)),
-        )
+        return fused(self.data + other.data, (self, other),
+                     lambda g: (_unbroadcast(g, self.shape),
+                                _unbroadcast(g, other.shape)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(-self.data, (self,), (lambda g: -g,))
+        return fused(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
     def __mul__(self, other):
         other = self._lift(other)
-        return self._make(
-            self.data * other.data,
-            (self, other),
-            (lambda g: _unbroadcast(g * other.data, self.shape),
-             lambda g: _unbroadcast(g * self.data, other.shape)),
-        )
+        return fused(self.data * other.data, (self, other),
+                     lambda g: (_unbroadcast(g * other.data, self.shape),
+                                _unbroadcast(g * self.data, other.shape)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._lift(other)
-        return self._make(
-            self.data / other.data,
-            (self, other),
-            (lambda g: _unbroadcast(g / other.data, self.shape),
-             lambda g: _unbroadcast(-g * self.data / other.data ** 2,
-                                    other.shape)),
-        )
+        return fused(self.data / other.data, (self, other),
+                     lambda g: (_unbroadcast(g / other.data, self.shape),
+                                _unbroadcast(-g * self.data / other.data ** 2,
+                                             other.shape)))
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -114,44 +95,37 @@ class Tensor:
     def __matmul__(self, other):
         other = self._lift(other)
         a, b = self.data, other.data
-
-        def vjp_a(g):
-            ga = g @ np.swapaxes(b, -1, -2)
-            return _unbroadcast(ga, self.shape)
-
-        def vjp_b(g):
-            gb = np.swapaxes(a, -1, -2) @ g
-            return _unbroadcast(gb, other.shape)
-
-        return self._make(a @ b, (self, other), (vjp_a, vjp_b))
+        return fused(a @ b, (self, other),
+                     lambda g: (_unbroadcast(g @ np.swapaxes(b, -1, -2),
+                                             self.shape),
+                                _unbroadcast(np.swapaxes(a, -1, -2) @ g,
+                                             other.shape)))
 
     # -- shape ops --------------------------------------------------------
 
     def reshape(self, *shape):
         old = self.shape
-        return self._make(self.data.reshape(*shape), (self,),
-                          (lambda g: g.reshape(old),))
+        return fused(self.data.reshape(*shape), (self,),
+                     lambda g: (g.reshape(old),))
 
     def __getitem__(self, idx):
-        def vjp(g):
+        def backward(g):
             out = np.zeros(self.shape)
             np.add.at(out, idx, g)
-            return out
+            return (out,)
 
-        return self._make(self.data[idx], (self,), (vjp,))
+        return fused(self.data[idx], (self,), backward)
 
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        def vjp(g):
-            if axis is None:
-                return np.broadcast_to(g, self.shape).copy()
-            if not keepdims:
+        def backward(g):
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.shape).copy()
+            return (np.broadcast_to(g, self.shape).copy(),)
 
-        return self._make(self.data.sum(axis=axis, keepdims=keepdims),
-                          (self,), (vjp,))
+        return fused(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                     backward)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -162,116 +136,93 @@ class Tensor:
 
     def max(self, axis):
         """Max along one axis; gradient flows to the first argmax on ties."""
-        idx = np.argmax(self.data, axis=axis)
-        out_data = np.take_along_axis(self.data, np.expand_dims(idx, axis),
-                                      axis=axis).squeeze(axis)
+        idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)
 
-        def vjp(g):
+        def backward(g):
             out = np.zeros(self.shape)
-            np.put_along_axis(out, np.expand_dims(idx, axis),
-                              np.expand_dims(g, axis), axis=axis)
-            return out
+            np.put_along_axis(out, idx, np.expand_dims(g, axis), axis=axis)
+            return (out,)
 
-        return self._make(out_data, (self,), (vjp,))
+        return fused(np.take_along_axis(self.data, idx, axis=axis)
+                     .squeeze(axis), (self,), backward)
 
     # -- nonlinearities ------------------------------------------------------
 
     def relu(self):
         mask = self.data > 0
-        return self._make(self.data * mask, (self,), (lambda g: g * mask,))
+        return fused(self.data * mask, (self,), lambda g: (g * mask,))
 
     def sigmoid(self):
         s = 0.5 * (1.0 + np.tanh(0.5 * self.data))  # stable logistic
-        return self._make(s, (self,), (lambda g: g * s * (1.0 - s),))
+        return fused(s, (self,), lambda g: (g * s * (1.0 - s),))
 
     # -- backward ----------------------------------------------------------
 
     def backward(self):
+        """Accumulate d self / d leaf into every reachable trainable leaf.
+
+        Nodes are popped newest-first, so a node runs its backward only
+        after every node that consumes it has added to its gradient; the
+        gradient dict doubles as the set of nodes already queued.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+        grads = {self: np.ones_like(self.data)}
+        queue = [(-self._order, self)]
+        while queue:
+            node = heapq.heappop(queue)[1]
+            g = grads.pop(node)
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
-            for parent, vjp in zip(node._parents, node._vjps):
-                pg = vjp(g)
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
+            if not node._parents:
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if parent in grads:
+                    grads[parent] = grads[parent] + pg
                 else:
-                    grads[key] = pg
+                    grads[parent] = pg
+                    heapq.heappush(queue, (-parent._order, parent))
 
 
 def fused(data, parents, backward) -> Tensor:
-    """One tape node for a whole layer with a hand-derived gradient.
+    """The one way to make a tape node: an op's output and its gradient.
 
-    `backward(g)` maps the gradient of the output to a tuple with one
-    gradient per parent, in order. It runs once per backward pass, however
-    many of the parents need their gradient.
+    `backward(g)` maps the gradient of the output to a sequence with one
+    gradient per parent, in order, and runs once per backward pass. Only
+    parents that lead to a trainable leaf stay on the tape, so a node over
+    constants (or inside `frozen`) keeps no parents and no backward.
     """
-    memo = [None, None]
+    out = Tensor(data)
+    keep = [i for i, p in enumerate(parents) if p.requires_grad or p._parents]
+    if not keep:
+        return out
+    out._parents = tuple(parents[i] for i in keep)
+    if len(keep) == len(parents):
+        out._backward = backward
+    else:
+        def narrowed(g):
+            grads = backward(g)
+            return [grads[i] for i in keep]
 
-    def pick(i):
-        def vjp(g):
-            if memo[0] is not g:
-                memo[0], memo[1] = g, backward(g)
-            return memo[1][i]
-
-        return vjp
-
-    return Tensor._make(data, tuple(parents),
-                        tuple(pick(i) for i in range(len(parents))))
+        out._backward = narrowed
+    return out
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     datas = [t.data for t in tensors]
-    out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return vjp
-
-    return Tensor._make(out, tuple(tensors),
-                        tuple(make_vjp(i) for i in range(len(tensors))))
+    cuts = np.cumsum([d.shape[axis] for d in datas[:-1]])
+    return fused(np.concatenate(datas, axis=axis), tuple(tensors),
+                 lambda g: np.split(g, cuts, axis=axis))
 
 
 def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Embedding lookup: gather rows of `table` by an integer id array."""
-    out = table.data[ids]
-
-    def vjp(g):
+    def backward(g):
         acc = np.zeros(table.shape)
         np.add.at(acc, ids, g)
-        return acc
+        return (acc,)
 
-    return Tensor._make(out, (table,), (vjp,))
+    return fused(table.data[ids], (table,), backward)
 
 
 def parameter(data, rng: np.random.Generator | None = None,

@@ -17,7 +17,7 @@ from .ensemble import hard_vote, mann_whitney_u, significance_stars, \
     soft_vote, task_scores
 from .nn import NumericError
 from .pipeline import CvContext, DependencyError, load_fold_runs, \
-    read_predictions, train_model_cv, write_manifest, write_predictions
+    train_model_cv, write_manifest, write_predictions
 from .preprocess import DataError
 from .synth import SynthSpec, gen_synth
 
@@ -75,16 +75,28 @@ def _score_line(model: str, fold, probs, y_mis, y_sub) -> str:
     return f"{model}\t{fold}\t{task_a:.4f}\t{task_b}"
 
 
+def _check_samples(model_dirs, model_runs, ids, reference: str) -> None:
+    """Refuse the first fold predictions whose sample ids are not `ids`."""
+    for model_dir, runs in zip(model_dirs, model_runs):
+        for run in runs:
+            if run.test_ids != ids:
+                raise DataError(
+                    f"{os.path.join(model_dir, f'fold{run.fold}_preds.tsv')} "
+                    f"predicts other samples than {reference}")
+
+
 def cmd_evaluate(args) -> int:
-    _, y_mis, y_sub = _test_labels(args.test)
+    ids, y_mis, y_sub = _test_labels(args.test)
     models = sorted(d for d in os.listdir(args.runs)
                     if os.path.isdir(os.path.join(args.runs, d))
                     and d in MODEL_MEMBERS)
     if not models:
         raise DataError(f"no trained model directories under {args.runs}")
+    model_runs = [load_fold_runs(args.runs, model) for model in models]
+    _check_samples([os.path.join(args.runs, m) for m in models], model_runs,
+                   ids, os.path.join(args.test, "test.tsv"))
     print("model\tfold\ttaskA_macro_f1\ttaskB_weighted_f1")
-    for model in models:
-        runs = load_fold_runs(args.runs, model)
+    for model, runs in zip(models, model_runs):
         for run in runs:
             print(_score_line(model, run.fold, run.test_probs, y_mis, y_sub))
         print(_score_line(model, "soft-vote", soft_vote(runs).probabilities,
@@ -100,13 +112,16 @@ def _model_dir_runs(model_dir: str):
 def cmd_ensemble(args) -> int:
     if args.mode == "soft" and len(args.runs) != 1:
         raise DataError("soft voting takes exactly one model directory")
-    votes = [soft_vote(_model_dir_runs(d)) for d in args.runs]
+    model_runs = [_model_dir_runs(d) for d in args.runs]
+    first = model_runs[0][0]
+    _check_samples(args.runs, model_runs, first.test_ids,
+                   os.path.join(args.runs[0], f"fold{first.fold}_preds.tsv"))
+    votes = [soft_vote(runs) for runs in model_runs]
     if args.mode == "soft":
         probs = votes[0].probabilities
     else:  # hard votes are 0/1 "probabilities"
         probs = hard_vote([v.labels for v in votes]).astype(float)
-    ids = read_predictions(os.path.join(args.runs[0], "fold0_preds.tsv"))[0]
-    write_predictions(args.out, ids, probs)
+    write_predictions(args.out, first.test_ids, probs)
     print(f"wrote {args.out}")
     return 0
 

@@ -23,6 +23,7 @@ class FoldRun:
     fold: int
     best_f1: float
     test_probs: np.ndarray  # (N, n)
+    test_ids: list[str] = field(default_factory=list)  # one per row
 
 
 @dataclass

@@ -331,7 +331,7 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
                                    data.test.y_sub)
     meta["best_val_f1"] = f"{best_f1:.17g}"
     run = FoldRun(model_name=model_name, fold=fold, best_f1=best_f1,
-                  test_probs=test_probs)
+                  test_probs=test_probs, test_ids=data.test.ids)
     return FoldArtifacts(run=run, records=records, params=params, meta=meta,
                          test_taskA_f1=task_a, test_weighted_f1=weighted,
                          pid=os.getpid(), start=start,
@@ -479,15 +479,14 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
                      f"{art.test_taskA_f1:.17g}\t{weighted}\n")
     files["runs.tsv"] = "scores"
 
-    test_ids = [s.id for s in ctx.test_samples]
     for fold, art in enumerate(artifacts):
         name = f"fold{fold}.ckpt"
         ckpt.save_checkpoint(os.path.join(model_dir, name), art.params,
                              art.meta)
         files[name] = "checkpoint"
         pred_name = f"fold{fold}_preds.tsv"
-        write_predictions(os.path.join(model_dir, pred_name), test_ids,
-                          art.run.test_probs)
+        write_predictions(os.path.join(model_dir, pred_name),
+                          art.run.test_ids, art.run.test_probs)
         files[pred_name] = "predictions"
     write_manifest(model_dir, sorted(files.items()))
 
@@ -502,7 +501,7 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
 
 
 def load_fold_runs(out_root: str, model_name: str) -> list[FoldRun]:
-    """Reassemble FoldRuns (validation F1 + test probabilities) from disk.
+    """Reassemble FoldRuns (validation F1, test ids and probabilities).
 
     runs.tsv and each fold's predictions are verified against the
     manifest before they are read; the predictions carry the setup.
@@ -519,8 +518,8 @@ def load_fold_runs(out_root: str, model_name: str) -> list[FoldRun]:
         for line in fh:
             parts = line.split("\t")
             fold, best = int(parts[0]), float(parts[1])
-            _, probs, _ = read_predictions(_verified(
+            ids, probs, _ = read_predictions(_verified(
                 model_dir, f"fold{fold}_preds.tsv", manifest))
             runs.append(FoldRun(model_name=model_name, fold=fold,
-                                best_f1=best, test_probs=probs))
+                                best_f1=best, test_probs=probs, test_ids=ids))
     return runs

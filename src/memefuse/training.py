@@ -9,7 +9,7 @@ probability to the binary target; the two terms mix 0.7/0.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

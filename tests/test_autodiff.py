@@ -142,3 +142,55 @@ def test_fused_backward_runs_once_per_pass(rng):
     assert len(calls) == 1
     assert np.array_equal(a.grad, b.data)
     assert np.array_equal(b.grad, a.data)
+
+
+def test_node_consumed_many_times(rng):
+    # `h` feeds four consumers created at different points of the graph
+    a = parameter(rng.standard_normal((3, 4)) * 0.5)
+    b = parameter(rng.standard_normal(4))
+
+    def loss():
+        h = (a * b).sigmoid()
+        return (h * h + h.relu() * 3.0 + h.sum(axis=0) * h).sum()
+
+    check_grads(loss, {"a": a, "b": b})
+
+
+def test_diamond_with_branches_of_different_depth(rng):
+    a = parameter(rng.standard_normal((2, 3)))
+    w = parameter(rng.standard_normal((3, 3)))
+
+    def loss():
+        top = (a @ w).sigmoid()
+        deep = ((top @ w).sigmoid() @ w).sigmoid()  # rejoins three ops later
+        return (concat([top, deep], axis=0) * deep.sum()).sum()
+
+    check_grads(loss, {"a": a, "w": w})
+
+
+def test_backward_on_older_graph_after_newer_one(rng):
+    a = parameter(rng.standard_normal(4))
+    b = parameter(rng.standard_normal(4))
+    first = (a * b).sigmoid().sum()
+    second = (a * a * b).sum()  # built later, shares the leaves
+    first.backward()
+    s = 1.0 / (1.0 + np.exp(-a.data * b.data))
+    assert rel_error(a.grad, s * (1 - s) * b.data) < TOL
+    assert rel_error(b.grad, s * (1 - s) * a.data) < TOL
+    zero_grads({"a": a, "b": b})
+    second.backward()
+    assert rel_error(a.grad, 2 * a.data * b.data) < TOL
+    assert rel_error(b.grad, a.data * a.data) < TOL
+
+
+def test_fused_inside_frozen_keeps_no_tape(rng):
+    a = parameter(rng.standard_normal(3))
+    with frozen({"a": a}):
+        out = fused(a.data * 2.0, (a, Tensor(np.ones(3))),
+                    lambda g: (g * 2.0, None))
+    assert out._parents == () and out._backward is None
+    kept = fused(a.data * 2.0, (Tensor(np.ones(3)), a),
+                 lambda g: (None, g * 2.0))
+    assert kept._parents == (a,)  # the backward narrows to the kept parent
+    kept.sum().backward()
+    assert np.array_equal(a.grad, np.full(3, 2.0))

@@ -427,6 +427,62 @@ def test_cli_evaluate_refuses_tampered_predictions(tiny_run, member_runs,
     assert preds in capsys.readouterr().err
 
 
+def rename_ids(text: str) -> str:
+    return text.replace("test0", "zz0")
+
+
+def test_cli_evaluate_refuses_other_test_ids(tiny_run, member_runs, tmp_path,
+                                             capsys):
+    # the same test samples under other ids: the labels line up by row,
+    # but the predictions are not about these samples
+    data = os.path.join(tmp_path, "renamed")
+    shutil.copytree(tiny_run["data"], data)
+    images = os.path.join(data, "images")
+    for name in os.listdir(images):
+        os.rename(os.path.join(images, name),
+                  os.path.join(images, rename_ids(name)))
+    test_tsv = os.path.join(data, "test.tsv")
+    with open(test_tsv) as fh:
+        text = fh.read()
+    with open(test_tsv, "w") as fh:
+        fh.write(rename_ids(text))
+    capsys.readouterr()
+    assert main(["evaluate", "--runs", member_runs, "--test", data]) == 2
+    err = capsys.readouterr().err
+    assert os.path.join(member_runs, "gcan", "fold0_preds.tsv") in err
+    assert main(["evaluate", "--runs", member_runs,
+                 "--test", tiny_run["data"]]) == 0
+
+
+def test_cli_hard_ensemble_refuses_directories_over_other_samples(
+        tiny_run, member_runs, tmp_path, capsys):
+    # a run directory that is verified against its own manifest but
+    # predicted other samples than the first directory
+    from memefuse.pipeline import write_manifest
+    other = os.path.join(tmp_path, "vit")
+    shutil.copytree(os.path.join(member_runs, "vit"), other)
+    with open(os.path.join(other, "manifest.tsv")) as fh:
+        fh.readline()
+        roles = [tuple(line.split("\t")[:2]) for line in fh]
+    for name, role in roles:
+        if role == "predictions":
+            path = os.path.join(other, name)
+            with open(path) as fh:
+                text = fh.read()
+            with open(path, "w") as fh:
+                fh.write(rename_ids(text))
+    write_manifest(other, roles)
+    gcan = os.path.join(member_runs, "gcan")
+    out = os.path.join(tmp_path, "hard.tsv")
+    capsys.readouterr()
+    assert main(["ensemble", "--mode", "hard", "--out", out,
+                 "--runs", gcan, other]) == 2
+    assert other in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert main(["ensemble", "--mode", "hard", "--out", out, "--runs", gcan,
+                 os.path.join(member_runs, "vit")]) == 0
+
+
 def test_cli_fusion_refuses_tampered_member(tiny_run, member_runs, tmp_path,
                                             capsys):
     runs = os.path.join(tmp_path, "runs")
