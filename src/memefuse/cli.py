@@ -17,7 +17,7 @@ from .ensemble import hard_vote, mann_whitney_u, significance_stars, \
     soft_vote, task_scores
 from .nn import NumericError
 from .pipeline import CvContext, DependencyError, load_fold_runs, \
-    train_model_cv, write_manifest, write_predictions
+    setup_of, train_model_cv, write_manifest, write_predictions
 from .preprocess import DataError
 from .synth import SynthSpec, gen_synth
 
@@ -116,6 +116,14 @@ def cmd_ensemble(args) -> int:
     first = model_runs[0][0]
     _check_samples(args.runs, model_runs, first.test_ids,
                    os.path.join(args.runs[0], f"fold{first.fold}_preds.tsv"))
+    width = first.test_probs.shape[1]
+    for model_dir, runs in zip(args.runs, model_runs):
+        other = runs[0].test_probs.shape[1]
+        if other != width:
+            raise DataError(
+                f"{model_dir} holds setup {setup_of(other)} predictions and "
+                f"{args.runs[0]} setup {setup_of(width)} ones; vote over "
+                f"one setup")
     votes = [soft_vote(runs) for runs in model_runs]
     if args.mode == "soft":
         probs = votes[0].probabilities

@@ -1,19 +1,22 @@
 """Cross-validated training runs over a dataset, plus run-directory I/O.
 
 A CvContext precomputes tokenized documents, normalized images, and fold
-splits for one dataset. Only models that read the graph (`gcan` and the
-fusion models with a `gcan` member) get a corpus graph: each fold builds
-it from the fold's training documents only, and extracts the adjacency
-blocks of each split in one batch; validation and test documents get
-their blocks synthesized against the training statistics. Fusion
-models load the fold checkpoints of their members, freeze them, and
-train only the fusion heads.
+splits for one dataset. Only `gcan` reads a corpus graph: each of its
+folds builds it from the fold's training documents only, and extracts
+the adjacency blocks of each split in one batch; validation and test
+documents get their blocks synthesized against the training statistics.
+After training, a uni-modal fold saves its eval-mode outputs over the
+train, val and test splits. Fusion models train only the fusion heads,
+on those saved outputs of their members: they build no fold data and
+run no member model.
 
-A run directory holds per-fold checkpoints and predictions, runs.tsv,
-train_log.tsv and a manifest.tsv of their SHA-256 hashes. Readers verify
-what they read against the manifest: `load_fold_runs` the scores and
-predictions, fusion training each member checkpoint. A predictions file
-records its own setup: setup A leaves the sub-category columns empty.
+A run directory holds per-fold checkpoints, member outputs and
+predictions, runs.tsv, train_log.tsv and a manifest.tsv of their
+SHA-256 hashes. Readers verify what they read against the manifest:
+`load_fold_runs` the scores and predictions, fusion training each
+member's checkpoint and outputs, whose sample ids must be the fusion
+fold's. A predictions file records its own setup: setup A leaves the
+sub-category columns empty.
 """
 
 from __future__ import annotations
@@ -54,14 +57,21 @@ def document_tokens(sample: RawSample) -> list[str]:
     return tokenize(combine_texts(ocr, [c for c in captions if c]))
 
 
+SPLITS = ("train", "val", "test")
+
+
 @dataclass
-class EncodedSplit:
+class SplitLabels:
     ids: list[str]
+    y_mis: np.ndarray
+    y_sub: np.ndarray
+
+
+@dataclass
+class EncodedSplit(SplitLabels):
     seqs: np.ndarray            # (N, L_S) token ids
     adjs: np.ndarray | None     # (N, L_S, L_S)
     images: np.ndarray          # (N, 3, C, C)
-    y_mis: np.ndarray
-    y_sub: np.ndarray
 
 
 @dataclass
@@ -70,6 +80,9 @@ class FoldData:
     val: EncodedSplit
     test: EncodedSplit
     vocab_size: int
+
+    def splits(self) -> dict[str, EncodedSplit]:
+        return {"train": self.train, "val": self.val, "test": self.test}
 
 
 class CvContext:
@@ -83,6 +96,8 @@ class CvContext:
         self.cfg = cfg
         self.train_samples = train_samples
         self.test_samples = test_samples
+        self.train_ids = [s.id for s in train_samples]
+        self.test_ids = [s.id for s in test_samples]
         self.train_tokens = [document_tokens(s) for s in train_samples]
         self.test_tokens = [document_tokens(s) for s in test_samples]
         self.train_images = np.stack([
@@ -102,6 +117,32 @@ class CvContext:
         self.folds = kfold_split(len(train_samples), cfg.folds, cfg.seed)
         self._cache: dict[tuple[int, bool], FoldData] = {}
 
+    def split_indices(self, fold: int) -> dict[str, np.ndarray]:
+        """Row indices of a fold's splits: "train" and "val" index the
+        training samples, "test" the test samples."""
+        val_idx = self.folds[fold]
+        mask = np.ones(len(self.train_samples), dtype=bool)
+        mask[val_idx] = False
+        return {"train": np.flatnonzero(mask), "val": val_idx,
+                "test": np.arange(len(self.test_samples))}
+
+    def _pool(self, split: str):
+        """(ids, tokens, images, y_mis, y_sub) of the rows a split indexes."""
+        if split == "test":
+            return (self.test_ids, self.test_tokens, self.test_images,
+                    self.test_y_mis, self.test_y_sub)
+        return (self.train_ids, self.train_tokens, self.train_images,
+                self.train_y_mis, self.train_y_sub)
+
+    def split_labels(self, fold: int) -> dict[str, SplitLabels]:
+        """Sample ids and labels of a fold's train, val and test splits."""
+        labels = {}
+        for split, idx in self.split_indices(fold).items():
+            ids, _, _, y_mis, y_sub = self._pool(split)
+            labels[split] = SplitLabels(ids=[ids[i] for i in idx],
+                                        y_mis=y_mis[idx], y_sub=y_sub[idx])
+        return labels
+
     def fold_data(self, fold: int, with_graph: bool = True) -> FoldData:
         """A fold's encoded splits; adjacency blocks only `with_graph`."""
         key = (fold, with_graph)
@@ -111,52 +152,35 @@ class CvContext:
 
     def _build_fold(self, fold: int, with_graph: bool) -> FoldData:
         cfg = self.cfg
-        val_idx = self.folds[fold]
-        mask = np.ones(len(self.train_samples), dtype=bool)
-        mask[val_idx] = False
-        train_idx = np.flatnonzero(mask)
-        test_idx = np.arange(len(self.test_samples))
-        vocab = build_vocabulary([self.train_tokens[i] for i in train_idx],
-                                 cfg.min_freq, cfg.max_vocab)
-
-        def encode_split(indices, tokens_all, images_all, y_mis, y_sub,
-                         ids_all):
-            encoded = [encode_document(tokens_all[i], vocab, cfg.seq_len)
-                       for i in indices]
-            split = EncodedSplit(
-                ids=[ids_all[i] for i in indices],
+        indices = self.split_indices(fold)
+        vocab = build_vocabulary(
+            [self.train_tokens[i] for i in indices["train"]],
+            cfg.min_freq, cfg.max_vocab)
+        splits, lengths, id_docs = {}, {}, {}
+        for split, labels in self.split_labels(fold).items():
+            idx = indices[split]
+            _, tokens, images, _, _ = self._pool(split)
+            encoded = [encode_document(tokens[i], vocab, cfg.seq_len)
+                       for i in idx]
+            splits[split] = EncodedSplit(
+                ids=labels.ids, y_mis=labels.y_mis, y_sub=labels.y_sub,
                 seqs=np.stack([seq.ids for seq in encoded]), adjs=None,
-                images=images_all[indices],
-                y_mis=y_mis[indices], y_sub=y_sub[indices])
-            return split, np.array([seq.true_length for seq in encoded])
-
-        def id_docs(indices, tokens_all):
-            return [[vocab.lookup(t) for t in tokens_all[i]] for i in indices]
-
-        train_ids_all = [s.id for s in self.train_samples]
-        train, train_lengths = encode_split(
-            train_idx, self.train_tokens, self.train_images,
-            self.train_y_mis, self.train_y_sub, train_ids_all)
-        val, val_lengths = encode_split(
-            val_idx, self.train_tokens, self.train_images,
-            self.train_y_mis, self.train_y_sub, train_ids_all)
-        test, test_lengths = encode_split(
-            test_idx, self.test_tokens, self.test_images, self.test_y_mis,
-            self.test_y_sub, [s.id for s in self.test_samples])
+                images=images[idx])
+            lengths[split] = np.array([seq.true_length for seq in encoded])
+            if with_graph:
+                id_docs[split] = [[vocab.lookup(t) for t in tokens[i]]
+                                  for i in idx]
         if with_graph:
-            id_corpus = id_docs(train_idx, self.train_tokens)
-            stats = count_windows(id_corpus, cfg.window_len)
-            graph = build_adjacency(id_corpus, stats, vocab)
-            train.adjs = extract_document_adjacency(graph, train.seqs,
-                                                    train_lengths)
-            val.adjs = extract_unseen_adjacency(
-                graph, val.seqs, val_lengths,
-                id_docs(val_idx, self.train_tokens))
-            test.adjs = extract_unseen_adjacency(
-                graph, test.seqs, test_lengths,
-                id_docs(test_idx, self.test_tokens))
-        return FoldData(train=train, val=val, test=test,
-                        vocab_size=len(vocab.id_to_token))
+            stats = count_windows(id_docs["train"], cfg.window_len)
+            graph = build_adjacency(id_docs["train"], stats, vocab)
+            train = splits["train"]
+            train.adjs = extract_document_adjacency(
+                graph, train.seqs, lengths["train"])
+            for split in ("val", "test"):
+                splits[split].adjs = extract_unseen_adjacency(
+                    graph, splits[split].seqs, lengths[split],
+                    id_docs[split])
+        return FoldData(**splits, vocab_size=len(vocab.id_to_token))
 
 
 def _attention_config(cfg: RunConfig) -> AttentionConfig:
@@ -253,11 +277,20 @@ def _train_config(cfg: RunConfig, fold: int, fusion: bool) -> TrainConfig:
 
 
 @dataclass
+class SplitOutputs:
+    """A uni-modal model's eval-mode outputs over one split."""
+    ids: list[str]
+    p: np.ndarray               # (N, n_outputs) probabilities
+    f: np.ndarray               # (N, d_att) features
+
+
+@dataclass
 class FoldArtifacts:
     run: FoldRun
     records: list[EpochRecord]
     params: dict[str, np.ndarray]
     meta: dict[str, str]
+    outputs: dict[str, SplitOutputs] | None  # per split; uni-modal only
     test_taskA_f1: float
     test_weighted_f1: float | None
     pid: int            # process that trained the fold
@@ -266,76 +299,128 @@ class FoldArtifacts:
     cpu_s: float        # CPU time of the training process
 
 
+def setup_of(width: int) -> str:
+    """The setup whose models have `width` outputs per sample."""
+    return {1: "A", 4: "B"}.get(width, f"with {width} outputs")
+
+
+def write_outputs(path: str, outputs: dict[str, SplitOutputs]) -> None:
+    """A checkpoint file with arrays `<split>.p` and `<split>.f`; the
+    metadata `<split>.ids` holds the split's sample ids joined by tabs."""
+    arrays, meta = {}, {}
+    for split, out in outputs.items():
+        arrays[f"{split}.p"], arrays[f"{split}.f"] = out.p, out.f
+        meta[f"{split}.ids"] = "\t".join(out.ids)
+    ckpt.save_checkpoint(path, arrays, meta)
+
+
+def read_outputs(path: str) -> dict[str, SplitOutputs]:
+    arrays, meta = ckpt.load_checkpoint(path)
+    try:
+        return {split: SplitOutputs(ids=meta[f"{split}.ids"].split("\t"),
+                                    p=arrays[f"{split}.p"],
+                                    f=arrays[f"{split}.f"])
+                for split in SPLITS}
+    except KeyError as exc:
+        raise DataError(f"{path} has no {exc.args[0]} entry") from exc
+
+
+def member_outputs(out_root: str, member: str, fusion: str, fold: int,
+                   labels: dict[str, SplitLabels], n_outputs: int
+                   ) -> tuple[str, dict[str, SplitOutputs]]:
+    """A member's checkpoint hash and saved outputs for `fold`.
+
+    Both files are verified against the member's manifest; the outputs
+    must cover the fusion fold's samples in order and have `n_outputs`
+    columns.
+    """
+    member_dir = os.path.join(out_root, member)
+    path = os.path.join(member_dir, f"fold{fold}.ckpt")
+    if not os.path.exists(path):
+        raise DependencyError(
+            f"member model {member!r} has no checkpoint for fold "
+            f"{fold}; train it before {fusion!r}")
+    digest = ckpt.file_hash(path)
+    manifest = read_manifest(member_dir)
+    if manifest.get(f"fold{fold}.ckpt") != digest:
+        raise DependencyError(
+            f"member checkpoint {path} does not match its "
+            f"manifest.tsv entry; retrain {member!r}")
+    name = f"fold{fold}_outputs.ckpt"
+    if name not in manifest:
+        raise DependencyError(
+            f"member model {member!r} lists no {name} in "
+            f"{os.path.join(member_dir, 'manifest.tsv')}: it was trained "
+            f"before members saved their outputs; retrain {member!r}")
+    outputs_path = _verified(member_dir, name, manifest)
+    outputs = read_outputs(outputs_path)
+    for split in SPLITS:
+        if outputs[split].ids != labels[split].ids:
+            raise DependencyError(
+                f"member model {member!r} was trained on another fold "
+                f"split: the {split} ids of {outputs_path} are not fold "
+                f"{fold}'s; retrain {member!r} with this seed and folds")
+    width = outputs["train"].p.shape[1]
+    if width != n_outputs:
+        raise DependencyError(
+            f"member model {member!r} was trained in setup "
+            f"{setup_of(width)} ({outputs_path}), but {fusion!r} trains "
+            f"in setup {setup_of(n_outputs)}; retrain {member!r}")
+    return digest, outputs
+
+
 def train_fold(ctx: CvContext, model_name: str, fold: int,
                out_root: str | None = None) -> FoldArtifacts:
     """Train one model on one fold; fusion members are read from out_root."""
     start, cpu_start = time.perf_counter(), time.process_time()
     cfg = ctx.cfg
     members = MODEL_MEMBERS[model_name]
-    # only gcan reads the corpus graph, as a model or as a fusion member
-    data = ctx.fold_data(fold,
-                         with_graph="gcan" in (members or [model_name]))
     tconf = _train_config(cfg, fold, fusion=members is not None)
-    n_classes = tconf.n_outputs
     meta = {"model": model_name, "fold": str(fold), "setup": cfg.setup}
 
     if members is None:
-        model = make_unimodal(model_name, cfg, data.vocab_size, n_classes,
-                              seed=tconf.seed)
+        # only gcan reads the corpus graph
+        data = ctx.fold_data(fold, with_graph=model_name == "gcan")
+        splits = data.splits()
+        model = make_unimodal(model_name, cfg, data.vocab_size,
+                              tconf.n_outputs, seed=tconf.seed)
         trainable = UnimodalTrainable(model, data)
-        best_f1, params, records = train_model(
-            trainable, data.train.y_mis, data.train.y_sub,
-            data.val.y_mis, data.val.y_sub, tconf)
-        test_probs = trainable.eval_split(data.test)[0]
     else:
         if out_root is None:
             raise DependencyError("fusion training needs a run directory "
                                   "with trained member models")
-        caches = {"train": [], "val": [], "test": []}
+        splits = ctx.split_labels(fold)
+        saved = []
         for member in members:
-            member_dir = os.path.join(out_root, member)
-            path = os.path.join(member_dir, f"fold{fold}.ckpt")
-            if not os.path.exists(path):
-                raise DependencyError(
-                    f"member model {member!r} has no checkpoint for fold "
-                    f"{fold}; train it before {model_name!r}")
-            digest = ckpt.file_hash(path)
-            if read_manifest(member_dir).get(f"fold{fold}.ckpt") != digest:
-                raise DependencyError(
-                    f"member checkpoint {path} does not match its "
-                    f"manifest.tsv entry; retrain {member!r}")
+            digest, outputs = member_outputs(out_root, member, model_name,
+                                             fold, splits, tconf.n_outputs)
             meta[f"member_hash:{member}"] = digest
-            member_params, _ = ckpt.load_checkpoint(path)
-            mmodel = make_unimodal(member, cfg, data.vocab_size, n_classes,
-                                   seed=0)
-            for name, tensor in mmodel.params.items():
-                if tensor.data.shape != member_params[name].shape:
-                    raise DependencyError(
-                        f"checkpoint {path} does not match the current "
-                        f"configuration (parameter {name})")
-                tensor.data = member_params[name]
-                tensor.requires_grad = False
-            mtrain = UnimodalTrainable(mmodel, data)
-            caches["train"].append(mtrain.eval_split(data.train))
-            caches["val"].append(mtrain.eval_split(data.val))
-            caches["test"].append(mtrain.eval_split(data.test))
-        fmodel = FusionModel([(n_classes, cfg.d_att)] * len(members),
-                             n_classes, cfg.dropout, seed=tconf.seed)
+            saved.append(outputs)
+        caches = {split: [(out[split].p, out[split].f) for out in saved]
+                  for split in SPLITS}
+        fmodel = FusionModel([(p.shape[1], f.shape[1])
+                              for p, f in caches["train"]],
+                             tconf.n_outputs, cfg.dropout, seed=tconf.seed)
         trainable = FusionTrainable(fmodel, caches["train"], caches["val"])
-        best_f1, params, records = train_model(
-            trainable, data.train.y_mis, data.train.y_sub,
-            data.val.y_mis, data.val.y_sub, tconf)
+    train, val, test = (splits[split] for split in SPLITS)
+    best_f1, params, records = train_model(
+        trainable, train.y_mis, train.y_sub, val.y_mis, val.y_sub, tconf)
+    if members is None:
+        outputs = {name: SplitOutputs(split.ids, *trainable.eval_split(split))
+                   for name, split in splits.items()}
+        test_probs = outputs["test"].p
+    else:
+        outputs = None
         test_probs = trainable.eval_cached(caches["test"])
 
-    task_a, weighted = task_scores(test_probs, data.test.y_mis,
-                                   data.test.y_sub)
+    task_a, weighted = task_scores(test_probs, test.y_mis, test.y_sub)
     meta["best_val_f1"] = f"{best_f1:.17g}"
     run = FoldRun(model_name=model_name, fold=fold, best_f1=best_f1,
-                  test_probs=test_probs, test_ids=data.test.ids)
+                  test_probs=test_probs, test_ids=test.ids)
     return FoldArtifacts(run=run, records=records, params=params, meta=meta,
-                         test_taskA_f1=task_a, test_weighted_f1=weighted,
-                         pid=os.getpid(), start=start,
-                         wall_s=time.perf_counter() - start,
+                         outputs=outputs, test_taskA_f1=task_a,
+                         test_weighted_f1=weighted, pid=os.getpid(),
+                         start=start, wall_s=time.perf_counter() - start,
                          cpu_s=time.process_time() - cpu_start)
 
 
@@ -484,6 +569,10 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
         ckpt.save_checkpoint(os.path.join(model_dir, name), art.params,
                              art.meta)
         files[name] = "checkpoint"
+        if art.outputs is not None:
+            out_name = f"fold{fold}_outputs.ckpt"
+            write_outputs(os.path.join(model_dir, out_name), art.outputs)
+            files[out_name] = "outputs"
         pred_name = f"fold{fold}_preds.tsv"
         write_predictions(os.path.join(model_dir, pred_name),
                           art.run.test_ids, art.run.test_probs)

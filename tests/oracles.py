@@ -2,7 +2,10 @@
 
 Everything here is written against the stated formulas only (no imports
 from memefuse internals beyond plain data), so that agreement with the
-package is a genuine cross-check rather than a tautology.
+package is a genuine cross-check rather than a tautology. The one
+exception is `member_outputs_by_inference`, which keeps the path fusion
+training used before members saved their outputs, as the reference the
+saved outputs must reproduce bit for bit.
 """
 
 import math
@@ -235,3 +238,21 @@ def f1_oracle(pred, true):
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+def member_outputs_by_inference(ctx, member, fold, checkpoint_path):
+    """A member's eval-mode (p, f) over a fold's train, val and test splits,
+    from its checkpoint: load the parameters, rebuild the member model and
+    run it over the fold's encoded splits."""
+    from memefuse.checkpoint import load_checkpoint
+    from memefuse.pipeline import UnimodalTrainable, make_unimodal
+    data = ctx.fold_data(fold, with_graph=True)
+    params, _ = load_checkpoint(checkpoint_path)
+    n_classes = 1 if ctx.cfg.setup == "A" else 4
+    model = make_unimodal(member, ctx.cfg, data.vocab_size, n_classes, seed=0)
+    for name, tensor in model.params.items():
+        tensor.data = params[name]
+        tensor.requires_grad = False
+    trainable = UnimodalTrainable(model, data)
+    return {split: trainable.eval_split(getattr(data, split))
+            for split in ("train", "val", "test")}

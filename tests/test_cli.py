@@ -493,3 +493,105 @@ def test_cli_fusion_refuses_tampered_member(tiny_run, member_runs, tmp_path,
                  tiny_run["data"], "--model", "gcan-vit", "--out", runs])
     assert code == 2
     assert member in capsys.readouterr().err
+
+
+def test_cli_fusion_refuses_tampered_member_outputs(tiny_run, member_runs,
+                                                    tmp_path, capsys):
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    outputs = os.path.join(runs, "vit", "fold1_outputs.ckpt")
+    flip_byte(outputs, -8)  # low mantissa byte of the last test feature
+    capsys.readouterr()
+    assert main(["train", "--config", tiny_run["cfg"], "--data",
+                 tiny_run["data"], "--model", "gcan-vit", "--out", runs]) == 2
+    assert outputs in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(runs, "gcan-vit", "runs.tsv"))
+
+
+def test_cli_fusion_refuses_members_of_another_split(tiny_run, tmp_path,
+                                                     capsys):
+    # the vocabulary cap gives every fold the same vocabulary size, so the
+    # members' parameter shapes fit whatever the split
+    cfg = os.path.join(tmp_path, "capped.cfg")
+    with open(tiny_run["cfg"]) as fh:
+        text = fh.read()
+    with open(cfg, "w") as fh:
+        fh.write(text + "max_vocab = 30\n")
+    runs = os.path.join(tmp_path, "runs")
+    for model in ("gcan", "vit"):
+        assert main(["train", "--config", cfg, "--data", tiny_run["data"],
+                     "--model", model, "--seed", "1", "--out", runs]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--data", tiny_run["data"],
+                 "--model", "gcan-vit", "--seed", "2", "--out", runs]) == 2
+    err = capsys.readouterr().err
+    assert "member model 'gcan'" in err
+    assert os.path.join(runs, "gcan", "fold0_outputs.ckpt") in err
+    assert "the train ids" in err
+    assert not os.path.exists(os.path.join(runs, "gcan-vit", "runs.tsv"))
+
+
+@pytest.fixture(scope="module")
+def setup_a_runs(tiny_run, tmp_path_factory):
+    """gcan and vit trained in setup A into a run directory of their own."""
+    out = str(tmp_path_factory.mktemp("setup_a"))
+    for model in ("gcan", "vit"):
+        assert main(["train", "--config", tiny_run["cfg"], "--data",
+                     tiny_run["data"], "--model", model, "--setup", "A",
+                     "--out", out]) == 0
+    return out
+
+
+def test_cli_fusion_refuses_member_of_another_setup(tiny_run, member_runs,
+                                                    setup_a_runs, tmp_path,
+                                                    capsys):
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    shutil.rmtree(os.path.join(runs, "vit"))
+    shutil.copytree(os.path.join(setup_a_runs, "vit"),
+                    os.path.join(runs, "vit"))
+    capsys.readouterr()
+    assert main(["train", "--config", tiny_run["cfg"], "--data",
+                 tiny_run["data"], "--model", "gcan-vit", "--setup", "B",
+                 "--out", runs]) == 2
+    err = capsys.readouterr().err
+    assert "member model 'vit'" in err
+    assert "setup A" in err and "setup B" in err
+
+
+def test_cli_fusion_names_member_from_before_saved_outputs(
+        tiny_run, member_runs, tmp_path, capsys):
+    # a member directory as written before members saved their outputs:
+    # no outputs files and no manifest lines for them
+    from memefuse.pipeline import write_manifest
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    gcan = os.path.join(runs, "gcan")
+    with open(os.path.join(gcan, "manifest.tsv")) as fh:
+        fh.readline()
+        roles = [tuple(line.split("\t")[:2]) for line in fh]
+    for name, role in roles:
+        if role == "outputs":
+            os.remove(os.path.join(gcan, name))
+    write_manifest(gcan, [(n, r) for n, r in roles if r != "outputs"])
+    capsys.readouterr()
+    assert main(["train", "--config", tiny_run["cfg"], "--data",
+                 tiny_run["data"], "--model", "gcan-vit", "--out", runs]) == 2
+    err = capsys.readouterr().err
+    assert "retrain 'gcan'" in err
+    assert os.path.join(gcan, "manifest.tsv") in err
+    assert "No such file" not in err
+
+
+def test_cli_hard_ensemble_refuses_mixed_setups(member_runs, setup_a_runs,
+                                                tmp_path, capsys):
+    gcan_b = os.path.join(member_runs, "gcan")
+    vit_a = os.path.join(setup_a_runs, "vit")
+    out = os.path.join(tmp_path, "hard.tsv")
+    capsys.readouterr()
+    assert main(["ensemble", "--mode", "hard", "--out", out,
+                 "--runs", gcan_b, vit_a]) == 2
+    err = capsys.readouterr().err
+    assert vit_a in err and gcan_b in err
+    assert "setup A" in err and "setup B" in err
+    assert not os.path.exists(out)

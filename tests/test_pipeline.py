@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ import scipy.sparse as sp
 
 from memefuse import pipeline
 from memefuse import checkpoint
-from memefuse.checkpoint import file_hash, save_checkpoint
+from memefuse.checkpoint import file_hash
 from memefuse.dataio import RunConfig, ingest
 from memefuse.fusion import FusionModel
-from memefuse.nn import GcanEncoder
+from memefuse.nn import GcanEncoder, ImageEncoder, TextEncoder
 from memefuse.pipeline import (CvContext, DependencyError, FusionTrainable,
                                UnimodalTrainable, load_fold_runs,
                                make_unimodal, read_manifest,
@@ -22,7 +23,8 @@ from memefuse.pipeline import (CvContext, DependencyError, FusionTrainable,
 from memefuse.preprocess import DataError, build_vocabulary, encode_document
 from memefuse.textgraph import build_adjacency, count_windows
 from memefuse.synth import SynthSpec, gen_synth
-from oracles import document_block, unseen_block
+from oracles import document_block, member_outputs_by_inference, \
+    unseen_block
 
 CFG_KW = dict(folds=3, epochs=3, warmup_epochs=1, base_lr=3e-3,
               fusion_lr=1e-2, seq_len=10, resize=12, crop=8, patch=4,
@@ -118,7 +120,7 @@ def test_models_without_gcan_build_no_graph(dataset, monkeypatch):
     ctx = make_ctx(dataset)
     for model in ("vit", "bertc"):
         train_fold(ctx, model, 0)
-    with pytest.raises(DependencyError):  # raised after the fold build
+    with pytest.raises(DependencyError):  # no member outputs to read
         train_fold(ctx, "bertc-vit", 1, None)
     for fold in (0, 1):
         data = ctx.fold_data(fold, with_graph=False)
@@ -126,27 +128,62 @@ def test_models_without_gcan_build_no_graph(dataset, monkeypatch):
             (None, None, None)
 
 
-def test_gcan_member_of_fusion_reads_blocks(dataset, tmp_path, monkeypatch):
-    ctx = make_ctx(dataset)
+def refusing(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+    return refuse
+
+
+def test_fusion_runs_no_member_model(dataset, tmp_path, monkeypatch):
     for member in ("gcan", "vit"):
-        art = train_fold(ctx, member, 0)
-        os.makedirs(os.path.join(tmp_path, member))
-        save_checkpoint(os.path.join(tmp_path, member, "fold0.ckpt"),
-                        art.params, art.meta)
-        write_manifest(os.path.join(tmp_path, member),
-                       [("fold0.ckpt", "checkpoint")])
-    adj_shapes = []
-    forward = GcanEncoder.forward
+        train_model_cv(make_ctx(dataset), member, str(tmp_path), log=None)
+    monkeypatch.setattr(CvContext, "_build_fold",
+                        refusing("built fold data"))
+    for encoder in (TextEncoder, GcanEncoder, ImageEncoder):
+        monkeypatch.setattr(encoder, "forward", refusing("ran a member"))
+    load = checkpoint.load_checkpoint
 
-    def recording_forward(self, ids, adj, rng=None):
-        adj_shapes.append(adj.shape)
-        return forward(self, ids, adj, rng)
+    def outputs_only(path):
+        if re.search(r"fold\d+\.ckpt$", path):
+            raise AssertionError(f"loaded member checkpoint {path}")
+        return load(path)
 
-    monkeypatch.setattr(GcanEncoder, "forward", recording_forward)
-    train_fold(ctx, "gcan-vit", 0, str(tmp_path))
-    n_val = len(ctx.folds[0])
-    # member inference over the train, val and test splits, one batch each
-    assert adj_shapes == [(24 - n_val, 10, 10), (n_val, 10, 10), (6, 10, 10)]
+    monkeypatch.setattr(checkpoint, "load_checkpoint", outputs_only)
+    art = train_fold(make_ctx(dataset), "gcan-vit", 0, str(tmp_path))
+    assert art.records and art.outputs is None
+    assert art.run.test_probs.shape == (6, 4)
+    assert art.run.test_ids == [s.id for s in dataset[1]]
+    for member in ("gcan", "vit"):
+        assert art.meta[f"member_hash:{member}"] == file_hash(
+            os.path.join(tmp_path, member, "fold0.ckpt"))
+
+
+@pytest.mark.parametrize("setup", ["A", "B"])
+def test_saved_outputs_equal_member_inference(dataset, tmp_path, setup):
+    ctx = make_ctx(dataset, setup=setup)
+    train_ids = [s.id for s in dataset[0]]
+    for member in ("gcan", "vit"):
+        train_model_cv(ctx, member, str(tmp_path), log=None)
+        member_dir = os.path.join(tmp_path, member)
+        with open(os.path.join(member_dir, "manifest.tsv")) as fh:
+            roles = dict(line.split("\t")[:2] for line in fh)
+        for fold in range(3):
+            name = f"fold{fold}_outputs.ckpt"
+            assert roles[name] == "outputs"
+            arrays, meta = checkpoint.load_checkpoint(
+                os.path.join(member_dir, name))
+            ref = member_outputs_by_inference(
+                ctx, member, fold, os.path.join(member_dir, f"fold{fold}.ckpt"))
+            assert len(arrays) == 6
+            for split, (p, f) in ref.items():
+                assert arrays[f"{split}.p"].tobytes() == p.tobytes()
+                assert arrays[f"{split}.f"].tobytes() == f.tobytes()
+            val = set(ctx.folds[fold].tolist())
+            assert meta == {
+                "train.ids": "\t".join(sid for i, sid in enumerate(train_ids)
+                                       if i not in val),
+                "val.ids": "\t".join(train_ids[i] for i in ctx.folds[fold]),
+                "test.ids": "\t".join(s.id for s in dataset[1])}
 
 
 def test_eval_forwards_record_no_tape(dataset):
