@@ -67,8 +67,10 @@ def write_dataset(path: str, samples: list[RawSample], image_dir: str) -> None:
 
 
 def ingest(dataset_path: str, image_dir: str | None = None) -> list[RawSample]:
-    """Parse and validate a dataset TSV; returns samples in id order."""
-    if image_dir is None:
+    """Parse and validate a dataset TSV; returns samples in id order.
+    Images are read from `image_dir`, if unset or empty from `images/`
+    next to the TSV."""
+    if not image_dir:
         image_dir = os.path.join(os.path.dirname(dataset_path), "images")
     samples = []
     seen = set()
@@ -139,8 +141,15 @@ class RunConfig:
                              f"{sorted(MODEL_MEMBERS)}")
         if self.setup not in ("A", "B"):
             raise ValueError(f"setup must be A or B, got {self.setup!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        for name in ("jobs", "batch_size", "fusion_batch_size", "d_att",
+                     "window_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
+        if not 0 < self.warmup_epochs < self.epochs:
+            raise ValueError(f"warmup_epochs must be above 0 and below "
+                             f"epochs {self.epochs}, got "
+                             f"{self.warmup_epochs}")
         if self.folds < 2:
             raise ValueError(f"folds must be at least 2, got {self.folds}")
         if self.seq_len < 2:

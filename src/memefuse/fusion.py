@@ -5,8 +5,9 @@ Two branches run over the concatenated representation: a weight predictor
 whose normalized outputs combine the member probability vectors
 (stream weighting), and a classifier producing probabilities directly
 from the joint representation (representation fusion). The final
-prediction is the average of both branches. Member encoders stay frozen;
-only the two fusion heads train.
+prediction is the average of both branches. Only the two fusion heads
+train, on the outputs the members saved when they were trained; no
+member model runs.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def fuse(p_sw: Tensor, p_rf: Tensor) -> Tensor:
 
 
 class FusionModel:
-    """The two trainable fusion heads over m frozen member models."""
+    """The two trainable fusion heads over the outputs of m member models."""
 
     def __init__(self, member_dims: list[tuple[int, int]], n_classes: int,
                  dropout: float = 0.5, seed: int = 0):

@@ -1,14 +1,16 @@
 """Cross-validated training runs over a dataset, plus run-directory I/O.
 
 A CvContext precomputes tokenized documents, normalized images, and fold
-splits for one dataset. Only `gcan` reads a corpus graph: each of its
-folds builds it from the fold's training documents only, and extracts
-the adjacency blocks of each split in one batch; validation and test
-documents get their blocks synthesized against the training statistics.
-After training, a uni-modal fold saves its eval-mode outputs over the
-train, val and test splits. Fusion models train only the fusion heads,
-on those saved outputs of their members: they build no fold data and
-run no member model.
+splits for one dataset. `train_fold` builds a uni-modal fold with only
+what its model reads, and drops it once trained: token ids for `bertc`,
+those and their adjacency blocks for `gcan`, image rows for `vit`. A
+`gcan` fold's corpus graph comes from its training documents only, and
+each split's adjacency blocks are extracted in one batch; validation and
+test documents get their blocks synthesized against the training
+statistics. After training, a uni-modal fold saves its eval-mode outputs
+over the train, val and test splits. Fusion models train only the fusion
+heads, on those saved outputs of their members: they build no fold data
+and run no member model.
 
 A run directory holds per-fold checkpoints, member outputs and
 predictions, runs.tsv, train_log.tsv and a manifest.tsv of their
@@ -69,9 +71,7 @@ class SplitLabels:
 
 @dataclass
 class EncodedSplit(SplitLabels):
-    seqs: np.ndarray            # (N, L_S) token ids
-    adjs: np.ndarray | None     # (N, L_S, L_S)
-    images: np.ndarray          # (N, 3, C, C)
+    inputs: tuple[np.ndarray, ...]  # the encoder's forward arguments
 
 
 @dataclass
@@ -79,7 +79,7 @@ class FoldData:
     train: EncodedSplit
     val: EncodedSplit
     test: EncodedSplit
-    vocab_size: int
+    vocab_size: int | None      # None for vit, which reads no tokens
 
     def splits(self) -> dict[str, EncodedSplit]:
         return {"train": self.train, "val": self.val, "test": self.test}
@@ -115,7 +115,6 @@ class CvContext:
         self.test_y_sub = np.stack([s.labels.sub_labels()
                                     for s in test_samples])
         self.folds = kfold_split(len(train_samples), cfg.folds, cfg.seed)
-        self._cache: dict[tuple[int, bool], FoldData] = {}
 
     def split_indices(self, fold: int) -> dict[str, np.ndarray]:
         """Row indices of a fold's splits: "train" and "val" index the
@@ -143,44 +142,47 @@ class CvContext:
                                         y_mis=y_mis[idx], y_sub=y_sub[idx])
         return labels
 
-    def fold_data(self, fold: int, with_graph: bool = True) -> FoldData:
-        """A fold's encoded splits; adjacency blocks only `with_graph`."""
-        key = (fold, with_graph)
-        if key not in self._cache:
-            self._cache[key] = self._build_fold(fold, with_graph)
-        return self._cache[key]
-
-    def _build_fold(self, fold: int, with_graph: bool) -> FoldData:
+    def _build_fold(self, fold: int, model_name: str) -> FoldData:
+        """A fold's splits with the inputs of `model_name`'s encoder only:
+        token ids for bertc, token ids and adjacency blocks for gcan,
+        images for vit."""
         cfg = self.cfg
         indices = self.split_indices(fold)
-        vocab = build_vocabulary(
-            [self.train_tokens[i] for i in indices["train"]],
-            cfg.min_freq, cfg.max_vocab)
-        splits, lengths, id_docs = {}, {}, {}
-        for split, labels in self.split_labels(fold).items():
-            idx = indices[split]
-            _, tokens, images, _, _ = self._pool(split)
-            encoded = [encode_document(tokens[i], vocab, cfg.seq_len)
-                       for i in idx]
-            splits[split] = EncodedSplit(
-                ids=labels.ids, y_mis=labels.y_mis, y_sub=labels.y_sub,
-                seqs=np.stack([seq.ids for seq in encoded]), adjs=None,
-                images=images[idx])
-            lengths[split] = np.array([seq.true_length for seq in encoded])
-            if with_graph:
-                id_docs[split] = [[vocab.lookup(t) for t in tokens[i]]
-                                  for i in idx]
-        if with_graph:
-            stats = count_windows(id_docs["train"], cfg.window_len)
-            graph = build_adjacency(id_docs["train"], stats, vocab)
-            train = splits["train"]
-            train.adjs = extract_document_adjacency(
-                graph, train.seqs, lengths["train"])
-            for split in ("val", "test"):
-                splits[split].adjs = extract_unseen_adjacency(
-                    graph, splits[split].seqs, lengths[split],
-                    id_docs[split])
-        return FoldData(**splits, vocab_size=len(vocab.id_to_token))
+        vocab_size, inputs = None, {}
+        if model_name == "vit":
+            for split, idx in indices.items():
+                _, _, images, _, _ = self._pool(split)
+                inputs[split] = (images[idx],)
+        else:
+            vocab = build_vocabulary(
+                [self.train_tokens[i] for i in indices["train"]],
+                cfg.min_freq, cfg.max_vocab)
+            vocab_size = len(vocab.id_to_token)
+            lengths, id_docs = {}, {}
+            for split, idx in indices.items():
+                _, tokens, _, _, _ = self._pool(split)
+                encoded = [encode_document(tokens[i], vocab, cfg.seq_len)
+                           for i in idx]
+                inputs[split] = (np.stack([seq.ids for seq in encoded]),)
+                if model_name == "gcan":
+                    lengths[split] = np.array([seq.true_length
+                                               for seq in encoded])
+                    id_docs[split] = [[vocab.lookup(t) for t in tokens[i]]
+                                      for i in idx]
+            if model_name == "gcan":
+                stats = count_windows(id_docs["train"], cfg.window_len)
+                graph = build_adjacency(id_docs["train"], stats, vocab)
+                inputs["train"] += (extract_document_adjacency(
+                    graph, inputs["train"][0], lengths["train"]),)
+                for split in ("val", "test"):
+                    inputs[split] += (extract_unseen_adjacency(
+                        graph, inputs[split][0], lengths[split],
+                        id_docs[split]),)
+        return FoldData(**{
+            split: EncodedSplit(labels.ids, labels.y_mis, labels.y_sub,
+                                inputs[split])
+            for split, labels in self.split_labels(fold).items()},
+            vocab_size=vocab_size)
 
 
 def _attention_config(cfg: RunConfig) -> AttentionConfig:
@@ -200,6 +202,18 @@ def make_unimodal(kind: str, cfg: RunConfig, vocab_size: int, n_classes: int,
     raise ValueError(f"unknown uni-modal model {kind!r}")
 
 
+def _eval_batched(forward, n: int, params) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode (p, f) of `forward(idx)` over rows 0..n-1, EVAL_BATCH
+    rows at a time, with `params` frozen."""
+    probs, feats = [], []
+    with frozen(params):
+        for start in range(0, n, EVAL_BATCH):
+            out = forward(np.arange(start, min(start + EVAL_BATCH, n)))
+            probs.append(out.p.data)
+            feats.append(out.f.data)
+    return np.concatenate(probs), np.concatenate(feats)
+
+
 class UnimodalTrainable:
     """Adapts an encoder and a fold's splits to the training loop."""
 
@@ -209,35 +223,22 @@ class UnimodalTrainable:
         self.params = model.params
 
     def _forward(self, split: EncodedSplit, idx, rng) -> ModelOutput:
-        kind = self.model.kind
-        if kind == "text":
-            return self.model.forward(split.seqs[idx], rng=rng)
-        if kind == "gcan":
-            return self.model.forward(split.seqs[idx], split.adjs[idx],
-                                      rng=rng)
-        return self.model.forward(split.images[idx], rng=rng)
+        return self.model.forward(*(a[idx] for a in split.inputs), rng=rng)
 
     def forward_batch(self, idx, rng) -> ModelOutput:
         return self._forward(self.data.train, idx, rng)
 
     def eval_split(self, split: EncodedSplit) -> tuple[np.ndarray, np.ndarray]:
-        """Eval-mode probabilities and features, batched."""
-        n = len(split.ids)
-        probs, feats = [], []
-        with frozen(self.params):
-            for start in range(0, n, EVAL_BATCH):
-                idx = np.arange(start, min(start + EVAL_BATCH, n))
-                out = self._forward(split, idx, None)
-                probs.append(out.p.data)
-                feats.append(out.f.data)
-        return np.concatenate(probs), np.concatenate(feats)
+        """Eval-mode probabilities and features."""
+        return _eval_batched(lambda idx: self._forward(split, idx, None),
+                             len(split.ids), self.params)
 
     def eval_val(self) -> np.ndarray:
         return self.eval_split(self.data.val)[0]
 
 
 class FusionTrainable:
-    """Trains the fusion heads over cached frozen member outputs."""
+    """Trains the fusion heads over the members' saved outputs."""
 
     def __init__(self, model: FusionModel, member_train, member_val):
         self.model = model
@@ -253,14 +254,9 @@ class FusionTrainable:
         return self.model.forward(self._outputs(self.member_train, idx), rng)
 
     def eval_cached(self, cached) -> np.ndarray:
-        n = len(cached[0][0])
-        probs = []
-        with frozen(self.params):
-            for start in range(0, n, EVAL_BATCH):
-                idx = np.arange(start, min(start + EVAL_BATCH, n))
-                probs.append(
-                    self.model.forward(self._outputs(cached, idx)).p.data)
-        return np.concatenate(probs)
+        return _eval_batched(
+            lambda idx: self.model.forward(self._outputs(cached, idx)),
+            len(cached[0][0]), self.params)[0]
 
     def eval_val(self) -> np.ndarray:
         return self.eval_cached(self.member_val)
@@ -271,9 +267,8 @@ def _train_config(cfg: RunConfig, fold: int, fusion: bool) -> TrainConfig:
         setup=cfg.setup, epochs=cfg.epochs,
         batch_size=cfg.fusion_batch_size if fusion else cfg.batch_size,
         base_lr=cfg.fusion_lr if fusion else cfg.base_lr,
-        warmup_epochs=cfg.warmup_epochs, dropout=cfg.dropout,
-        patience=cfg.patience, mix=(cfg.loss_mix_l1, cfg.loss_mix_l2),
-        seed=cfg.seed + fold)
+        warmup_epochs=cfg.warmup_epochs, patience=cfg.patience,
+        mix=(cfg.loss_mix_l1, cfg.loss_mix_l2), seed=cfg.seed + fold)
 
 
 @dataclass
@@ -335,24 +330,20 @@ def member_outputs(out_root: str, member: str, fusion: str, fold: int,
     columns.
     """
     member_dir = os.path.join(out_root, member)
-    path = os.path.join(member_dir, f"fold{fold}.ckpt")
-    if not os.path.exists(path):
+    name = f"fold{fold}.ckpt"
+    if not os.path.exists(os.path.join(member_dir, name)):
         raise DependencyError(
             f"member model {member!r} has no checkpoint for fold "
             f"{fold}; train it before {fusion!r}")
-    digest = ckpt.file_hash(path)
     manifest = read_manifest(member_dir)
-    if manifest.get(f"fold{fold}.ckpt") != digest:
+    _verified(member_dir, name, manifest)
+    outputs_name = f"fold{fold}_outputs.ckpt"
+    if outputs_name not in manifest:
         raise DependencyError(
-            f"member checkpoint {path} does not match its "
-            f"manifest.tsv entry; retrain {member!r}")
-    name = f"fold{fold}_outputs.ckpt"
-    if name not in manifest:
-        raise DependencyError(
-            f"member model {member!r} lists no {name} in "
+            f"member model {member!r} lists no {outputs_name} in "
             f"{os.path.join(member_dir, 'manifest.tsv')}: it was trained "
             f"before members saved their outputs; retrain {member!r}")
-    outputs_path = _verified(member_dir, name, manifest)
+    outputs_path = _verified(member_dir, outputs_name, manifest)
     outputs = read_outputs(outputs_path)
     for split in SPLITS:
         if outputs[split].ids != labels[split].ids:
@@ -366,7 +357,7 @@ def member_outputs(out_root: str, member: str, fusion: str, fold: int,
             f"member model {member!r} was trained in setup "
             f"{setup_of(width)} ({outputs_path}), but {fusion!r} trains "
             f"in setup {setup_of(n_outputs)}; retrain {member!r}")
-    return digest, outputs
+    return manifest[name], outputs
 
 
 def train_fold(ctx: CvContext, model_name: str, fold: int,
@@ -379,8 +370,7 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
     meta = {"model": model_name, "fold": str(fold), "setup": cfg.setup}
 
     if members is None:
-        # only gcan reads the corpus graph
-        data = ctx.fold_data(fold, with_graph=model_name == "gcan")
+        data = ctx._build_fold(fold, model_name)
         splits = data.splits()
         model = make_unimodal(model_name, cfg, data.vocab_size,
                               tconf.n_outputs, seed=tconf.seed)

@@ -39,7 +39,6 @@ class TrainConfig:
     batch_size: int = 16             # 32 for fusion models
     base_lr: float = 2e-5            # 5e-6 for fusion models
     warmup_epochs: int = 4
-    dropout: float = 0.5
     patience: int = 4
     mix: tuple[float, float] = (0.7, 0.3)
     seed: int = 0

@@ -246,7 +246,7 @@ def member_outputs_by_inference(ctx, member, fold, checkpoint_path):
     run it over the fold's encoded splits."""
     from memefuse.checkpoint import load_checkpoint
     from memefuse.pipeline import UnimodalTrainable, make_unimodal
-    data = ctx.fold_data(fold, with_graph=True)
+    data = ctx._build_fold(fold, member)
     params, _ = load_checkpoint(checkpoint_path)
     n_classes = 1 if ctx.cfg.setup == "A" else 4
     model = make_unimodal(member, ctx.cfg, data.vocab_size, n_classes, seed=0)

@@ -132,9 +132,12 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("jobs", 0), ("jobs", -3), ("folds", 1), ("seq_len", 1), ("crop", 40),
-    ("patch", 5), ("patch", 0), ("n_heads", 3), ("n_heads", 0)])
+    ("patch", 5), ("patch", 0), ("n_heads", 3), ("n_heads", 0),
+    ("batch_size", 0), ("fusion_batch_size", 0), ("d_att", 0),
+    ("window_len", 0), ("warmup_epochs", 0), ("warmup_epochs", -1),
+    ("warmup_epochs", 50), ("warmup_epochs", 60)])
 def test_config_validation_numeric_fields(field, value):
-    # defaults: resize 36, crop 32, patch 8, d_att 32, n_heads 4
+    # defaults: resize 36, crop 32, patch 8, d_att 32, n_heads 4, epochs 50
     RunConfig().validate()
     with pytest.raises(ValueError, match=field):
         RunConfig(**{field: value}).validate()
@@ -221,6 +224,22 @@ def tiny_run(tmp_path_factory):
     with open(cfg_path, "w") as fh:
         fh.write(emit_config(cfg))
     return {"root": root, "data": data, "out": out, "cfg": cfg_path}
+
+
+def test_cli_train_config_without_image_dir(tiny_run, tmp_path,
+                                            monkeypatch):
+    # image_dir left empty: the images sit next to the dataset, as with
+    # --data, wherever the command runs from
+    cfg = load_config(tiny_run["cfg"])
+    cfg.dataset = os.path.join(tiny_run["data"], "train.tsv")
+    cfg.model, cfg.folds = "vit", 2
+    assert cfg.image_dir == ""
+    path = os.path.join(tmp_path, "no_images.cfg")
+    with open(path, "w") as fh:
+        fh.write(emit_config(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", path, "--out", "runs"]) == 0
+    assert os.path.exists(os.path.join(tmp_path, "runs", "vit", "runs.tsv"))
 
 
 def test_cli_train_dependency_error(tiny_run, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Cross-validation pipeline: fold encoding, determinism, predictions I/O."""
 
+import gc
 import json
 import multiprocessing
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -47,23 +49,25 @@ def make_ctx(dataset, **overrides):
 
 def test_fold_encoding_shapes_and_leakage(dataset):
     ctx = make_ctx(dataset)
-    data = ctx.fold_data(0)
+    data = ctx._build_fold(0, "gcan")
     n_val = len(ctx.folds[0])
-    assert data.train.seqs.shape == (24 - n_val, 10)
-    assert data.train.adjs.shape == (24 - n_val, 10, 10)
-    assert data.val.seqs.shape[0] == n_val
-    assert data.test.seqs.shape[0] == 6
+    seqs, adjs = data.train.inputs
+    assert seqs.shape == (24 - n_val, 10)
+    assert adjs.shape == (24 - n_val, 10, 10)
+    assert data.val.inputs[0].shape[0] == n_val
+    assert data.test.inputs[0].shape[0] == 6
     # fold splits partition the training ids
     all_val = np.concatenate(ctx.folds)
     assert sorted(all_val.tolist()) == list(range(24))
     # every adjacency block is symmetric with ones on PAD diagonals
-    for adjs in (data.train.adjs, data.val.adjs, data.test.adjs):
+    for split in (data.train, data.val, data.test):
+        adjs = split.inputs[1]
         assert np.allclose(adjs, np.swapaxes(adjs, 1, 2), atol=0)
 
 
 def test_fold_blocks_equal_per_document_reference(dataset):
     ctx = make_ctx(dataset)
-    data = ctx.fold_data(1)
+    data = ctx._build_fold(1, "gcan")
     val_idx = ctx.folds[1]
     train_idx = np.setdiff1d(np.arange(24), val_idx)
     vocab = build_vocabulary([ctx.train_tokens[i] for i in train_idx],
@@ -84,7 +88,7 @@ def test_fold_blocks_equal_per_document_reference(dataset):
             else:
                 ref = unseen_block(graph, [vocab.lookup(t) for t in doc],
                                    seq.ids, seq.true_length)
-            assert split.adjs[k].tobytes() == ref.tobytes()
+            assert split.inputs[1][k].tobytes() == ref.tobytes()
 
 
 class CountingCsr(sp.csr_matrix):
@@ -108,30 +112,58 @@ def test_fold_build_indexes_graph_a_few_times_per_split(dataset,
 
     monkeypatch.setattr(pipeline, "build_adjacency", counting_graph)
     CountingCsr.calls = 0
-    make_ctx(dataset).fold_data(0)
+    make_ctx(dataset)._build_fold(0, "gcan")
     assert 1 <= CountingCsr.calls <= 2 * 3
-
-
-def test_models_without_gcan_build_no_graph(dataset, monkeypatch):
-    def no_graph(*args):
-        raise AssertionError("built a corpus graph nothing reads")
-
-    monkeypatch.setattr(pipeline, "build_adjacency", no_graph)
-    ctx = make_ctx(dataset)
-    for model in ("vit", "bertc"):
-        train_fold(ctx, model, 0)
-    with pytest.raises(DependencyError):  # no member outputs to read
-        train_fold(ctx, "bertc-vit", 1, None)
-    for fold in (0, 1):
-        data = ctx.fold_data(fold, with_graph=False)
-        assert (data.train.adjs, data.val.adjs, data.test.adjs) == \
-            (None, None, None)
 
 
 def refusing(what):
     def refuse(*args, **kwargs):
         raise AssertionError(what)
     return refuse
+
+
+@pytest.mark.parametrize("model", ["bertc", "gcan", "vit"])
+def test_fold_holds_only_what_its_model_reads(dataset, monkeypatch, model):
+    if model != "gcan":
+        monkeypatch.setattr(pipeline, "build_adjacency",
+                            refusing("built a corpus graph nothing reads"))
+    if model == "vit":
+        for name in ("build_vocabulary", "encode_document"):
+            monkeypatch.setattr(pipeline, name,
+                                refusing(f"ran {name} for an image model"))
+    ctx = make_ctx(dataset)
+    data = ctx._build_fold(0, model)
+    encoder = make_unimodal(model, ctx.cfg, data.vocab_size, 4, seed=0)
+    for split in data.splits().values():
+        n = len(split.ids)
+        assert [a.shape for a in split.inputs] == {
+            "bertc": [(n, 10)],
+            "gcan": [(n, 10), (n, 10, 10)],
+            "vit": [(n, 3, 8, 8)]}[model]
+        if model != "vit":
+            assert all(a.ndim < 4 for a in split.inputs)  # no image rows
+        out = encoder.forward(*(a[:2] for a in split.inputs))
+        assert out.p.shape == (2, 4)
+    train_fold(ctx, model, 0)
+    with pytest.raises(DependencyError):  # no member outputs to read
+        train_fold(ctx, "bertc-vit", 1, None)
+
+
+def test_folds_dropped_after_training(dataset, tmp_path, monkeypatch):
+    built = []
+    build = CvContext._build_fold
+
+    def tracked(self, *args):
+        data = build(self, *args)
+        built.append(weakref.ref(data))
+        return data
+
+    monkeypatch.setattr(CvContext, "_build_fold", tracked)
+    ctx = make_ctx(dataset)
+    train_model_cv(ctx, "gcan", str(tmp_path), jobs=1, log=None)
+    gc.collect()
+    assert len(built) == 3
+    assert [fold for fold, ref in enumerate(built) if ref()] == []
 
 
 def test_fusion_runs_no_member_model(dataset, tmp_path, monkeypatch):
@@ -188,7 +220,7 @@ def test_saved_outputs_equal_member_inference(dataset, tmp_path, setup):
 
 def test_eval_forwards_record_no_tape(dataset):
     ctx = make_ctx(dataset)
-    data = ctx.fold_data(0)
+    data = ctx._build_fold(0, "gcan")
     model = make_unimodal("gcan", ctx.cfg, data.vocab_size, 4, seed=1)
     outputs = []
     forward = model.forward
@@ -201,7 +233,7 @@ def test_eval_forwards_record_no_tape(dataset):
     probs, feats = UnimodalTrainable(model, data).eval_split(data.val)
     assert outputs and all(out.p._parents == () and out.f._parents == ()
                            for out in outputs)
-    taped = forward(data.val.seqs, data.val.adjs)
+    taped = forward(*data.val.inputs)
     assert taped.p._parents  # outside eval the same forward is on the tape
     assert probs.tobytes() == taped.p.data.tobytes()
     assert feats.tobytes() == taped.f.data.tobytes()
@@ -227,7 +259,7 @@ def test_vocabulary_built_per_fold_without_validation_docs(dataset):
     from memefuse.preprocess import build_vocabulary
     train, _ = dataset
     ctx = make_ctx(dataset)
-    data = ctx.fold_data(1)
+    data = ctx._build_fold(1, "bertc")
     val_idx = set(ctx.folds[1].tolist())
     fold_tokens = [document_tokens(s) for i, s in enumerate(train)
                    if i not in val_idx]
