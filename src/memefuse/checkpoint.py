@@ -2,11 +2,10 @@
 
 Layout: an ASCII header (magic line, counts line, metadata lines, one
 manifest line per parameter with its shape), then the raw little-endian
-float64 values in manifest order. Fusion checkpoints record the content
-hashes of their frozen member checkpoints in the metadata, so the
-frozen-member guarantee can be audited after the fact. A file whose
-header is cut, or whose data is short or followed by more bytes, does
-not load.
+float64 values in manifest order. A fusion checkpoint's metadata records
+the content hash of each member checkpoint, which names the member run
+whose saved outputs the fusion heads trained on. A file whose header is
+cut, or whose data is short or followed by more bytes, does not load.
 """
 
 from __future__ import annotations

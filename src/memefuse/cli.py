@@ -140,7 +140,16 @@ def _read_f1_column(path: str) -> np.ndarray:
         if "test_taskA_f1" not in header:
             raise DataError(f"{path} has no test_taskA_f1 column")
         column = header.index("test_taskA_f1")
-        return np.array([float(line.split("\t")[column]) for line in fh])
+        values = []
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                values.append(float(line.rstrip("\n").split("\t")[column]))
+            except (IndexError, ValueError):
+                values.append(None)
+            if values[-1] is None or not 0 <= values[-1] <= 1:
+                raise DataError(f"{path}:{lineno}: no test_taskA_f1 "
+                                f"score in [0, 1] in {line.rstrip()!r}")
+        return np.array(values)
 
 
 def cmd_significance(args) -> int:

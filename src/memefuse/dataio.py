@@ -142,10 +142,14 @@ class RunConfig:
         if self.setup not in ("A", "B"):
             raise ValueError(f"setup must be A or B, got {self.setup!r}")
         for name in ("jobs", "batch_size", "fusion_batch_size", "d_att",
-                     "window_len"):
+                     "window_len", "crop", "max_vocab"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got "
                                  f"{getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0 < self.warmup_epochs < self.epochs:
             raise ValueError(f"warmup_epochs must be above 0 and below "
                              f"epochs {self.epochs}, got "

@@ -70,7 +70,6 @@ class FusionModel:
     def __init__(self, member_dims: list[tuple[int, int]], n_classes: int,
                  dropout: float = 0.5, seed: int = 0):
         self.n_members = len(member_dims)
-        self.n_classes = n_classes
         self.dropout = dropout
         joint_dim = sum(n + d for n, d in member_dims)
         rng = np.random.default_rng(seed)

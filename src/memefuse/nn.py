@@ -236,9 +236,6 @@ class TextEncoder:
     def __init__(self, vocab_size: int, seq_len: int, n_classes: int,
                  cfg: AttentionConfig, seed: int = 0):
         self.cfg = cfg
-        self.seq_len = seq_len
-        self.vocab_size = vocab_size
-        self.n_classes = n_classes
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {
             "embed": parameter((vocab_size, cfg.d_att), rng, 0.1)}
@@ -277,7 +274,6 @@ class ImageEncoder:
         self.cfg = cfg
         self.crop = crop
         self.patch = patch
-        self.n_classes = n_classes
         self.n_patches = (crop // patch) ** 2
         self.seq_len = self.n_patches + 1
         rng = np.random.default_rng(seed)

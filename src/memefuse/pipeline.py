@@ -1,16 +1,20 @@
 """Cross-validated training runs over a dataset, plus run-directory I/O.
 
-A CvContext precomputes tokenized documents, normalized images, and fold
-splits for one dataset. `train_fold` builds a uni-modal fold with only
-what its model reads, and drops it once trained: token ids for `bertc`,
-those and their adjacency blocks for `gcan`, image rows for `vit`. A
-`gcan` fold's corpus graph comes from its training documents only, and
-each split's adjacency blocks are extracted in one batch; validation and
-test documents get their blocks synthesized against the training
-statistics. After training, a uni-modal fold saves its eval-mode outputs
-over the train, val and test splits. Fusion models train only the fusion
-heads, on those saved outputs of their members: they build no fold data
-and run no member model.
+A CvContext holds one pool of rows for a dataset, the training samples
+then the test samples: their ids, tokenized documents, normalized images
+and labels, and the fold splits as row indices into the pool. Every
+model trains on a FoldData of the same shape, each split's ids, labels
+and model inputs, and one train and eval loop serves them all.
+`train_fold` builds a uni-modal fold with only what its model reads, and
+drops it once trained: token ids for `bertc`, those and their adjacency
+blocks for `gcan`, image rows for `vit`. A `gcan` fold's corpus graph
+comes from its training documents only, and each split's adjacency
+blocks are extracted in one batch; validation and test documents get
+their blocks synthesized against the training statistics. After
+training, a uni-modal fold saves its eval-mode outputs over the train,
+val and test splits. A fusion fold's inputs are those saved outputs of
+its members, (p_1, f_1, ..., p_m, f_m): fusion trains only its heads and
+runs no member model.
 
 A run directory holds per-fold checkpoints, member outputs and
 predictions, runs.tsv, train_log.tsv and a manifest.tsv of their
@@ -63,30 +67,29 @@ SPLITS = ("train", "val", "test")
 
 
 @dataclass
-class SplitLabels:
+class Split:
     ids: list[str]
     y_mis: np.ndarray
     y_sub: np.ndarray
-
-
-@dataclass
-class EncodedSplit(SplitLabels):
-    inputs: tuple[np.ndarray, ...]  # the encoder's forward arguments
+    inputs: tuple[np.ndarray, ...]  # the model's forward arguments, by row
 
 
 @dataclass
 class FoldData:
-    train: EncodedSplit
-    val: EncodedSplit
-    test: EncodedSplit
-    vocab_size: int | None      # None for vit, which reads no tokens
+    train: Split
+    val: Split
+    test: Split
+    vocab_size: int | None      # None unless the model reads tokens
 
-    def splits(self) -> dict[str, EncodedSplit]:
+    def splits(self) -> dict[str, Split]:
         return {"train": self.train, "val": self.val, "test": self.test}
 
 
 class CvContext:
-    """Shared per-dataset state: tokens, images, labels, fold splits."""
+    """One dataset's pool of rows, the training samples then the test
+    samples, and its fold splits as row indices into the pool. A fold's
+    inputs are an encoder's (`_build_fold`) or, for a fusion model, its
+    members' saved outputs."""
 
     def __init__(self, train_samples: list[RawSample],
                  test_samples: list[RawSample], cfg: RunConfig):
@@ -95,52 +98,35 @@ class CvContext:
                             f"samples into {cfg.folds} folds")
         self.cfg = cfg
         self.train_samples = train_samples
-        self.test_samples = test_samples
-        self.train_ids = [s.id for s in train_samples]
-        self.test_ids = [s.id for s in test_samples]
-        self.train_tokens = [document_tokens(s) for s in train_samples]
-        self.test_tokens = [document_tokens(s) for s in test_samples]
-        self.train_images = np.stack([
-            normalize_image(s.image, cfg.resize, cfg.crop)
-            for s in train_samples])
-        self.test_images = np.stack([
-            normalize_image(s.image, cfg.resize, cfg.crop)
-            for s in test_samples])
-        self.train_y_mis = np.array([s.labels.mis for s in train_samples],
-                                    dtype=float)
-        self.train_y_sub = np.stack([s.labels.sub_labels()
-                                     for s in train_samples])
-        self.test_y_mis = np.array([s.labels.mis for s in test_samples],
-                                   dtype=float)
-        self.test_y_sub = np.stack([s.labels.sub_labels()
-                                    for s in test_samples])
+        samples = train_samples + test_samples
+        self.ids = [s.id for s in samples]
+        self.tokens = [document_tokens(s) for s in samples]
+        self.images = np.empty((len(samples), 3, cfg.crop, cfg.crop))
+        for row, s in enumerate(samples):
+            self.images[row] = normalize_image(s.image, cfg.resize, cfg.crop)
+        self.y_mis = np.array([s.labels.mis for s in samples], dtype=float)
+        self.y_sub = np.stack([s.labels.sub_labels() for s in samples])
+        # the test rows' labels; perfbench reads them by this name
+        self.test_y_mis = self.y_mis[len(train_samples):]
         self.folds = kfold_split(len(train_samples), cfg.folds, cfg.seed)
 
     def split_indices(self, fold: int) -> dict[str, np.ndarray]:
-        """Row indices of a fold's splits: "train" and "val" index the
-        training samples, "test" the test samples."""
-        val_idx = self.folds[fold]
-        mask = np.ones(len(self.train_samples), dtype=bool)
-        mask[val_idx] = False
-        return {"train": np.flatnonzero(mask), "val": val_idx,
-                "test": np.arange(len(self.test_samples))}
+        """Pool rows of a fold's train, val and test splits."""
+        n_train = len(self.train_samples)
+        mask = np.ones(n_train, dtype=bool)
+        mask[self.folds[fold]] = False
+        return {"train": np.flatnonzero(mask), "val": self.folds[fold],
+                "test": np.arange(n_train, len(self.ids))}
 
-    def _pool(self, split: str):
-        """(ids, tokens, images, y_mis, y_sub) of the rows a split indexes."""
-        if split == "test":
-            return (self.test_ids, self.test_tokens, self.test_images,
-                    self.test_y_mis, self.test_y_sub)
-        return (self.train_ids, self.train_tokens, self.train_images,
-                self.train_y_mis, self.train_y_sub)
-
-    def split_labels(self, fold: int) -> dict[str, SplitLabels]:
-        """Sample ids and labels of a fold's train, val and test splits."""
-        labels = {}
-        for split, idx in self.split_indices(fold).items():
-            ids, _, _, y_mis, y_sub = self._pool(split)
-            labels[split] = SplitLabels(ids=[ids[i] for i in idx],
-                                        y_mis=y_mis[idx], y_sub=y_sub[idx])
-        return labels
+    def fold_data(self, fold: int, inputs: dict[str, tuple[np.ndarray, ...]],
+                  vocab_size: int | None = None) -> FoldData:
+        """A fold's splits: the ids and labels of their rows, with
+        `inputs[split]` as the split's model inputs."""
+        return FoldData(**{
+            split: Split([self.ids[i] for i in idx], self.y_mis[idx],
+                         self.y_sub[idx], inputs[split])
+            for split, idx in self.split_indices(fold).items()},
+            vocab_size=vocab_size)
 
     def _build_fold(self, fold: int, model_name: str) -> FoldData:
         """A fold's splits with the inputs of `model_name`'s encoder only:
@@ -148,41 +134,31 @@ class CvContext:
         images for vit."""
         cfg = self.cfg
         indices = self.split_indices(fold)
-        vocab_size, inputs = None, {}
         if model_name == "vit":
-            for split, idx in indices.items():
-                _, _, images, _, _ = self._pool(split)
-                inputs[split] = (images[idx],)
-        else:
-            vocab = build_vocabulary(
-                [self.train_tokens[i] for i in indices["train"]],
-                cfg.min_freq, cfg.max_vocab)
-            vocab_size = len(vocab.id_to_token)
-            lengths, id_docs = {}, {}
-            for split, idx in indices.items():
-                _, tokens, _, _, _ = self._pool(split)
-                encoded = [encode_document(tokens[i], vocab, cfg.seq_len)
-                           for i in idx]
-                inputs[split] = (np.stack([seq.ids for seq in encoded]),)
-                if model_name == "gcan":
-                    lengths[split] = np.array([seq.true_length
-                                               for seq in encoded])
-                    id_docs[split] = [[vocab.lookup(t) for t in tokens[i]]
-                                      for i in idx]
+            return self.fold_data(fold, {split: (self.images[idx],)
+                                         for split, idx in indices.items()})
+        vocab = build_vocabulary([self.tokens[i] for i in indices["train"]],
+                                 cfg.min_freq, cfg.max_vocab)
+        inputs, lengths, id_docs = {}, {}, {}
+        for split, idx in indices.items():
+            encoded = [encode_document(self.tokens[i], vocab, cfg.seq_len)
+                       for i in idx]
+            inputs[split] = (np.stack([seq.ids for seq in encoded]),)
             if model_name == "gcan":
-                stats = count_windows(id_docs["train"], cfg.window_len)
-                graph = build_adjacency(id_docs["train"], stats, vocab)
-                inputs["train"] += (extract_document_adjacency(
-                    graph, inputs["train"][0], lengths["train"]),)
-                for split in ("val", "test"):
-                    inputs[split] += (extract_unseen_adjacency(
-                        graph, inputs[split][0], lengths[split],
-                        id_docs[split]),)
-        return FoldData(**{
-            split: EncodedSplit(labels.ids, labels.y_mis, labels.y_sub,
-                                inputs[split])
-            for split, labels in self.split_labels(fold).items()},
-            vocab_size=vocab_size)
+                lengths[split] = np.array([seq.true_length
+                                           for seq in encoded])
+                id_docs[split] = [[vocab.lookup(t) for t in self.tokens[i]]
+                                  for i in idx]
+        if model_name == "gcan":
+            stats = count_windows(id_docs["train"], cfg.window_len)
+            graph = build_adjacency(id_docs["train"], stats, vocab)
+            inputs["train"] += (extract_document_adjacency(
+                graph, inputs["train"][0], lengths["train"]),)
+            for split in ("val", "test"):
+                inputs[split] += (extract_unseen_adjacency(
+                    graph, inputs[split][0], lengths[split],
+                    id_docs[split]),)
+        return self.fold_data(fold, inputs, len(vocab.id_to_token))
 
 
 def _attention_config(cfg: RunConfig) -> AttentionConfig:
@@ -202,18 +178,6 @@ def make_unimodal(kind: str, cfg: RunConfig, vocab_size: int, n_classes: int,
     raise ValueError(f"unknown uni-modal model {kind!r}")
 
 
-def _eval_batched(forward, n: int, params) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode (p, f) of `forward(idx)` over rows 0..n-1, EVAL_BATCH
-    rows at a time, with `params` frozen."""
-    probs, feats = [], []
-    with frozen(params):
-        for start in range(0, n, EVAL_BATCH):
-            out = forward(np.arange(start, min(start + EVAL_BATCH, n)))
-            probs.append(out.p.data)
-            feats.append(out.f.data)
-    return np.concatenate(probs), np.concatenate(feats)
-
-
 class UnimodalTrainable:
     """Adapts an encoder and a fold's splits to the training loop."""
 
@@ -222,44 +186,39 @@ class UnimodalTrainable:
         self.data = data
         self.params = model.params
 
-    def _forward(self, split: EncodedSplit, idx, rng) -> ModelOutput:
-        return self.model.forward(*(a[idx] for a in split.inputs), rng=rng)
+    def _forward(self, inputs: list[np.ndarray], rng) -> ModelOutput:
+        return self.model.forward(*inputs, rng=rng)
 
     def forward_batch(self, idx, rng) -> ModelOutput:
-        return self._forward(self.data.train, idx, rng)
+        return self._forward([a[idx] for a in self.data.train.inputs], rng)
 
-    def eval_split(self, split: EncodedSplit) -> tuple[np.ndarray, np.ndarray]:
-        """Eval-mode probabilities and features."""
-        return _eval_batched(lambda idx: self._forward(split, idx, None),
-                             len(split.ids), self.params)
+    def eval_split(self, split: Split) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode probabilities and features, EVAL_BATCH rows at a time."""
+        probs, feats = [], []
+        n = len(split.ids)
+        with frozen(self.params):
+            for start in range(0, n, EVAL_BATCH):
+                idx = np.arange(start, min(start + EVAL_BATCH, n))
+                out = self._forward([a[idx] for a in split.inputs], None)
+                probs.append(out.p.data)
+                feats.append(out.f.data)
+        return np.concatenate(probs), np.concatenate(feats)
 
     def eval_val(self) -> np.ndarray:
         return self.eval_split(self.data.val)[0]
 
 
-class FusionTrainable:
-    """Trains the fusion heads over the members' saved outputs."""
+class FusionTrainable(UnimodalTrainable):
+    """Trains the fusion heads; a split's inputs are the members' saved
+    outputs (p_1, f_1, ..., p_m, f_m)."""
 
-    def __init__(self, model: FusionModel, member_train, member_val):
-        self.model = model
-        self.params = model.params
-        self.member_train = member_train  # list of (p, f) arrays
-        self.member_val = member_val
+    def _forward(self, inputs: list[np.ndarray], rng) -> ModelOutput:
+        return self.model.forward(
+            [ModelOutput(p=Tensor(p), f=Tensor(f))
+             for p, f in zip(inputs[::2], inputs[1::2])], rng)
 
-    def _outputs(self, cached, idx) -> list[ModelOutput]:
-        return [ModelOutput(p=Tensor(p[idx]), f=Tensor(f[idx]))
-                for p, f in cached]
-
-    def forward_batch(self, idx, rng) -> ModelOutput:
-        return self.model.forward(self._outputs(self.member_train, idx), rng)
-
-    def eval_cached(self, cached) -> np.ndarray:
-        return _eval_batched(
-            lambda idx: self.model.forward(self._outputs(cached, idx)),
-            len(cached[0][0]), self.params)[0]
-
-    def eval_val(self) -> np.ndarray:
-        return self.eval_cached(self.member_val)
+    def eval_val(self) -> np.ndarray:  # own method: perfbench wraps it here
+        return self.eval_split(self.data.val)[0]
 
 
 def _train_config(cfg: RunConfig, fold: int, fusion: bool) -> TrainConfig:
@@ -320,13 +279,13 @@ def read_outputs(path: str) -> dict[str, SplitOutputs]:
         raise DataError(f"{path} has no {exc.args[0]} entry") from exc
 
 
-def member_outputs(out_root: str, member: str, fusion: str, fold: int,
-                   labels: dict[str, SplitLabels], n_outputs: int
+def member_outputs(ctx: CvContext, out_root: str, member: str, fusion: str,
+                   fold: int, n_outputs: int
                    ) -> tuple[str, dict[str, SplitOutputs]]:
     """A member's checkpoint hash and saved outputs for `fold`.
 
     Both files are verified against the member's manifest; the outputs
-    must cover the fusion fold's samples in order and have `n_outputs`
+    must cover the fold's pool rows in order and have `n_outputs`
     columns.
     """
     member_dir = os.path.join(out_root, member)
@@ -345,8 +304,8 @@ def member_outputs(out_root: str, member: str, fusion: str, fold: int,
             f"before members saved their outputs; retrain {member!r}")
     outputs_path = _verified(member_dir, outputs_name, manifest)
     outputs = read_outputs(outputs_path)
-    for split in SPLITS:
-        if outputs[split].ids != labels[split].ids:
+    for split, idx in ctx.split_indices(fold).items():
+        if outputs[split].ids != [ctx.ids[i] for i in idx]:
             raise DependencyError(
                 f"member model {member!r} was trained on another fold "
                 f"split: the {split} ids of {outputs_path} are not fold "
@@ -371,7 +330,6 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
 
     if members is None:
         data = ctx._build_fold(fold, model_name)
-        splits = data.splits()
         model = make_unimodal(model_name, cfg, data.vocab_size,
                               tconf.n_outputs, seed=tconf.seed)
         trainable = UnimodalTrainable(model, data)
@@ -379,38 +337,38 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
         if out_root is None:
             raise DependencyError("fusion training needs a run directory "
                                   "with trained member models")
-        splits = ctx.split_labels(fold)
         saved = []
         for member in members:
-            digest, outputs = member_outputs(out_root, member, model_name,
-                                             fold, splits, tconf.n_outputs)
+            digest, outputs = member_outputs(ctx, out_root, member,
+                                             model_name, fold, tconf.n_outputs)
             meta[f"member_hash:{member}"] = digest
             saved.append(outputs)
-        caches = {split: [(out[split].p, out[split].f) for out in saved]
-                  for split in SPLITS}
-        fmodel = FusionModel([(p.shape[1], f.shape[1])
-                              for p, f in caches["train"]],
-                             tconf.n_outputs, cfg.dropout, seed=tconf.seed)
-        trainable = FusionTrainable(fmodel, caches["train"], caches["val"])
-    train, val, test = (splits[split] for split in SPLITS)
+        data = ctx.fold_data(fold, {
+            split: tuple(a for out in saved
+                         for a in (out[split].p, out[split].f))
+            for split in SPLITS})
+        model = FusionModel([(out["train"].p.shape[1], out["train"].f.shape[1])
+                             for out in saved],
+                            tconf.n_outputs, cfg.dropout, seed=tconf.seed)
+        trainable = FusionTrainable(model, data)
     best_f1, params, records = train_model(
-        trainable, train.y_mis, train.y_sub, val.y_mis, val.y_sub, tconf)
-    if members is None:
-        outputs = {name: SplitOutputs(split.ids, *trainable.eval_split(split))
-                   for name, split in splits.items()}
-        test_probs = outputs["test"].p
-    else:
-        outputs = None
-        test_probs = trainable.eval_cached(caches["test"])
+        trainable, data.train.y_mis, data.train.y_sub, data.val.y_mis,
+        data.val.y_sub, tconf)
+    evaluated = data.splits() if members is None else {"test": data.test}
+    outputs = {name: SplitOutputs(split.ids, *trainable.eval_split(split))
+               for name, split in evaluated.items()}
+    test_probs = outputs["test"].p
 
-    task_a, weighted = task_scores(test_probs, test.y_mis, test.y_sub)
+    task_a, weighted = task_scores(test_probs, data.test.y_mis,
+                                   data.test.y_sub)
     meta["best_val_f1"] = f"{best_f1:.17g}"
     run = FoldRun(model_name=model_name, fold=fold, best_f1=best_f1,
-                  test_probs=test_probs, test_ids=test.ids)
+                  test_probs=test_probs, test_ids=data.test.ids)
     return FoldArtifacts(run=run, records=records, params=params, meta=meta,
-                         outputs=outputs, test_taskA_f1=task_a,
-                         test_weighted_f1=weighted, pid=os.getpid(),
-                         start=start, wall_s=time.perf_counter() - start,
+                         outputs=outputs if members is None else None,
+                         test_taskA_f1=task_a, test_weighted_f1=weighted,
+                         pid=os.getpid(), start=start,
+                         wall_s=time.perf_counter() - start,
                          cpu_s=time.process_time() - cpu_start)
 
 

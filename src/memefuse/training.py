@@ -42,7 +42,6 @@ class TrainConfig:
     patience: int = 4
     mix: tuple[float, float] = (0.7, 0.3)
     seed: int = 0
-    weight_decay: float = 0.01
 
     def __post_init__(self):
         if self.setup not in ("A", "B"):
@@ -217,13 +216,10 @@ def select_top2(records: list[EpochRecord]) -> list[int]:
     return [r.epoch for r in order[:2]]
 
 
-def validation_f1(probs: np.ndarray, y_mis: np.ndarray, y_sub: np.ndarray,
-                  setup: str) -> float:
-    """Task-A macro F1 in setup A, task-B weighted F1 in setup B.
-
-    `task_scores` reads the setup from the width of `probs`, which the
-    model's output width already fixes to match `setup`.
-    """
+def validation_f1(probs: np.ndarray, y_mis: np.ndarray,
+                  y_sub: np.ndarray) -> float:
+    """Task-A macro F1 in setup A, task-B weighted F1 in setup B; the
+    width of `probs` gives the setup."""
     task_a, weighted = task_scores(probs, y_mis, y_sub)
     return task_a if weighted is None else weighted
 
@@ -231,7 +227,6 @@ def validation_f1(probs: np.ndarray, y_mis: np.ndarray, y_sub: np.ndarray,
 def train_model(trainable, y_mis: np.ndarray, y_sub: np.ndarray,
                 val_y_mis: np.ndarray, val_y_sub: np.ndarray,
                 config: TrainConfig,
-                weights: LossWeights | None = None,
                 log=None) -> tuple[float, dict[str, np.ndarray],
                                    list[EpochRecord]]:
     """Run one fold: epochs with early stopping and top-2 averaging.
@@ -244,11 +239,11 @@ def train_model(trainable, y_mis: np.ndarray, y_sub: np.ndarray,
     n_train = len(y_mis)
     if n_train == 0:
         raise ValueError("empty training fold")
-    if config.setup == "B" and weights is None:
-        weights = class_weights(np.maximum(y_sub.sum(axis=0), 1), n_train)
+    weights = class_weights(np.maximum(y_sub.sum(axis=0), 1), n_train) \
+        if config.setup == "B" else None
 
     rng = np.random.default_rng(config.seed)
-    optimizer = AdamW(trainable.params, weight_decay=config.weight_decay)
+    optimizer = AdamW(trainable.params)
     n_batches = max(1, int(np.ceil(n_train / config.batch_size)))
     warmup_steps = config.warmup_epochs * n_batches
     total_steps = config.epochs * n_batches
@@ -277,7 +272,7 @@ def train_model(trainable, y_mis: np.ndarray, y_sub: np.ndarray,
         epoch_loss /= n_train
 
         probs = trainable.eval_val()
-        f1 = validation_f1(probs, val_y_mis, val_y_sub, config.setup)
+        f1 = validation_f1(probs, val_y_mis, val_y_sub)
         records.append(EpochRecord(epoch, epoch_loss, f1, lr))
         checkpoints[epoch] = snapshot(trainable.params)
         if log is not None:

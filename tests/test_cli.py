@@ -135,7 +135,9 @@ def test_config_validation():
     ("patch", 5), ("patch", 0), ("n_heads", 3), ("n_heads", 0),
     ("batch_size", 0), ("fusion_batch_size", 0), ("d_att", 0),
     ("window_len", 0), ("warmup_epochs", 0), ("warmup_epochs", -1),
-    ("warmup_epochs", 50), ("warmup_epochs", 60)])
+    ("warmup_epochs", 50), ("warmup_epochs", 60), ("dropout", 1.0),
+    ("dropout", -0.5), ("crop", 0), ("seed", -1), ("max_vocab", -1),
+    ("max_vocab", 0)])
 def test_config_validation_numeric_fields(field, value):
     # defaults: resize 36, crop 32, patch 8, d_att 32, n_heads 4, epochs 50
     RunConfig().validate()
@@ -350,6 +352,19 @@ def test_cli_significance_needs_test_f1_column(tmp_path, capsys):
         fh.write("fold\tbest_val_f1\n0\t0.5\n1\t0.6\n")
     assert main(["significance", "--a", path, "--b", path]) == 2
     assert "test_taskA_f1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "0\t0.5\t0.4\n1\t0.6\n", "0\t0.5\t0.4\n\n",
+    "0\t0.5\t0.4\n1\t0.6\tn/a\n", "0\t0.5\t0.4\n1\t0.6\tnan\n",
+    "0\t0.5\t0.4\n1\t0.6\t1.5\n"],
+    ids=["short-row", "blank-line", "not-a-number", "nan", "above-one"])
+def test_cli_significance_names_bad_row(tmp_path, capsys, body):
+    path = os.path.join(tmp_path, "runs.tsv")
+    with open(path, "w") as fh:
+        fh.write("fold\tbest_val_f1\ttest_taskA_f1\n" + body)
+    assert main(["significance", "--a", path, "--b", path]) == 2
+    assert f"{path}:3" in capsys.readouterr().err
 
 
 def test_cli_run_artifacts(tiny_run):

@@ -13,13 +13,14 @@ import scipy.sparse as sp
 
 from memefuse import pipeline
 from memefuse import checkpoint
+from memefuse.autodiff import Tensor
 from memefuse.checkpoint import file_hash
-from memefuse.dataio import RunConfig, ingest
+from memefuse.dataio import MODEL_MEMBERS, RunConfig, ingest
 from memefuse.fusion import FusionModel
-from memefuse.nn import GcanEncoder, ImageEncoder, TextEncoder
-from memefuse.pipeline import (CvContext, DependencyError, FusionTrainable,
-                               UnimodalTrainable, load_fold_runs,
-                               make_unimodal, read_manifest,
+from memefuse.nn import GcanEncoder, ImageEncoder, ModelOutput, TextEncoder
+from memefuse.pipeline import (CvContext, DependencyError, FoldData,
+                               FusionTrainable, Split, UnimodalTrainable,
+                               load_fold_runs, make_unimodal, read_manifest,
                                read_predictions, train_fold, train_model_cv,
                                write_manifest, write_predictions)
 from memefuse.preprocess import DataError, build_vocabulary, encode_document
@@ -70,16 +71,17 @@ def test_fold_blocks_equal_per_document_reference(dataset):
     data = ctx._build_fold(1, "gcan")
     val_idx = ctx.folds[1]
     train_idx = np.setdiff1d(np.arange(24), val_idx)
-    vocab = build_vocabulary([ctx.train_tokens[i] for i in train_idx],
+    vocab = build_vocabulary([ctx.tokens[i] for i in train_idx],
                              ctx.cfg.min_freq, ctx.cfg.max_vocab)
-    id_corpus = [[vocab.lookup(t) for t in ctx.train_tokens[i]]
+    id_corpus = [[vocab.lookup(t) for t in ctx.tokens[i]]
                  for i in train_idx]
     graph = build_adjacency(id_corpus,
                             count_windows(id_corpus, ctx.cfg.window_len),
                             vocab)
-    splits = ((data.train, [ctx.train_tokens[i] for i in train_idx], True),
-              (data.val, [ctx.train_tokens[i] for i in val_idx], False),
-              (data.test, ctx.test_tokens, False))
+    # the pool holds the 24 training rows, then the 6 test rows
+    splits = ((data.train, [ctx.tokens[i] for i in train_idx], True),
+              (data.val, [ctx.tokens[i] for i in val_idx], False),
+              (data.test, ctx.tokens[24:], False))
     for split, tokens, in_graph in splits:
         for k, doc in enumerate(tokens):
             seq = encode_document(doc, vocab, ctx.cfg.seq_len)
@@ -190,6 +192,38 @@ def test_fusion_runs_no_member_model(dataset, tmp_path, monkeypatch):
             os.path.join(tmp_path, member, "fold0.ckpt"))
 
 
+def test_fusion_fold_inputs_are_member_outputs(dataset, tmp_path,
+                                               monkeypatch):
+    members = MODEL_MEMBERS["bertc-gcan-vit"]
+    for member in members:
+        train_model_cv(make_ctx(dataset), member, str(tmp_path), log=None)
+    folds, sizes = [], []
+    fold_data, fusion_model = CvContext.fold_data, pipeline.FusionModel
+
+    def recorded_fold(self, *args, **kwargs):
+        folds.append(fold_data(self, *args, **kwargs))
+        return folds[-1]
+
+    def recorded_model(member_dims, *args, **kwargs):
+        sizes.append(member_dims)
+        return fusion_model(member_dims, *args, **kwargs)
+
+    monkeypatch.setattr(CvContext, "fold_data", recorded_fold)
+    monkeypatch.setattr(pipeline, "FusionModel", recorded_model)
+    train_fold(make_ctx(dataset), "bertc-gcan-vit", 1, str(tmp_path))
+    saved = [checkpoint.load_checkpoint(
+        os.path.join(tmp_path, member, "fold1_outputs.ckpt"))[0]
+        for member in members]
+    [data] = folds
+    for split, fold_split in data.splits().items():
+        expected = [arrays[f"{split}.{part}"] for arrays in saved
+                    for part in ("p", "f")]
+        assert [a.tobytes() for a in fold_split.inputs] == \
+            [a.tobytes() for a in expected], split
+    assert sizes == [[(arrays["train.p"].shape[1],
+                       arrays["train.f"].shape[1]) for arrays in saved]]
+
+
 @pytest.mark.parametrize("setup", ["A", "B"])
 def test_saved_outputs_equal_member_inference(dataset, tmp_path, setup):
     ctx = make_ctx(dataset, setup=setup)
@@ -240,10 +274,11 @@ def test_eval_forwards_record_no_tape(dataset):
     assert all(p.requires_grad for p in model.params.values())
 
     fmodel = FusionModel([(4, 8)] * 2, 4, 0.1, seed=0)
-    cached = [(probs, feats)] * 2
-    trainable = FusionTrainable(fmodel, cached, cached)
+    saved = Split(data.val.ids, data.val.y_mis, data.val.y_sub,
+                  (probs, feats) * 2)
+    trainable = FusionTrainable(fmodel, FoldData(saved, saved, saved, None))
     fused = trainable.eval_val()
-    ref = fmodel.forward(trainable._outputs(cached, np.arange(len(probs))))
+    ref = fmodel.forward([ModelOutput(p=Tensor(probs), f=Tensor(feats))] * 2)
     assert ref.p._parents
     assert fused.tobytes() == ref.p.data.tobytes()
 

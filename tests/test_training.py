@@ -318,10 +318,10 @@ def test_select_top2_single_epoch():
 
 def test_validation_f1_dispatch():
     probs = np.array([[0.9], [0.1]])
-    assert validation_f1(probs, np.array([1.0, 0.0]), None, "A") == 1.0
+    assert validation_f1(probs, np.array([1.0, 0.0]), None) == 1.0
     probs_b = np.array([[0.9, 0.1, 0.1, 0.1]])
     y_sub = np.array([[1, 0, 0, 0]])
-    assert validation_f1(probs_b, np.array([1.0]), y_sub, "B") == 1.0
+    assert validation_f1(probs_b, np.array([1.0]), y_sub) == 1.0
 
 
 class ScriptedTrainable:
@@ -345,7 +345,7 @@ def scripted_run(monkeypatch, trace, epochs=20, patience=4):
     seen_snapshots = {}
     real_snapshot = training.snapshot
 
-    def fake_f1(probs, y_mis, y_sub, setup):
+    def fake_f1(probs, y_mis, y_sub):
         return trace[len(seen_snapshots)]
 
     def spy_snapshot(params):
