@@ -218,9 +218,12 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Embedding lookup: gather rows of `table` by an integer id array."""
     def backward(g):
-        acc = np.zeros(table.shape)
-        np.add.at(acc, ids, g)
-        return (acc,)
+        # one bincount over flat (row, column) slots adds each slot's
+        # terms in the order np.add.at would, so the sums are bitwise equal
+        width = table.data.size // table.shape[0]
+        flat = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
+        acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
+        return (acc.reshape(table.shape),)
 
     return fused(table.data[ids], (table,), backward)
 

@@ -31,6 +31,8 @@ def write_ppm(path: str, image: np.ndarray) -> None:
 
 
 def read_ppm(path: str) -> np.ndarray:
+    """Binary P6 with maxval 255; any other or malformed file is a
+    DataError naming `path`."""
     with open(path, "rb") as fh:
         data = fh.read()
     fields_ = []
@@ -48,8 +50,16 @@ def read_ppm(path: str) -> np.ndarray:
         fields_.append(data[start:pos])
     if fields_[0] != b"P6" or fields_[3] != b"255":
         raise DataError(f"unsupported PPM header in {path}")
+    if not (fields_[1].isdigit() and fields_[2].isdigit()):
+        raise DataError(f"PPM size {fields_[1]!r} x {fields_[2]!r} is not "
+                        f"two numbers in {path}")
     w, h = int(fields_[1]), int(fields_[2])
+    if w < 1 or h < 1:
+        raise DataError(f"empty {w} x {h} PPM image in {path}")
     pos += 1  # single whitespace byte after maxval
+    if len(data) - pos < w * h * 3:
+        raise DataError(f"PPM raster of {path} has {max(len(data) - pos, 0)} "
+                        f"bytes; a {w} x {h} image needs {w * h * 3}")
     raster = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
     return raster.reshape(h, w, 3).copy()
 

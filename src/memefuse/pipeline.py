@@ -1,10 +1,15 @@
 """Cross-validated training runs over a dataset, plus run-directory I/O.
 
 A CvContext holds one pool of rows for a dataset, the training samples
-then the test samples: their ids, tokenized documents, normalized images
-and labels, and the fold splits as row indices into the pool. Every
-model trains on a FoldData of the same shape, each split's ids, labels
-and model inputs, and one train and eval loop serves them all.
+then the test samples: their ids and labels, and the fold splits as row
+indices into the pool. Each model reads at most one modality of the
+pool: the tokenized documents for `bertc` and `gcan`, the normalized
+images for `vit`, neither for a fusion model. The context computes a
+modality when it is first read and keeps it; it reads its own model's
+modality when it is built, and `train_model_cv` reads the trained
+model's before any fold worker forks, so no worker redoes it.
+Every model trains on a FoldData of the same shape, each split's ids,
+labels and model inputs, and one train and eval loop serves them all.
 `train_fold` builds a uni-modal fold with only what its model reads, and
 drops it once trained: token ids for `bertc`, those and their adjacency
 blocks for `gcan`, image rows for `vit`. A `gcan` fold's corpus graph
@@ -33,6 +38,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +95,11 @@ class CvContext:
     """One dataset's pool of rows, the training samples then the test
     samples, and its fold splits as row indices into the pool. A fold's
     inputs are an encoder's (`_build_fold`) or, for a fusion model, its
-    members' saved outputs."""
+    members' saved outputs.
+
+    `tokens` and `images` are computed on first read and then kept; the
+    context reads the modality of `cfg.model` when it is built.
+    """
 
     def __init__(self, train_samples: list[RawSample],
                  test_samples: list[RawSample], cfg: RunConfig):
@@ -98,17 +108,34 @@ class CvContext:
                             f"samples into {cfg.folds} folds")
         self.cfg = cfg
         self.train_samples = train_samples
-        samples = train_samples + test_samples
-        self.ids = [s.id for s in samples]
-        self.tokens = [document_tokens(s) for s in samples]
-        self.images = np.empty((len(samples), 3, cfg.crop, cfg.crop))
-        for row, s in enumerate(samples):
-            self.images[row] = normalize_image(s.image, cfg.resize, cfg.crop)
-        self.y_mis = np.array([s.labels.mis for s in samples], dtype=float)
-        self.y_sub = np.stack([s.labels.sub_labels() for s in samples])
+        self._samples = train_samples + test_samples
+        self.ids = [s.id for s in self._samples]
+        self.y_mis = np.array([s.labels.mis for s in self._samples],
+                              dtype=float)
+        self.y_sub = np.stack([s.labels.sub_labels() for s in self._samples])
         # the test rows' labels; perfbench reads them by this name
         self.test_y_mis = self.y_mis[len(train_samples):]
         self.folds = kfold_split(len(train_samples), cfg.folds, cfg.seed)
+        self.prepare(cfg.model)
+
+    @cached_property
+    def tokens(self) -> list[list[str]]:
+        return [document_tokens(s) for s in self._samples]
+
+    @cached_property
+    def images(self) -> np.ndarray:
+        cfg = self.cfg
+        images = np.empty((len(self._samples), 3, cfg.crop, cfg.crop))
+        for row, s in enumerate(self._samples):
+            images[row] = normalize_image(s.image, cfg.resize, cfg.crop)
+        return images
+
+    def prepare(self, model_name: str) -> None:
+        """Compute the modality `model_name` reads, if it is not yet: the
+        tokens for a text encoder, the images for vit, neither for a
+        fusion model, which reads its members' saved outputs."""
+        if MODEL_MEMBERS[model_name] is None:
+            getattr(self, "images" if model_name == "vit" else "tokens")
 
     def split_indices(self, fold: int) -> dict[str, np.ndarray]:
         """Pool rows of a fold's train, val and test splits."""
@@ -462,14 +489,17 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
                    jobs: int = 1, log=print) -> list[FoldArtifacts]:
     """Train all folds of one model and persist the run directory.
 
-    With jobs > 1 the folds train in up to `jobs` worker processes, which
-    are joined before this returns. The parent writes every file, so each
-    file in the manifest is byte-identical to a jobs=1 run; fold timings
-    go to events.jsonl, outside the manifest.
+    The model's modality is computed here if the context has not yet,
+    before any worker forks. With jobs > 1 the folds train in up to
+    `jobs` worker processes, which are joined before this returns. The
+    parent writes every file, so each file in the manifest is
+    byte-identical to a jobs=1 run; fold timings go to events.jsonl,
+    outside the manifest.
     """
     cfg = ctx.cfg
     model_dir = os.path.join(out_root, model_name)
     os.makedirs(model_dir, exist_ok=True)
+    ctx.prepare(model_name)  # here, so forked workers inherit it
     start = time.perf_counter()
 
     def logged(art: FoldArtifacts) -> FoldArtifacts:

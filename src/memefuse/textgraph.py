@@ -57,22 +57,66 @@ def count_windows(corpus: list[list[int]], window_len: int) -> WindowStats:
     """Sliding-window co-occurrence counts with step size 1.
 
     A document shorter than the window contributes one whole-document
-    window. Counts are window membership, not occurrences.
+    window. Counts are window membership, not occurrences. Both counters
+    are keyed in first-seen order, windows in corpus order and each
+    window's members and pairs ascending, as a loop over the windows
+    would insert them; `build_adjacency` relies on that order.
     """
     if window_len < 1:
         raise ValueError("window length must be >= 1")
-    total = 0
-    per_token: Counter = Counter()
-    per_pair: Counter = Counter()
-    for doc in corpus:
-        n_windows = max(1, len(doc) - window_len + 1)
-        total += n_windows
-        for start in range(n_windows):
-            members = sorted(set(doc[start: start + window_len]))
-            per_token.update(members)
-            per_pair.update(itertools.combinations(members, 2))
+    flat, lengths = _flatten(corpus)
+    n_windows = np.maximum(1, lengths - window_len + 1)
+    total = int(n_windows.sum())
+    # one row of window_len slots per window; slots past the document's
+    # end hold the sentinel, which sorts last
+    doc = np.repeat(np.arange(len(corpus)), n_windows)
+    doc_start = (np.cumsum(lengths) - lengths)[doc]
+    window_in_doc = np.arange(total) - (np.cumsum(n_windows) - n_windows)[doc]
+    pos = (doc_start + window_in_doc)[:, None] + np.arange(window_len)
+    inside = pos < (doc_start + lengths[doc])[:, None]
+    sentinel = np.iinfo(np.int64).max
+    members = np.full(pos.shape, sentinel)
+    members[inside] = flat[pos[inside]]
+    members.sort(axis=1)
+    distinct = members != sentinel
+    distinct[:, 1:] &= members[:, 1:] != members[:, :-1]
+
+    tokens = members[distinct]
+    firsts, counts = _first_seen(tokens)
+    per_token = Counter(dict(zip(tokens[firsts].tolist(), counts.tolist())))
+    a, b = np.triu_indices(window_len, k=1)  # itertools.combinations order
+    both = distinct[:, a] & distinct[:, b]
+    low, high = members[:, a][both], members[:, b][both]
+    base = int(low.min()) if len(low) else 0
+    span = int(high.max()) - base + 1 if len(high) else 1
+    firsts, counts = _first_seen((low - base) * span + (high - base))
+    per_pair = Counter(dict(zip(zip(low[firsts].tolist(),
+                                    high[firsts].tolist()),
+                                counts.tolist())))
     return WindowStats(total=total, per_token=per_token, per_pair=per_pair,
                        window_len=window_len)
+
+
+def _flatten(corpus: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every token id of the corpus in order, and each document's length."""
+    lengths = np.array([len(doc) for doc in corpus], dtype=np.int64)
+    flat = np.fromiter(itertools.chain.from_iterable(corpus), dtype=np.int64,
+                       count=int(lengths.sum()))
+    return flat, lengths
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each distinct key's first occurrence, in order of first
+    occurrence, and the key's number of occurrences."""
+    # an unstable sort and a min per run of equal keys: several times
+    # faster than np.unique's stable sort for its first indices
+    order = np.argsort(keys)
+    ranked = keys[order]
+    runs = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] - 1))
+    firsts = np.minimum.reduceat(order, runs)
+    counts = np.diff(runs, append=len(keys))
+    seen = np.argsort(firsts)
+    return firsts[seen], counts[seen]
 
 
 def pmi(stats: WindowStats, i: int, j: int) -> float:
@@ -92,16 +136,6 @@ def pmi(stats: WindowStats, i: int, j: int) -> float:
     if n_ij == 0 or n_i == 0 or n_j == 0:
         return NEG_INF
     return math.log(n_ij * stats.total / (n_i * n_j))
-
-
-def doc_frequencies(corpus: list[list[int]], vocab: Vocabulary) -> np.ndarray:
-    """Number of documents containing each word token, indexed by id-3."""
-    df = np.zeros(vocab.n_W, dtype=np.int64)
-    for doc in corpus:
-        for t in set(doc):
-            if t >= _FIRST_WORD_ID:
-                df[t - _FIRST_WORD_ID] += 1
-    return df
 
 
 def tfidf(corpus: list[list[int]], doc: int, token: int) -> float:
@@ -125,38 +159,48 @@ def build_adjacency(corpus: list[list[int]], stats: WindowStats,
     if n_D == 0 or n_W + n_D == 0:
         raise ValueError("empty corpus or vocabulary")
     n = n_D + n_W
-    rows, cols, vals = [], [], []
 
-    def add_sym(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-        rows.append(c)
-        cols.append(r)
-        vals.append(v)
+    pairs = np.array(list(stats.per_pair), dtype=np.int64).reshape(-1, 2)
+    n_ij = np.fromiter(stats.per_pair.values(), dtype=np.int64,
+                       count=len(pairs))
+    n_i, n_j = (np.fromiter(map(stats.per_token.__getitem__,
+                                pairs[:, k].tolist()),
+                            dtype=np.int64, count=len(pairs))
+                for k in (0, 1))
+    edge = (pairs >= _FIRST_WORD_ID).all(axis=1) & (n_ij > 0) \
+        & (n_i > 0) & (n_j > 0)
+    # `pmi` of every pair: Python's int division rounds as it does there
+    value = np.array([math.log(a / b) for a, b in zip(
+        (n_ij[edge] * stats.total).tolist(),
+        (n_i[edge] * n_j[edge]).tolist())], dtype=np.float64)
+    positive = value > 0.0
+    word_nodes = n_D + pairs[edge][positive] - _FIRST_WORD_ID
 
-    for (i, j), _ in stats.per_pair.items():
-        if i < _FIRST_WORD_ID or j < _FIRST_WORD_ID:
-            continue
-        value = pmi(stats, i, j)
-        if value > 0.0:
-            add_sym(n_D + i - _FIRST_WORD_ID, n_D + j - _FIRST_WORD_ID, value)
-
-    df = doc_frequencies(corpus, vocab)
+    flat, lengths = _flatten(corpus)
+    is_word = flat >= _FIRST_WORD_ID
+    doc = np.repeat(np.arange(n_D), lengths)[is_word]
+    word = flat[is_word] - _FIRST_WORD_ID
+    # each document's distinct words in first-occurrence order, as a
+    # Counter over the document would list them
+    firsts, tf = _first_seen(doc * n_W + word)
+    doc, word = doc[firsts], word[firsts]
+    df = np.bincount(word, minlength=n_W)
     idf = np.where(df > 0, np.log(n_D / np.maximum(df, 1)), 0.0)
-    for k, doc in enumerate(corpus):
-        counts = Counter(t for t in doc if t >= _FIRST_WORD_ID)
-        for t, tf in counts.items():
-            w = t - _FIRST_WORD_ID
-            value = tf * idf[w]
-            if value != 0.0:
-                add_sym(k, n_D + w, value)
+    tfidf_value = tf * idf[word]
+    nonzero = tfidf_value != 0.0
 
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend([1.0] * n)
-
-    raw = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    # entries in the order a loop would add them: each edge as (r, c)
+    # then (c, r), word pairs first, then document by document, then the
+    # unit diagonal
+    edges = np.concatenate([word_nodes,
+                            np.stack([doc, n_D + word], axis=1)[nonzero]])
+    values = np.concatenate([value[positive], tfidf_value[nonzero]])
+    diagonal = np.arange(n)
+    raw = sp.coo_matrix(
+        (np.concatenate([np.repeat(values, 2), np.ones(n)]),
+         (np.concatenate([edges.ravel(), diagonal]),
+          np.concatenate([edges[:, ::-1].ravel(), diagonal]))),
+        shape=(n, n)).tocsr()
     degree = np.asarray(raw.sum(axis=1)).ravel()
     return CorpusGraph(n_D=n_D, n_W=n_W, raw=raw,
                        normalized=_normalize(raw, degree),

@@ -140,6 +140,57 @@ def count_windows_loop(corpus, window_len):
     return per_token, per_pair
 
 
+def rows_gradient_add_at(table_shape, ids, g):
+    """Gradient of an embedding lookup: a dense table scattered into with
+    np.add.at."""
+    acc = np.zeros(table_shape)
+    np.add.at(acc, ids, g)
+    return acc
+
+
+def graph_loop(id_corpus, per_token, per_pair, total, n_w):
+    """(raw, normalized, degree, idf) of the sparse corpus graph, one
+    Python step per window pair, document and word, entries added in
+    per_pair order and then document by document."""
+    import scipy.sparse as sp
+    n_d = len(id_corpus)
+    n = n_d + n_w
+    rows, cols, vals = [], [], []
+
+    def add_sym(r, c, v):
+        rows.extend((r, c))
+        cols.extend((c, r))
+        vals.extend((v, v))
+
+    for (i, j), n_ij in per_pair.items():
+        if i < FIRST_WORD_ID or j < FIRST_WORD_ID:
+            continue
+        value = math.log(n_ij * total / (per_token[i] * per_token[j]))
+        if value > 0.0:
+            add_sym(n_d + i - FIRST_WORD_ID, n_d + j - FIRST_WORD_ID, value)
+    df = np.zeros(n_w, dtype=np.int64)
+    for doc in id_corpus:
+        for t in set(doc):
+            if t >= FIRST_WORD_ID:
+                df[t - FIRST_WORD_ID] += 1
+    idf = np.where(df > 0, np.log(n_d / np.maximum(df, 1)), 0.0)
+    for k, doc in enumerate(id_corpus):
+        for t, tf in Counter(t for t in doc if t >= FIRST_WORD_ID).items():
+            value = tf * idf[t - FIRST_WORD_ID]
+            if value != 0.0:
+                add_sym(k, n_d + t - FIRST_WORD_ID, value)
+    rows.extend(range(n))
+    cols.extend(range(n))
+    vals.extend([1.0] * n)
+    raw = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    degree = np.asarray(raw.sum(axis=1)).ravel()
+    coo = raw.tocoo()
+    normalized = sp.coo_matrix(
+        (coo.data / np.sqrt(degree[coo.row] * degree[coo.col]),
+         (coo.row, coo.col)), shape=raw.shape).tocsr()
+    return raw, normalized, degree, idf
+
+
 def numeric_gradient(fn, arr, eps=1e-5):
     """Central finite differences of a scalar function of one array."""
     grad = np.zeros_like(arr, dtype=np.float64)

@@ -5,7 +5,7 @@ import pytest
 
 from memefuse.autodiff import (Tensor, concat, frozen, fused, parameter,
                                rows, zero_grads)
-from oracles import numeric_gradient, rel_error
+from oracles import numeric_gradient, rel_error, rows_gradient_add_at
 
 TOL = 1e-6
 
@@ -95,6 +95,19 @@ def test_rows_gradient(rng):
     table = parameter(rng.standard_normal((5, 3)))
     ids = np.array([[0, 2], [2, 4]])
     check_grads(lambda: rows(table, ids).sum(), {"table": table})
+
+
+def test_rows_gradient_equals_add_at_bitwise(rng):
+    # repeated ids make each row's sum order matter
+    for _ in range(200):
+        vocab, width = rng.integers(1, 12), rng.integers(1, 6)
+        table = parameter(rng.standard_normal((vocab, width)))
+        ids = rng.integers(0, vocab, size=rng.integers(1, 4, size=2))
+        g = rng.standard_normal(ids.shape + (width,)) * 10.0 ** rng.integers(
+            -8, 8, size=ids.shape + (width,))
+        (rows(table, ids) * Tensor(g)).sum().backward()
+        expected = rows_gradient_add_at(table.shape, ids, g)
+        assert table.grad.tobytes() == expected.tobytes()
 
 
 def test_backward_requires_scalar():

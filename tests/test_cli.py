@@ -33,6 +33,25 @@ def test_ppm_rejects_other_formats(tmp_path):
         read_ppm(path)
 
 
+MALFORMED_PPM = {
+    "truncated-raster": b"P6\n2 2\n255\n" + bytes(11),
+    "no-raster": b"P6\n2 2\n255",
+    "non-numeric-size": b"P6\n2 x\n255\n" + bytes(12),
+    "negative-size": b"P6\n-1 2\n255\n" + bytes(12),
+    "zero-width": b"P6\n0 4\n255\n",
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_PPM.values(),
+                         ids=MALFORMED_PPM.keys())
+def test_ppm_malformed_names_the_file(tmp_path, content):
+    path = os.path.join(tmp_path, "x.ppm")
+    with open(path, "wb") as fh:
+        fh.write(content)
+    with pytest.raises(DataError, match="x.ppm"):
+        read_ppm(path)
+
+
 # -------------------------------------------------------------------- ingest
 
 def write_rows(tmp_path, rows, header="id\tocr_text\tcaptions\tmis\tshm\t"
@@ -404,6 +423,22 @@ def test_cli_data_errors(tmp_path, capsys):
                  "--data", os.path.join(tmp_path, "missing"),
                  "--out", os.path.join(tmp_path, "out")]) == 2
     assert main(["train", "--model", "gcan"]) == 2  # no dataset given
+
+
+@pytest.mark.parametrize("model", ["gcan", "bertc", "vit"])
+def test_cli_train_refuses_malformed_image(tiny_run, tmp_path, capsys, model):
+    # a text model reads no image, but ingest checks every one
+    data = os.path.join(tmp_path, "data")
+    shutil.copytree(tiny_run["data"], data)
+    image = sorted(os.listdir(os.path.join(data, "images")))[0]
+    image_path = os.path.join(data, "images", image)
+    with open(image_path, "wb") as fh:
+        fh.write(MALFORMED_PPM["zero-width"])
+    out = os.path.join(tmp_path, "runs")
+    assert main(["train", "--config", tiny_run["cfg"], "--data", data,
+                 "--model", model, "--out", out]) == 2
+    assert image_path in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, model, "runs.tsv"))
 
 
 @pytest.mark.parametrize("text, lineno", [

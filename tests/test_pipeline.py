@@ -151,6 +151,62 @@ def test_fold_holds_only_what_its_model_reads(dataset, monkeypatch, model):
         train_fold(ctx, "bertc-vit", 1, None)
 
 
+@pytest.mark.parametrize("model", ["gcan", "bertc", "vit", "gcan-vit",
+                                   "bertc-gcan-vit"])
+def test_context_prepares_only_what_its_model_reads(dataset, tmp_path,
+                                                     monkeypatch, model):
+    members = MODEL_MEMBERS[model]
+    for member in members or []:
+        train_model_cv(make_ctx(dataset, model=member), member,
+                       str(tmp_path), log=None)
+    if model != "vit":
+        monkeypatch.setattr(pipeline, "normalize_image",
+                            refusing(f"normalized an image for {model}"))
+    if model == "vit" or members is not None:
+        monkeypatch.setattr(pipeline, "document_tokens",
+                            refusing(f"tokenized a document for {model}"))
+    ctx = make_ctx(dataset, model=model)
+    train_model_cv(ctx, model, str(tmp_path), log=None)
+
+
+def test_images_normalized_once_by_the_parent(dataset, tmp_path,
+                                              monkeypatch):
+    calls = os.path.join(tmp_path, "calls")
+    normalize = pipeline.normalize_image
+
+    def logged(*args):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return normalize(*args)
+
+    monkeypatch.setattr(pipeline, "normalize_image", logged)
+    # built for vit, the context normalizes; built for gcan, the parent
+    # does when it trains vit, before the workers fork
+    for built_for in ("vit", "gcan"):
+        if os.path.exists(calls):
+            os.remove(calls)
+        ctx = make_ctx(dataset, model=built_for)
+        train_model_cv(ctx, "vit", os.path.join(tmp_path, built_for),
+                       jobs=2, log=None)
+        with open(calls) as fh:
+            pids = fh.read().split()
+        assert pids == [str(os.getpid())] * len(ctx.ids), built_for
+
+
+def test_context_built_for_another_model_writes_same_bytes(dataset,
+                                                           tmp_path):
+    for model, other in (("vit", "gcan"), ("gcan", "vit"), ("bertc", "vit")):
+        own = os.path.join(tmp_path, f"{model}-own")
+        borrowed = os.path.join(tmp_path, f"{model}-from-{other}")
+        train_model_cv(make_ctx(dataset, model=model), model, own, log=None)
+        train_model_cv(make_ctx(dataset, model=other), model, borrowed,
+                       log=None)
+        names = manifest_names(os.path.join(own, model))
+        for name in names + ["manifest.tsv"]:
+            assert file_hash(os.path.join(own, model, name)) == \
+                file_hash(os.path.join(borrowed, model, name)), (model, name)
+
+
 def test_folds_dropped_after_training(dataset, tmp_path, monkeypatch):
     built = []
     build = CvContext._build_fold

@@ -12,7 +12,7 @@ from memefuse.textgraph import (NEG_INF, WindowStats, build_adjacency,
                                 count_windows, extract_document_adjacency,
                                 extract_unseen_adjacency, pmi, tfidf)
 from oracles import (count_windows_loop, dense_graph, document_block,
-                     unseen_block)
+                     graph_loop, unseen_block)
 
 token_lists = st.lists(
     st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]),
@@ -86,6 +86,23 @@ def test_count_windows_matches_pair_loop_in_order(corpus_tokens, window_len):
     per_token, per_pair = count_windows_loop(ids, window_len)
     assert list(stats.per_token.items()) == list(per_token.items())
     assert list(stats.per_pair.items()) == list(per_pair.items())
+
+
+@given(token_lists, st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=2))
+@settings(max_examples=150, deadline=None)
+def test_graph_equals_loop_reference_bitwise(corpus_tokens, window_len,
+                                             min_freq):
+    vocab, ids, stats, graph = make_graph(corpus_tokens, window_len, min_freq)
+    per_token, per_pair = count_windows_loop(ids, window_len)
+    raw, normalized, degree, idf = graph_loop(ids, per_token, per_pair,
+                                              stats.total, vocab.n_W)
+    for got, want in ((graph.raw, raw), (graph.normalized, normalized)):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert graph.degree.tobytes() == degree.tobytes()
+    assert graph.idf.tobytes() == idf.tobytes()
 
 
 @given(token_lists, st.integers(min_value=1, max_value=6))
