@@ -87,5 +87,5 @@ class FusionModel:
         p_sw = stream_weighting([o.p for o in outputs], w)
         p_rf = representation_fusion(joint, self.params, self.dropout, rng)
         p = fuse(p_sw, p_rf)
-        assert_finite("fusion output", p)
+        assert_finite("fusion output probabilities", p.data)
         return ModelOutput(p=p, f=joint)

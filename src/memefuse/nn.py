@@ -3,9 +3,10 @@
 Every encoder produces a ModelOutput with class probabilities `p` and a
 classification feature vector `f`. Layers are built on the autodiff
 Tensor, so exact parameter gradients are available for any scalar loss.
-Attention, linear and layer-norm layers are each a single tape node with
-a hand-derived gradient, which keeps the per-step tape short. The
-graph-attention layer reweights each attention head output with a
+Array kernels over 2-D (rows, width) activations return an output and
+its hand-derived backward; a whole graph-attention layer and the whole
+classifier head are each one `fused` tape node composing kernels. The
+graph-attention layer reweights the merged attention heads with a
 per-document normalized adjacency block before the output projection;
 with an identity block it degenerates to a plain transformer layer.
 GcanEncoder is a TextEncoder whose forward passes adjacency blocks to
@@ -46,129 +47,177 @@ class ModelOutput:
     f: Tensor  # (B, d) classification features
 
 
-def assert_finite(name: str, *tensors: Tensor) -> None:
-    for t in tensors:
-        if not np.all(np.isfinite(t.data)):
-            raise NumericError(f"non-finite values in {name}")
+def assert_finite(name: str, a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise NumericError(f"non-finite values in {name}")
+
+
+# Kernels take 2-D arrays and return (output, backward). Row sums over the
+# short feature axis are mat-vec products with a ones (or 1/n) vector:
+# several times faster than a ufunc reduction at these widths.
+
+
+def _linear(x, w, b):
+    """y = x W^T + b."""
+    def backward(g):
+        return g @ w, g.T @ x, np.ones(len(g)) @ g
+
+    return x @ np.ascontiguousarray(w.T) + b, backward
+
+
+def _layer_norm(x, gain, bias):
+    avg = np.full(x.shape[1], 1.0 / x.shape[1])
+    centered = x - (x @ avg)[:, None]
+    std = np.sqrt((centered * centered) @ avg + 1e-5)[:, None]
+    normed = centered / std
+
+    def backward(g):
+        gn = g * gain
+        gx = (gn - (gn @ avg)[:, None]
+              - normed * ((gn * normed) @ avg)[:, None]) / std
+        ones = np.ones(len(g))
+        return gx, ones @ (g * normed), ones @ g
+
+    return normed * gain + bias, backward
+
+
+def _attention(x, wq, wk, wv, seq_len, cfg, adj, is_last, name):
+    """Scaled dot-product attention with h heads over B sequences of
+    seq_len rows each; the heads merge by concatenation (by averaging when
+    `is_last`) and are then left-multiplied by the block `adj`, if given."""
+    n, d = x.shape
+    b, h, d_k = n // seq_len, cfg.n_heads, cfg.d_k
+    w = np.concatenate([wq.T, wk.T, wv.T], axis=1)          # (d, 3d)
+    q, k, v = (x @ w).reshape(b, seq_len, 3, h, d_k).transpose(2, 0, 3, 1, 4)
+    scale = 1.0 / np.sqrt(d_k)
+    # key-major softmax: km[j, b, h, i] is query i's weight on key j, so
+    # the max and the sum over keys run over the outermost axis, which is
+    # far faster than reducing a short last axis (and the max is exact)
+    km = np.empty((seq_len, b, h, seq_len))
+    np.matmul(k, q.swapaxes(-1, -2), out=km.transpose(1, 2, 0, 3))
+    km *= scale
+    assert_finite(f"{name} attention logits", km)
+    km -= km.max(axis=0)
+    np.exp(km, out=km)
+    km /= km.sum(axis=0)
+    heads = km.transpose(1, 2, 3, 0) @ v                    # (B, h, L, d_k)
+    merged = heads.mean(axis=1) if is_last else \
+        heads.transpose(0, 2, 1, 3).reshape(b, seq_len, d)
+    if adj is not None:
+        merged = adj @ merged
+
+    def backward(g):
+        g = g.reshape(merged.shape)
+        if adj is not None:
+            g = adj.swapaxes(-1, -2) @ g
+        g_heads = (g / h)[:, None] if is_last else \
+            g.reshape(b, seq_len, h, d_k).transpose(0, 2, 1, 3)
+        g_km = np.empty(km.shape)                           # key-major too
+        np.matmul(v, g_heads.swapaxes(-1, -2), out=g_km.transpose(1, 2, 0, 3))
+        g_km -= (g_km * km).sum(axis=0)
+        g_km *= km
+        g_km *= scale
+        # dq, dk and dv written straight into the (B, L, 3, h, d_k) layout
+        g_qkv = np.empty((b, seq_len, 3, h, d_k))
+        g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(g_km.transpose(1, 2, 3, 0), k, out=g_q)
+        np.matmul(g_km.transpose(1, 2, 0, 3), q, out=g_k)
+        np.matmul(km.transpose(1, 2, 0, 3), g_heads, out=g_v)
+        g_qkv = g_qkv.reshape(n, 3 * d)
+        g_w = g_qkv.T @ x
+        return g_qkv @ w.T, g_w[:d], g_w[d:2 * d], g_w[2 * d:]
+
+    return merged.reshape(n, -1), backward
+
+
+def _gcan_layer(x, wq, wk, wv, wo, bo, ln_g, ln_b, seq_len, cfg, adj,
+                is_last, name):
+    """Attention, output projection, residual and layer norm."""
+    merged, att_back = _attention(x, wq, wk, wv, seq_len, cfg, adj, is_last,
+                                  name)
+    branch, lin_back = _linear(merged, wo, bo)
+    out, ln_back = _layer_norm(x + branch, ln_g, ln_b)
+
+    def backward(g):
+        g_pre, g_gain, g_bias = ln_back(g)
+        g_merged, g_wo, g_bo = lin_back(g_pre)
+        g_x, g_wq, g_wk, g_wv = att_back(g_merged)
+        return g_pre + g_x, g_wq, g_wk, g_wv, g_wo, g_bo, g_gain, g_bias
+
+    return out, backward
+
+
+def _head(f, w1, b1, w2, b2, drop_rate, rng, name):
+    """Half-width hidden layer, ReLU, dropout, then a sigmoid output layer."""
+    assert_finite(f"{name} input", f)
+    pre, back1 = _linear(f, w1, b1)
+    keep = pre > 0
+    if rng is not None and drop_rate > 0.0:  # inverted dropout
+        keep = keep * ((rng.random(pre.shape) >= drop_rate)
+                       / (1.0 - drop_rate))
+    logits, back2 = _linear(pre * keep, w2, b2)
+    p = 0.5 * (1.0 + np.tanh(0.5 * logits))  # stable logistic
+    assert_finite(f"{name} probabilities", p)
+
+    def backward(g):
+        g_hidden, g_w2, g_b2 = back2(g * p * (1.0 - p))
+        g_f, g_w1, g_b1 = back1(g_hidden * keep)
+        return g_f, g_w1, g_b1, g_w2, g_b2
+
+    return p, backward
+
+
+def _node(kernel, x: Tensor, params, *args) -> Tensor:
+    """One tape node running `kernel` over the rows of x's last axis."""
+    shape = x.shape
+    out, backward = kernel(x.data.reshape(-1, shape[-1]),
+                           *(p.data for p in params), *args)
+
+    def node_backward(g):
+        g_x, *g_params = backward(g.reshape(out.shape))
+        return (g_x.reshape(shape), *g_params)
+
+    return fused(out.reshape(*shape[:-1], out.shape[-1]), (x, *params),
+                 node_backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """y = x W^T + b."""
-    xd, w = x.data, weight.data
-
-    def backward(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        return (g @ w, g2.T @ xd.reshape(-1, xd.shape[-1]),
-                g2.sum(axis=0))
-
-    return fused(xd @ w.T + bias.data, (x, weight, bias), backward)
+    return _node(_linear, x, (weight, bias))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = 1e-5) -> Tensor:
-    xd, gd = x.data, gain.data
-    centered = xd - xd.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    normed = centered / std
-
-    def backward(g):
-        gn = g * gd
-        gx = (gn - gn.mean(axis=-1, keepdims=True)
-              - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
-        width = g.shape[-1]
-        return (gx, (g * normed).reshape(-1, width).sum(axis=0),
-                g.reshape(-1, width).sum(axis=0))
-
-    return fused(normed * gd + bias.data, (x, gain, bias), backward)
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when rng is None (eval mode)."""
-    if rng is None or rate <= 0.0:
-        return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    return _node(_layer_norm, x, (gain, bias))
 
 
 def multi_head_attention(x: Tensor, params: dict[str, Tensor], prefix: str,
                          cfg: AttentionConfig, adj: np.ndarray | None = None,
                          is_last: bool = False) -> Tensor:
-    """Self-attention with merged heads, as one tape node.
-
-    Queries, keys, and values are all the layer input, projected by one
-    matmul with the stacked [wq; wk; wv]; logits are scaled by 1/sqrt(d_k)
-    and softmaxed row-wise over the sequence. Each head output is then
-    left-multiplied by the adjacency block `adj` (B, L, L), when given.
-    Heads merge by concatenation to (B, L, d_att), or by averaging to
-    (B, L, d_k) when `is_last`.
-    """
-    b, seq_len, d = x.shape
-    h, d_k = cfg.n_heads, cfg.d_k
+    """`_attention` over (B, L, d_att) inputs as one tape node."""
     weights = [params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")]
-    w = np.concatenate([t.data for t in weights])          # (3d, d)
-    xd = x.data
-    qkv = (xd @ w.T).reshape(b, seq_len, 3, h, d_k)
-    q, k, v = qkv.transpose(2, 0, 3, 1, 4)                 # (B, h, L, d_k)
-    scale = 1.0 / np.sqrt(d_k)
-    logits = (q @ k.swapaxes(-1, -2)) * scale
-    if not np.all(np.isfinite(logits)):
-        raise NumericError(f"non-finite values in {prefix} attention logits")
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)               # (B, h, L, L)
-    heads = attn @ v                                       # (B, h, L, d_k)
-    if adj is not None:
-        heads = adj[:, None] @ heads
-    if is_last:
-        out = heads.mean(axis=1)
-    else:
-        out = heads.transpose(0, 2, 1, 3).reshape(b, seq_len, d)
-
-    def backward(g):
-        if is_last:
-            g_heads = np.broadcast_to((g / h)[:, None], heads.shape)
-        else:
-            g_heads = g.reshape(b, seq_len, h, d_k).transpose(0, 2, 1, 3)
-        if adj is not None:
-            g_heads = adj.swapaxes(-1, -2)[:, None] @ g_heads
-        g_attn = g_heads @ v.swapaxes(-1, -2)
-        g_v = attn.swapaxes(-1, -2) @ g_heads
-        g_logits = attn * (g_attn - (g_attn * attn).sum(axis=-1,
-                                                        keepdims=True))
-        g_logits *= scale
-        g_q = g_logits @ k
-        g_k = g_logits.swapaxes(-1, -2) @ q
-        g_qkv = np.stack((g_q, g_k, g_v)).transpose(1, 3, 0, 2, 4) \
-            .reshape(b * seq_len, 3 * d)
-        g_w = g_qkv.T @ xd.reshape(b * seq_len, d)
-        return ((g_qkv @ w).reshape(xd.shape),
-                g_w[:d], g_w[d:2 * d], g_w[2 * d:])
-
-    return fused(out, (x, *weights), backward)
+    return _node(_attention, x, weights, x.shape[-2], cfg, adj, is_last,
+                 prefix)
 
 
 def gcan_layer(x: Tensor, adj: np.ndarray | None, params: dict[str, Tensor],
                prefix: str, cfg: AttentionConfig, is_last: bool) -> Tensor:
-    """One graph-attention layer with residual connection and layer norm.
-
-    Head outputs are left-multiplied by the document adjacency block (when
-    given), then fused by concatenation (inner layers) or head averaging
-    (last layer) and projected back to d_att inside the residual branch.
-    """
+    """One graph-attention layer as one tape node: `_attention` (with the
+    document adjacency block, when given) projected back to d_att inside
+    a residual branch, then layer norm."""
     if adj is not None and adj.shape[-1] != x.shape[-2]:
         raise ValueError("adjacency block size does not match sequence length")
-    merged = multi_head_attention(x, params, prefix, cfg, adj, is_last)
-    branch = linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-    return layer_norm(x + branch, params[f"{prefix}.ln_g"],
-                      params[f"{prefix}.ln_b"])
+    names = ("wq", "wk", "wv", "wo", "bo", "ln_g", "ln_b")
+    return _node(_gcan_layer, x, [params[f"{prefix}.{n}"] for n in names],
+                 x.shape[-2], cfg, adj, is_last, prefix)
 
 
 def classifier_head(f: Tensor, params: dict[str, Tensor], prefix: str,
                     drop_rate: float = 0.5,
                     rng: np.random.Generator | None = None) -> Tensor:
-    """Half-width hidden layer, ReLU, dropout, then a sigmoid output layer."""
-    hidden = linear(f, params[f"{prefix}.w1"], params[f"{prefix}.b1"]).relu()
-    hidden = dropout(hidden, drop_rate, rng)
-    return linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"]).sigmoid()
+    """`_head` as one tape node; dropout only when `rng` is given."""
+    names = ("w1", "b1", "w2", "b2")
+    return _node(_head, f, [params[f"{prefix}.{n}"] for n in names],
+                 drop_rate, rng, prefix)
 
 
 def sinusoidal_positions(seq_len: int, dim: int) -> np.ndarray:
@@ -222,9 +271,8 @@ def _encoder_stack(x: Tensor, adj: np.ndarray | None,
 
 def _classify(encoder, f: Tensor,
               rng: np.random.Generator | None) -> ModelOutput:
-    """The classifier head over pooled features, checked to be finite."""
+    """The classifier head over pooled features; the head checks both."""
     p = classifier_head(f, encoder.params, "head", encoder.cfg.dropout, rng)
-    assert_finite(f"{encoder.kind} encoder output", p, f)
     return ModelOutput(p=p, f=f)
 
 

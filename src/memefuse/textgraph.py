@@ -74,8 +74,12 @@ def count_windows(corpus: list[list[int]], window_len: int) -> WindowStats:
     window_in_doc = np.arange(total) - (np.cumsum(n_windows) - n_windows)[doc]
     pos = (doc_start + window_in_doc)[:, None] + np.arange(window_len)
     inside = pos < (doc_start + lengths[doc])[:, None]
-    sentinel = np.iinfo(np.int64).max
-    members = np.full(pos.shape, sentinel)
+    # int32 slots when every id fits below the sentinel: the pair arrays
+    # below are the call's largest temporaries
+    slot_type = np.int32 if flat.max(initial=0) < np.iinfo(np.int32).max \
+        else np.int64
+    sentinel = np.iinfo(slot_type).max
+    members = np.full(pos.shape, sentinel, dtype=slot_type)
     members[inside] = flat[pos[inside]]
     members.sort(axis=1)
     distinct = members != sentinel
@@ -89,7 +93,9 @@ def count_windows(corpus: list[list[int]], window_len: int) -> WindowStats:
     low, high = members[:, a][both], members[:, b][both]
     base = int(low.min()) if len(low) else 0
     span = int(high.max()) - base + 1 if len(high) else 1
-    firsts, counts = _first_seen((low - base) * span + (high - base))
+    key_type = np.int32 if span * span <= np.iinfo(np.int32).max else np.int64
+    firsts, counts = _first_seen((low - base).astype(key_type) * span
+                                 + (high - base))
     per_pair = Counter(dict(zip(zip(low[firsts].tolist(),
                                     high[firsts].tolist()),
                                 counts.tolist())))
@@ -276,15 +282,29 @@ def extract_unseen_adjacency(graph: CorpusGraph, seqs: np.ndarray,
     """
     nodes = _position_nodes(graph, seqs, lengths)
     blocks = _gather_blocks(graph, nodes)
-    tfidf_at = np.zeros(nodes.shape)
-    pseudo_degree = np.ones(len(nodes))
-    for k, tokens in enumerate(doc_ids):
-        counts = Counter(t for t in tokens if graph.word_node(t) is not None)
-        row = {t: tf * graph.idf[t - _FIRST_WORD_ID]
-               for t, tf in counts.items()}
-        # summed in first-occurrence order: the blocks' bytes depend on it
-        pseudo_degree[k] = 1.0 + sum(row.values())
-        tfidf_at[k] = [row.get(t, 0.0) for t in seqs[k].tolist()]
+    n_docs, n_w = len(doc_ids), graph.n_W
+    flat, doc_lengths = _flatten(doc_ids)
+    word = flat - _FIRST_WORD_ID
+    in_graph = (word >= 0) & (word < n_w)
+    doc = np.repeat(np.arange(n_docs), doc_lengths)[in_graph]
+    word = word[in_graph]
+    key = doc * n_w + word
+    # pseudo-degree: 1 + each document's TF-IDF entries added one by one
+    # in first-occurrence order, as Python's sum over a Counter of the
+    # document adds them (bincount adds sequentially; a pairwise sum
+    # would round otherwise, and the blocks' bytes depend on it)
+    firsts, tf = _first_seen(key)
+    pseudo_degree = 1.0 + np.bincount(
+        doc[firsts], weights=tf * graph.idf[word[firsts]], minlength=n_docs)
+    # each position's entry: its token's count in its own document times
+    # the token's IDF, and 0 for a position without a graph word
+    key.sort()
+    word_at = np.asarray(seqs) - _FIRST_WORD_ID
+    valid = (word_at >= 0) & (word_at < n_w)
+    wanted = np.where(valid, np.arange(n_docs)[:, None] * n_w + word_at, -1)
+    count = (np.searchsorted(key, wanted, "right")
+             - np.searchsorted(key, wanted))
+    tfidf_at = count * np.append(graph.idf, 0.0)[np.where(valid, word_at, n_w)]
     # tfidf_at is 0 wherever a position has no node
     row0 = tfidf_at / np.sqrt(pseudo_degree[:, None]
                               * graph.degree[np.maximum(nodes, 0)])

@@ -62,27 +62,47 @@ class EpochRecord:
     lr: float
 
 
-def _weighted_bce_sum(p: Tensor, y, weights) -> Tensor:
-    """-sum(weights * (y log p + (1 - y) log(1 - p))) as one tape node.
+def _bce(pd: np.ndarray, y, weights):
+    """-sum(weights * (y log p + (1 - y) log(1 - p))) and its backward.
 
     `weights` broadcasts against p. Probabilities are clamped to
     [PROB_EPS, 1 - PROB_EPS]; the gradient is zero where the clamp binds.
     """
     y = np.asarray(y, dtype=np.float64)
-    pd = p.data
     pc = np.clip(pd, PROB_EPS, 1.0 - PROB_EPS)
     value = -(weights * (y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))).sum()
 
     def backward(g):
         inside = (pd >= PROB_EPS) & (pd <= 1.0 - PROB_EPS)
-        return (-g * weights * (y / pc - (1.0 - y) / (1.0 - pc)) * inside,)
+        return -g * weights * (y / pc - (1.0 - y) / (1.0 - pc)) * inside
 
-    return fused(np.asarray(value), (p,), backward)
+    return value, backward
+
+
+def _teacher_forcing(pd: np.ndarray, y_mis):
+    """Mean of (max_c p - y)^2 and its backward; on ties the gradient goes
+    to the first argmax."""
+    rows, top = np.arange(len(pd)), np.argmax(pd, axis=-1)
+    diff = pd[rows, top] - np.asarray(y_mis, dtype=np.float64)
+    value = (diff * diff).sum() * (1.0 / diff.size)
+
+    def backward(g):
+        half = (g * (1.0 / diff.size)) * diff
+        out = np.zeros(pd.shape)
+        out[rows, top] = half + half
+        return out
+
+    return value, backward
+
+
+def _loss_node(p: Tensor, kernel, *args) -> Tensor:
+    value, backward = kernel(p.data, *args)
+    return fused(np.asarray(value), (p,), lambda g: (backward(g),))
 
 
 def bce(p: Tensor, y: np.ndarray) -> Tensor:
     """Mean binary cross-entropy; probabilities clamped away from 0 and 1."""
-    return _weighted_bce_sum(p, y, 1.0 / p.data.size)
+    return _loss_node(p, _bce, y, 1.0 / p.data.size)
 
 
 def class_weights(counts, total: int) -> LossWeights:
@@ -96,14 +116,12 @@ def class_weights(counts, total: int) -> LossWeights:
 
 def weighted_bce(p: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:
     """Sum over the four classes of w_c * BCE on that class column."""
-    return _weighted_bce_sum(p, y, weights.w / p.shape[0])
+    return _loss_node(p, _bce, y, weights.w / p.shape[0])
 
 
 def teacher_forcing_loss(p: Tensor, y_mis: np.ndarray) -> Tensor:
     """MSE between max of the sub-category probabilities and the binary target."""
-    p_a = p.max(axis=-1)
-    diff = p_a - Tensor(np.asarray(y_mis, dtype=np.float64))
-    return (diff * diff).mean()
+    return _loss_node(p, _teacher_forcing, y_mis)
 
 
 def combined_loss(l1: Tensor, l2: Tensor,
@@ -114,10 +132,14 @@ def combined_loss(l1: Tensor, l2: Tensor,
 def setup_loss(p: Tensor, y_mis: np.ndarray, y_sub: np.ndarray,
                config: TrainConfig,
                weights: LossWeights | None) -> Tensor:
+    """The setup's training loss as one tape node."""
     if config.setup == "A":
         return bce(p, y_mis.reshape(-1, 1))
-    return combined_loss(weighted_bce(p, y_sub, weights),
-                         teacher_forcing_loss(p, y_mis), config.mix)
+    l1, back1 = _bce(p.data, y_sub, weights.w / p.shape[0])
+    l2, back2 = _teacher_forcing(p.data, y_mis)
+    mix = config.mix
+    return fused(np.asarray(l1 * mix[0] + l2 * mix[1]), (p,),
+                 lambda g: (back1(g * mix[0]) + back2(g * mix[1]),))
 
 
 def lr_at(step: int, base_lr: float, warmup_steps: int,
@@ -135,12 +157,12 @@ def lr_at(step: int, base_lr: float, warmup_steps: int,
 class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer.
 
-    The parameter values and both moments live in flat buffers, with a
-    view per parameter name, so a step is a few vector operations over
-    all parameters at once. Each parameter's `data` is the view into the
-    value buffer; a step first copies back any `data` that was replaced
-    since. A parameter whose `grad` is None is neither moved nor decayed,
-    and its moments stay as they were.
+    The parameter values, gradients and both moments live in flat
+    buffers, with a view per parameter name, so a step is a few in-place
+    vector operations over all parameters at once. Each parameter's
+    `data` is the view into the value buffer; a step first copies back
+    any `data` that was replaced since. A parameter whose `grad` is None
+    is neither moved nor decayed, and its moments stay as they were.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
@@ -150,13 +172,12 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._bounds = np.cumsum([0] + [p.data.size for p in params.values()])
-        self._theta = np.zeros(self._bounds[-1])
-        self._m = np.zeros_like(self._theta)
-        self._v = np.zeros_like(self._theta)
+        self._sizes = [p.data.size for p in params.values()]
+        bounds = np.cumsum([0] + self._sizes)
+        self._theta, self._m, self._v, self._g, self._s1, self._s2 = \
+            np.zeros((6, bounds[-1]))  # s1 and s2 are scratch for `step`
         self._views, self.m, self.v = [], {}, {}
-        for (name, p), lo, hi in zip(params.items(), self._bounds,
-                                     self._bounds[1:]):
+        for (name, p), lo, hi in zip(params.items(), bounds, bounds[1:]):
             view = self._theta[lo:hi].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
@@ -165,40 +186,40 @@ class AdamW:
             self.v[name] = self._v[lo:hi].reshape(view.shape)
 
     def step(self, lr: float) -> None:
-        grads, live = [], []
-        for i, p in enumerate(self.params.values()):
-            view = self._views[i]
+        grads = []
+        for p, view in zip(self.params.values(), self._views):
             if p.data is not view:
                 view[...] = p.data
                 p.data = view
-            if p.grad is not None:
-                grads.append(p.grad.ravel())
-                live.append(i)
+            grads.append(p.grad)
         self.t += 1
-        if not live:
+        if all(grad is None for grad in grads):
             return
-        g = np.concatenate(grads)
-        if not np.all(np.isfinite(g)):
-            names = list(self.params)
-            for i, grad in zip(live, grads):
-                if not np.all(np.isfinite(grad)):
-                    raise NumericError(f"non-finite gradient for {names[i]}")
-        if len(live) == len(self._views):
-            sel = slice(None)
-        else:
-            sel = np.concatenate([np.arange(self._bounds[i],
-                                            self._bounds[i + 1])
-                                  for i in live])
-        m = self.beta1 * self._m[sel] + (1 - self.beta1) * g
-        v = self.beta2 * self._v[sel] + (1 - self.beta2) * g * g
-        self._m[sel] = m
-        self._v[sel] = v
-        bc1 = 1 - self.beta1 ** self.t
-        bc2 = 1 - self.beta2 ** self.t
-        theta = self._theta[sel]
-        self._theta[sel] = theta - lr * (
-            m / bc1 / (np.sqrt(v / bc2) + self.eps)
-            + self.weight_decay * theta)
+        flat = [np.zeros(view.size) if grad is None else grad.ravel()
+                for grad, view in zip(grads, self._views)]
+        g = np.concatenate(flat, out=self._g)
+        if not np.isfinite(g).all():
+            bad = next(name for name, grad in zip(self.params, grads)
+                       if grad is not None and not np.isfinite(grad).all())
+            raise NumericError(f"non-finite gradient for {bad}")
+        # the textbook formula op for op, in place; the value and moments
+        # of a parameter without a gradient are masked out of every write
+        live = True if all(grad is not None for grad in grads) else \
+            np.repeat([grad is not None for grad in grads], self._sizes)
+        m, v, theta, s1, s2 = self._m, self._v, self._theta, self._s1, self._s2
+        np.multiply(m, self.beta1, out=m, where=live)
+        np.add(m, np.multiply(g, 1 - self.beta1, out=s1), out=m, where=live)
+        np.multiply(v, self.beta2, out=v, where=live)
+        np.multiply(g, 1 - self.beta2, out=s1)
+        np.add(v, np.multiply(s1, g, out=s1), out=v, where=live)
+        np.divide(v, 1 - self.beta2 ** self.t, out=s1)
+        np.sqrt(s1, out=s1)
+        s1 += self.eps
+        np.divide(m, 1 - self.beta1 ** self.t, out=s2)
+        s2 /= s1
+        s2 += np.multiply(theta, self.weight_decay, out=s1)
+        s2 *= lr
+        np.subtract(theta, s2, out=theta, where=live)
 
 
 def snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -275,6 +296,8 @@ def train_model(trainable, y_mis: np.ndarray, y_sub: np.ndarray,
         f1 = validation_f1(probs, val_y_mis, val_y_sub)
         records.append(EpochRecord(epoch, epoch_loss, f1, lr))
         checkpoints[epoch] = snapshot(trainable.params)
+        top = select_top2(records)
+        checkpoints = {e: checkpoints[e] for e in top}  # the two kept
         if log is not None:
             log(records[-1])
         if f1 > best_f1:
@@ -285,7 +308,6 @@ def train_model(trainable, y_mis: np.ndarray, y_sub: np.ndarray,
             if stale >= config.patience:
                 break
 
-    top = select_top2(records)
     if len(top) == 1:
         final = checkpoints[top[0]]
     else:

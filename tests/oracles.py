@@ -2,10 +2,13 @@
 
 Everything here is written against the stated formulas only (no imports
 from memefuse internals beyond plain data), so that agreement with the
-package is a genuine cross-check rather than a tautology. The one
-exception is `member_outputs_by_inference`, which keeps the path fusion
-training used before members saved their outputs, as the reference the
-saved outputs must reproduce bit for bit.
+package is a genuine cross-check rather than a tautology. Two
+exceptions keep earlier package code as references: the `unfused_*`
+layers, head and loss compose the autodiff tape node by node as the
+package did before each became one node, and
+`member_outputs_by_inference` keeps the path fusion training used before
+members saved their outputs, which the saved outputs must reproduce bit
+for bit.
 """
 
 import math
@@ -307,3 +310,126 @@ def member_outputs_by_inference(ctx, member, fold, checkpoint_path):
     trainable = UnimodalTrainable(model, data)
     return {split: trainable.eval_split(getattr(data, split))
             for split in ("train", "val", "test")}
+
+
+# ------------------------------------------------ unfused tape compositions
+
+def unfused_linear(x, weight, bias):
+    """y = x W^T + b as one node over an input of any rank."""
+    from memefuse.autodiff import fused
+    xd, w = x.data, weight.data
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g @ w, g2.T @ xd.reshape(-1, xd.shape[-1]),
+                g2.sum(axis=0))
+
+    return fused(xd @ w.T + bias.data, (x, weight, bias), backward)
+
+
+def unfused_layer_norm(x, gain, bias, eps=1e-5):
+    from memefuse.autodiff import fused
+    xd, gd = x.data, gain.data
+    centered = xd - xd.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / std
+
+    def backward(g):
+        gn = g * gd
+        gx = (gn - gn.mean(axis=-1, keepdims=True)
+              - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
+        width = g.shape[-1]
+        return (gx, (g * normed).reshape(-1, width).sum(axis=0),
+                g.reshape(-1, width).sum(axis=0))
+
+    return fused(normed * gd + bias.data, (x, gain, bias), backward)
+
+
+def unfused_attention(x, params, prefix, n_heads, adj=None, is_last=False):
+    """Multi-head attention on (B, L, d) with per-head adjacency products,
+    heads merged after them, as one node."""
+    from memefuse.autodiff import fused
+    b, seq_len, d = x.shape
+    h = n_heads
+    d_k = d // h
+    weights = [params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")]
+    w = np.concatenate([t.data for t in weights])
+    xd = x.data
+    qkv = (xd @ w.T).reshape(b, seq_len, 3, h, d_k)
+    q, k, v = qkv.transpose(2, 0, 3, 1, 4)
+    scale = 1.0 / np.sqrt(d_k)
+    logits = (q @ k.swapaxes(-1, -2)) * scale
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    heads = attn @ v
+    if adj is not None:
+        heads = adj[:, None] @ heads
+    if is_last:
+        out = heads.mean(axis=1)
+    else:
+        out = heads.transpose(0, 2, 1, 3).reshape(b, seq_len, d)
+
+    def backward(g):
+        if is_last:
+            g_heads = np.broadcast_to((g / h)[:, None], heads.shape)
+        else:
+            g_heads = g.reshape(b, seq_len, h, d_k).transpose(0, 2, 1, 3)
+        if adj is not None:
+            g_heads = adj.swapaxes(-1, -2)[:, None] @ g_heads
+        g_attn = g_heads @ v.swapaxes(-1, -2)
+        g_v = attn.swapaxes(-1, -2) @ g_heads
+        g_logits = attn * (g_attn - (g_attn * attn).sum(axis=-1,
+                                                        keepdims=True))
+        g_logits *= scale
+        g_q = g_logits @ k
+        g_k = g_logits.swapaxes(-1, -2) @ q
+        g_qkv = np.stack((g_q, g_k, g_v)).transpose(1, 3, 0, 2, 4) \
+            .reshape(b * seq_len, 3 * d)
+        g_w = g_qkv.T @ xd.reshape(b * seq_len, d)
+        return ((g_qkv @ w).reshape(xd.shape),
+                g_w[:d], g_w[d:2 * d], g_w[2 * d:])
+
+    return fused(out, (x, *weights), backward)
+
+
+def unfused_gcan_layer(x, adj, params, prefix, n_heads, is_last):
+    """Attention, output projection, residual add and layer norm: four
+    nodes."""
+    merged = unfused_attention(x, params, prefix, n_heads, adj, is_last)
+    branch = unfused_linear(merged, params[f"{prefix}.wo"],
+                            params[f"{prefix}.bo"])
+    return unfused_layer_norm(x + branch, params[f"{prefix}.ln_g"],
+                              params[f"{prefix}.ln_b"])
+
+
+def unfused_classifier_head(f, params, prefix, drop_rate, rng):
+    """Linear, ReLU, inverted dropout, linear and sigmoid: five nodes."""
+    from memefuse.autodiff import Tensor
+    hidden = unfused_linear(f, params[f"{prefix}.w1"],
+                            params[f"{prefix}.b1"]).relu()
+    if rng is not None and drop_rate > 0.0:
+        mask = (rng.random(hidden.shape) >= drop_rate) / (1.0 - drop_rate)
+        hidden = hidden * Tensor(mask)
+    return unfused_linear(hidden, params[f"{prefix}.w2"],
+                          params[f"{prefix}.b2"]).sigmoid()
+
+
+def unfused_setup_b_loss(p, y_mis, y_sub, w, mix, eps=1e-12):
+    """mix[0] * support-weighted BCE + mix[1] * teacher forcing, built as
+    the BCE node, a max, a difference, its square, a mean and the mix."""
+    from memefuse.autodiff import Tensor, fused
+    pd = p.data
+    weights = w / pd.shape[0]
+    pc = np.clip(pd, eps, 1.0 - eps)
+    value = -(weights * (y_sub * np.log(pc)
+                         + (1.0 - y_sub) * np.log(1.0 - pc))).sum()
+
+    def backward(g):
+        inside = (pd >= eps) & (pd <= 1.0 - eps)
+        return (-g * weights * (y_sub / pc - (1.0 - y_sub) / (1.0 - pc))
+                * inside,)
+
+    l1 = fused(np.asarray(value), (p,), backward)
+    diff = p.max(axis=-1) - Tensor(np.asarray(y_mis, dtype=np.float64))
+    l2 = (diff * diff).mean()
+    return l1 * mix[0] + l2 * mix[1]

@@ -9,7 +9,7 @@ from memefuse.autodiff import Tensor, parameter
 from memefuse.fusion import (FusionModel, fuse, fusion_input,
                              representation_fusion, stream_weighting,
                              weight_predictor)
-from memefuse.nn import ModelOutput, _init_head
+from memefuse.nn import ModelOutput, NumericError, _init_head
 from oracles import numeric_gradient, rel_error
 
 
@@ -176,3 +176,13 @@ def test_members_frozen_during_fusion_training(rng):
     assert member_p.grad is None
     assert member_f.grad is None
     assert all(p.grad is not None for p in model.params.values())
+
+
+def test_fusion_non_finite_names_the_head(rng):
+    model = FusionModel([(2, 3), (2, 3)], 2, dropout=0.0, seed=0)
+    outs = [ModelOutput(p=Tensor(rng.random((2, 2))),
+                        f=Tensor(rng.standard_normal((2, 3))))
+            for _ in range(2)]
+    model.params["rf.b1"].data[0] = np.nan
+    with pytest.raises(NumericError, match="in rf probabilities$"):
+        model.forward(outs)

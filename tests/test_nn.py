@@ -9,7 +9,9 @@ from memefuse.nn import (AttentionConfig, GcanEncoder, ImageEncoder,
                          gcan_layer, layer_norm, linear, multi_head_attention,
                          sinusoidal_positions, _init_head, _init_layer)
 from memefuse.training import TrainConfig, class_weights, setup_loss
-from oracles import naive_attention_layer, numeric_gradient, rel_error
+from oracles import (naive_attention_layer, numeric_gradient, rel_error,
+                     unfused_classifier_head, unfused_gcan_layer,
+                     unfused_setup_b_loss)
 
 CFG = AttentionConfig(d_att=8, n_heads=2, n_layers=3, dropout=0.0)
 
@@ -240,6 +242,34 @@ def test_classifier_head_gradients():
                  {"f": f, **params}, LAYER_TOL)
 
 
+def test_head_non_finite_names_the_op(rng):
+    params = {}
+    _init_head(params, "head", 6, 2, np.random.default_rng(0))
+    params["head.w2"].data[0, 0] = np.nan
+    with pytest.raises(NumericError,
+                       match="^non-finite values in head probabilities$"):
+        classifier_head(Tensor(rng.standard_normal((3, 6))), params, "head",
+                        0.0, None)
+    params["head.w2"].data[0, 0] = 0.0
+    with pytest.raises(NumericError,
+                       match="^non-finite values in head input$"):
+        classifier_head(Tensor(np.full((1, 6), np.inf)), params, "head",
+                        0.0, None)
+
+
+def test_encoder_non_finite_names_the_layer_and_op():
+    enc = GcanEncoder(10, 4, 2, CFG, seed=0)
+    ids, adj = np.array([[1, 3, 4, 0]]), np.eye(4)[None]
+    enc.params["head.b2"].data[1] = np.nan
+    with pytest.raises(NumericError, match="in head probabilities$"):
+        enc.forward(ids, adj)
+    enc.params["head.b2"].data[1] = 0.0
+    enc.params["layer1.wq"].data[0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match="in layer1 attention logits$"):
+        enc.forward(ids, adj)
+
+
 # ---------------------------------------------------------------- layer norm
 
 def test_layer_norm_statistics(rng):
@@ -351,9 +381,8 @@ def tape_nodes(loss):
 
 def test_gcan_train_step_tape_stays_fused():
     # 26 parameter leaves, then embedding and positions (2), three layers
-    # of attention, linear, residual add and layer norm (12), sum pooling
-    # (1), the classifier head (5) and the setup-B loss (9): a layer that
-    # falls back to a chain of small ops makes this grow
+    # (3), sum pooling (1), the classifier head (1) and the setup-B loss
+    # (1): a layer that falls back to a chain of small ops makes this grow
     enc = GcanEncoder(10, 4, 4, CFG, seed=0)
     ids = np.array([[1, 3, 4, 0], [2, 5, 6, 7]])
     adj = np.broadcast_to(np.eye(4), (2, 4, 4)).copy()
@@ -362,7 +391,99 @@ def test_gcan_train_step_tape_stays_fused():
     loss = setup_loss(out.p, y_sub.max(axis=1), y_sub,
                       TrainConfig(epochs=5, warmup_epochs=1),
                       class_weights([1, 1, 1, 1], 2))
-    assert tape_nodes(loss) <= 55
+    assert tape_nodes(loss) <= 34
+
+
+# ------------------------------------------- fused nodes against the unfused
+
+def value_and_grads(build, leaves):
+    """The value of `build()` and the gradient it leaves on each leaf."""
+    for leaf in leaves:
+        leaf.grad = None
+    out = build()
+    out.backward()
+    return out.data.copy(), [leaf.grad.copy() for leaf in leaves]
+
+
+def assert_matches_unfused(fused_build, unfused_build, leaves):
+    value, grads = value_and_grads(fused_build, leaves)
+    ref_value, ref_grads = value_and_grads(unfused_build, leaves)
+    assert np.max(np.abs(value - ref_value)) <= 1e-12
+    for grad, ref in zip(grads, ref_grads):
+        assert rel_error(grad, ref) < 1e-12
+
+
+def test_fused_gcan_layer_matches_unfused_composition():
+    for seed in range(12):
+        gen = np.random.default_rng(seed)
+        is_last = bool(seed % 2)
+        params = make_layer_params(seed, is_last=is_last)
+        x = parameter(gen.standard_normal((3, 5, CFG.d_att)))
+        adj = (None, gen.random((3, 5, 5)),
+               np.broadcast_to(np.eye(5), (3, 5, 5)).copy())[seed % 3]
+        w = Tensor(gen.standard_normal((3, 5, CFG.d_att)))
+        assert_matches_unfused(
+            lambda: (gcan_layer(x, adj, params, "l", CFG, is_last) * w).sum(),
+            lambda: (unfused_gcan_layer(x, adj, params, "l", CFG.n_heads,
+                                        is_last) * w).sum(),
+            [x, *params.values()])
+
+
+def test_fused_classifier_head_matches_unfused_composition():
+    for seed in range(8):
+        gen = np.random.default_rng(seed)
+        params = {}
+        _init_head(params, "h", 6, 3, gen)
+        f = parameter(gen.standard_normal((5, 6)))
+        w = Tensor(gen.standard_normal((5, 3)))
+        rate = (0.0, 0.5)[seed % 2]
+        rngs = {}
+
+        def build(head, key):
+            rngs[key] = np.random.default_rng(seed)
+            return (head(f, params, "h", rate, rngs[key]) * w).sum()
+
+        assert_matches_unfused(
+            lambda: build(classifier_head, "fused"),
+            lambda: build(unfused_classifier_head, "unfused"),
+            [f, *params.values()])
+        # dropout draws its mask at the same point of the stream
+        assert rngs["fused"].random() == rngs["unfused"].random()
+
+
+def test_fused_setup_b_loss_matches_unfused_composition():
+    cfg = TrainConfig(epochs=5, warmup_epochs=1)
+    weights = class_weights([3, 1, 2, 5], 8)
+    for seed in range(8):
+        gen = np.random.default_rng(seed)
+        pd = gen.random((6, 4))
+        pd[0] = [0.0, 1.0, 0.3, 1e-13]     # clamped from both sides
+        pd[1] = [0.2, 0.7, 0.7, 0.1]       # a tie in the max
+        pd[2] = [0.4, 0.4, 0.4, 0.4]
+        p = parameter(pd)
+        y_sub = (gen.random((6, 4)) > 0.5).astype(float)
+        y_mis = y_sub.max(axis=1)
+        assert_matches_unfused(
+            lambda: setup_loss(p, y_mis, y_sub, cfg, weights),
+            lambda: unfused_setup_b_loss(p, y_mis, y_sub, weights.w, cfg.mix),
+            [p])
+    # the teacher-forcing gradient of a tied row goes to the first argmax
+    p = parameter(np.array([[0.2, 0.7, 0.7, 0.1]]))
+    tf_only = TrainConfig(epochs=5, warmup_epochs=1, mix=(0.0, 1.0))
+    setup_loss(p, np.array([0.0]), np.zeros((1, 4)), tf_only,
+               weights).backward()
+    assert np.array_equal(np.flatnonzero(p.grad), [1])
+
+
+def test_setup_b_loss_gradients():
+    cfg = TrainConfig(epochs=5, warmup_epochs=1)
+    weights = class_weights([3, 1, 2, 5], 8)
+    for seed in range(5):
+        gen = np.random.default_rng(seed)
+        p = parameter(gen.random((4, 4)) * 0.9 + 0.05)
+        y_sub = (gen.random((4, 4)) > 0.5).astype(float)
+        grads_ok(lambda: setup_loss(p, y_sub.max(axis=1), y_sub, cfg,
+                                    weights), {"p": p}, LAYER_TOL)
 
 
 # --------------------------------------------------- end-to-end gradient checks

@@ -105,6 +105,19 @@ def test_graph_equals_loop_reference_bitwise(corpus_tokens, window_len,
     assert graph.idf.tobytes() == idf.tobytes()
 
 
+@pytest.mark.parametrize("offset", [0, 50_000, 2 ** 31])
+def test_count_windows_wide_ids_match_pair_loop(offset):
+    # ids past 46,340 need 64-bit pair keys, ids past 2**31 - 2 64-bit
+    # window slots
+    gen = np.random.default_rng(offset % 97)
+    ids = [(gen.integers(3, 12, size=n) + np.where(
+        gen.random(n) < 0.5, offset, 0)).tolist() for n in (9, 1, 14, 4)]
+    stats = count_windows(ids, 4)
+    per_token, per_pair = count_windows_loop(ids, 4)
+    assert list(stats.per_token.items()) == list(per_token.items())
+    assert list(stats.per_pair.items()) == list(per_pair.items())
+
+
 @given(token_lists, st.integers(min_value=1, max_value=6))
 @settings(max_examples=100, deadline=None)
 def test_count_windows_invariants(corpus_tokens, window_len):
@@ -320,6 +333,24 @@ def test_batched_blocks_equal_per_document_reference(corpus, unseen, seq_len,
     assert blocks.tobytes() == ref.tobytes()
 
     seqs = [encode_document(doc, vocab, seq_len) for doc in unseen]
+    doc_ids = [[vocab.lookup(t) for t in doc] for doc in unseen]
+    blocks = unseen_blocks(graph, seqs, doc_ids)
+    ref = np.stack([unseen_block(graph, ids, seq.ids, seq.true_length)
+                    for ids, seq in zip(doc_ids, seqs)])
+    assert blocks.tobytes() == ref.tobytes()
+
+
+def test_unseen_blocks_with_long_rows_equal_per_document_reference():
+    # rows of 8 and more distinct words: the pseudo-degree must still be
+    # the first-occurrence sequential sum, which a pairwise sum is not
+    gen = np.random.default_rng(4)
+    words = [f"w{i}" for i in range(60)]
+    corpus = [list(gen.choice(words, size=gen.integers(5, 40)))
+              for _ in range(30)]
+    vocab, _, _, graph = make_graph(corpus, window_len=5)
+    unseen = [list(gen.choice(words + ["oov"], size=n))
+              for n in (0, 3, 25, 60, 90)]
+    seqs = [encode_document(doc, vocab, 16) for doc in unseen]
     doc_ids = [[vocab.lookup(t) for t in doc] for doc in unseen]
     blocks = unseen_blocks(graph, seqs, doc_ids)
     ref = np.stack([unseen_block(graph, ids, seq.ids, seq.true_length)

@@ -278,6 +278,30 @@ def test_adamw_flat_buffer_matches_per_tensor_reference():
     assert not np.any(opt.m["frozen"]) and not np.any(opt.v["frozen"])
 
 
+def test_adamw_in_place_step_is_bitwise_the_formula_for_any_missing_grad():
+    # the parameter without a gradient moves from first to last, so the
+    # in-place update runs over one span, two spans or the tail only
+    gen = np.random.default_rng(1)
+    shapes = {"a": (2, 3), "b": (3,), "c": (), "d": (4, 1)}
+    params = {k: parameter(gen.standard_normal(s)) for k, s in shapes.items()}
+    ref = {k: (p.data.copy(), np.zeros(s), np.zeros(s))
+           for (k, p), s in zip(params.items(), shapes.values())}
+    opt = AdamW(params)
+    for t in range(1, 11):
+        missing = list(shapes)[t % 5] if t % 5 < 4 else None
+        lr = 1e-3 * t
+        for k, p in params.items():
+            p.grad = None if k == missing else gen.standard_normal(shapes[k])
+            if p.grad is not None:
+                ref[k] = adamw_reference_step(*ref[k][:1], p.grad,
+                                              *ref[k][1:], t, lr)
+        opt.step(lr)
+        for k, p in params.items():
+            assert p.data.tobytes() == ref[k][0].tobytes(), (t, k)
+            assert opt.m[k].tobytes() == ref[k][1].tobytes(), (t, k)
+            assert opt.v[k].tobytes() == ref[k][2].tobytes(), (t, k)
+
+
 def test_adamw_picks_up_replaced_parameter_data():
     p = parameter(np.array([1.0, 2.0]))
     opt = AdamW({"p": p}, weight_decay=0.0)
@@ -385,6 +409,18 @@ def test_checkpoint_averaging_of_top2(monkeypatch):
     assert len(records) == 6
     expected = average_checkpoints(snaps[2], snaps[3])
     assert np.allclose(final["w"], expected["w"], atol=0)
+
+
+def test_tied_validation_f1_keeps_the_earlier_snapshots(monkeypatch):
+    # epochs 2, 4 and 6 tie at the best score: the snapshots of 2 and 4
+    # are averaged, and epoch 6 does not displace them
+    trace = [0.5, 0.7, 0.5, 0.7, 0.6, 0.7, 0.5] + [0.0] * 20
+    best, final, records, snaps = scripted_run(monkeypatch, trace,
+                                               patience=5)
+    assert best == 0.7 and len(records) == 7
+    assert select_top2(records) == [2, 4]
+    expected = average_checkpoints(snaps[2], snaps[4])
+    assert final["w"].tobytes() == expected["w"].tobytes()
 
 
 def test_train_model_empty_fold():
