@@ -12,6 +12,9 @@ with an identity block it degenerates to a plain transformer layer.
 GcanEncoder is a TextEncoder whose forward passes adjacency blocks to
 the shared `stack` and pools by node sum instead of the [cls] row; all
 encoders share the layer and head initialisation and the head tail.
+The [cls]-pooled encoders (text and image) run only the [cls] row as a
+query through their last layer, with keys and values from every row;
+`stack()` still computes every row of every layer.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, fused, parameter, rows
+from .autodiff import Tensor, fused, parameter, rows
 
 
 class NumericError(ArithmeticError):
@@ -81,19 +84,24 @@ def _layer_norm(x, gain, bias):
     return normed * gain + bias, backward
 
 
-def _attention(x, wq, wk, wv, seq_len, cfg, adj, is_last, name):
+def _attention(x, wq, wk, wv, seq_len, cfg, adj, is_last, name,
+               cls_only=False):
     """Scaled dot-product attention with h heads over B sequences of
     seq_len rows each; the heads merge by concatenation (by averaging when
-    `is_last`) and are then left-multiplied by the block `adj`, if given."""
+    `is_last`) and are then left-multiplied by the block `adj`, if given.
+    With `cls_only` only row 0 of each sequence queries (keys and values
+    still come from every row) and the output has one row per sequence."""
     n, d = x.shape
     b, h, d_k = n // seq_len, cfg.n_heads, cfg.d_k
     w = np.concatenate([wq.T, wk.T, wv.T], axis=1)          # (d, 3d)
     q, k, v = (x @ w).reshape(b, seq_len, 3, h, d_k).transpose(2, 0, 3, 1, 4)
+    n_q = 1 if cls_only else seq_len
+    q = q[:, :, :n_q]
     scale = 1.0 / np.sqrt(d_k)
     # key-major softmax: km[j, b, h, i] is query i's weight on key j, so
     # the max and the sum over keys run over the outermost axis, which is
     # far faster than reducing a short last axis (and the max is exact)
-    km = np.empty((seq_len, b, h, seq_len))
+    km = np.empty((seq_len, b, h, n_q))
     np.matmul(k, q.swapaxes(-1, -2), out=km.transpose(1, 2, 0, 3))
     km *= scale
     assert_finite(f"{name} attention logits", km)
@@ -102,7 +110,7 @@ def _attention(x, wq, wk, wv, seq_len, cfg, adj, is_last, name):
     km /= km.sum(axis=0)
     heads = km.transpose(1, 2, 3, 0) @ v                    # (B, h, L, d_k)
     merged = heads.mean(axis=1) if is_last else \
-        heads.transpose(0, 2, 1, 3).reshape(b, seq_len, d)
+        heads.transpose(0, 2, 1, 3).reshape(b, n_q, d)
     if adj is not None:
         merged = adj @ merged
 
@@ -111,38 +119,42 @@ def _attention(x, wq, wk, wv, seq_len, cfg, adj, is_last, name):
         if adj is not None:
             g = adj.swapaxes(-1, -2) @ g
         g_heads = (g / h)[:, None] if is_last else \
-            g.reshape(b, seq_len, h, d_k).transpose(0, 2, 1, 3)
+            g.reshape(b, n_q, h, d_k).transpose(0, 2, 1, 3)
         g_km = np.empty(km.shape)                           # key-major too
         np.matmul(v, g_heads.swapaxes(-1, -2), out=g_km.transpose(1, 2, 0, 3))
         g_km -= (g_km * km).sum(axis=0)
         g_km *= km
         g_km *= scale
-        # dq, dk and dv written straight into the (B, L, 3, h, d_k) layout
-        g_qkv = np.empty((b, seq_len, 3, h, d_k))
+        # dq, dk and dv written straight into the (B, L, 3, h, d_k) layout;
+        # rows that did not query get a zero dq
+        g_qkv = (np.zeros if cls_only else np.empty)((b, seq_len, 3, h, d_k))
         g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(g_km.transpose(1, 2, 3, 0), k, out=g_q)
+        np.matmul(g_km.transpose(1, 2, 3, 0), k, out=g_q[:, :, :n_q])
         np.matmul(g_km.transpose(1, 2, 0, 3), q, out=g_k)
         np.matmul(km.transpose(1, 2, 0, 3), g_heads, out=g_v)
         g_qkv = g_qkv.reshape(n, 3 * d)
         g_w = g_qkv.T @ x
         return g_qkv @ w.T, g_w[:d], g_w[d:2 * d], g_w[2 * d:]
 
-    return merged.reshape(n, -1), backward
+    return merged.reshape(b * n_q, -1), backward
 
 
 def _gcan_layer(x, wq, wk, wv, wo, bo, ln_g, ln_b, seq_len, cfg, adj,
-                is_last, name):
-    """Attention, output projection, residual and layer norm."""
+                is_last, name, cls_only=False):
+    """Attention, output projection, residual and layer norm, over every
+    row or, with `cls_only`, over row 0 of each sequence."""
     merged, att_back = _attention(x, wq, wk, wv, seq_len, cfg, adj, is_last,
-                                  name)
+                                  name, cls_only)
     branch, lin_back = _linear(merged, wo, bo)
-    out, ln_back = _layer_norm(x + branch, ln_g, ln_b)
+    step = seq_len if cls_only else 1                  # the residual rows
+    out, ln_back = _layer_norm(x[::step] + branch, ln_g, ln_b)
 
     def backward(g):
         g_pre, g_gain, g_bias = ln_back(g)
         g_merged, g_wo, g_bo = lin_back(g_pre)
         g_x, g_wq, g_wk, g_wv = att_back(g_merged)
-        return g_pre + g_x, g_wq, g_wk, g_wv, g_wo, g_bo, g_gain, g_bias
+        g_x[::step] += g_pre
+        return g_x, g_wq, g_wk, g_wv, g_wo, g_bo, g_gain, g_bias
 
     return out, backward
 
@@ -167,8 +179,9 @@ def _head(f, w1, b1, w2, b2, drop_rate, rng, name):
     return p, backward
 
 
-def _node(kernel, x: Tensor, params, *args) -> Tensor:
-    """One tape node running `kernel` over the rows of x's last axis."""
+def _node(kernel, x: Tensor, params, *args, drop=1) -> Tensor:
+    """One tape node running `kernel` over the rows of x's last axis; the
+    output has x's axes but the last `drop`, then the kernel's width."""
     shape = x.shape
     out, backward = kernel(x.data.reshape(-1, shape[-1]),
                            *(p.data for p in params), *args)
@@ -177,7 +190,7 @@ def _node(kernel, x: Tensor, params, *args) -> Tensor:
         g_x, *g_params = backward(g.reshape(out.shape))
         return (g_x.reshape(shape), *g_params)
 
-    return fused(out.reshape(*shape[:-1], out.shape[-1]), (x, *params),
+    return fused(out.reshape(*shape[:-drop], out.shape[-1]), (x, *params),
                  node_backward)
 
 
@@ -200,15 +213,18 @@ def multi_head_attention(x: Tensor, params: dict[str, Tensor], prefix: str,
 
 
 def gcan_layer(x: Tensor, adj: np.ndarray | None, params: dict[str, Tensor],
-               prefix: str, cfg: AttentionConfig, is_last: bool) -> Tensor:
+               prefix: str, cfg: AttentionConfig, is_last: bool,
+               cls_only: bool = False) -> Tensor:
     """One graph-attention layer as one tape node: `_attention` (with the
     document adjacency block, when given) projected back to d_att inside
-    a residual branch, then layer norm."""
+    a residual branch, then layer norm. With `cls_only` only row 0 ([cls])
+    queries and the output is that row alone, (B, d_att)."""
     if adj is not None and adj.shape[-1] != x.shape[-2]:
         raise ValueError("adjacency block size does not match sequence length")
     names = ("wq", "wk", "wv", "wo", "bo", "ln_g", "ln_b")
     return _node(_gcan_layer, x, [params[f"{prefix}.{n}"] for n in names],
-                 x.shape[-2], cfg, adj, is_last, prefix)
+                 x.shape[-2], cfg, adj, is_last, prefix, cls_only,
+                 drop=2 if cls_only else 1)
 
 
 def classifier_head(f: Tensor, params: dict[str, Tensor], prefix: str,
@@ -262,10 +278,13 @@ def _init_encoder(params: dict[str, Tensor], cfg: AttentionConfig,
 
 
 def _encoder_stack(x: Tensor, adj: np.ndarray | None,
-                   params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
+                   params: dict[str, Tensor], cfg: AttentionConfig,
+                   cls_only: bool = False) -> Tensor:
+    """The layers; with `cls_only` the last returns the [cls] row alone."""
+    last = cfg.n_layers - 1
     for layer in range(cfg.n_layers):
-        x = gcan_layer(x, adj, params, f"layer{layer}", cfg,
-                       is_last=layer == cfg.n_layers - 1)
+        x = gcan_layer(x, adj, params, f"layer{layer}", cfg, layer == last,
+                       cls_only and layer == last)
     return x
 
 
@@ -290,14 +309,16 @@ class TextEncoder:
         _init_encoder(self.params, cfg, n_classes, rng)
         self.positions = sinusoidal_positions(seq_len, cfg.d_att)
 
-    def stack(self, ids: np.ndarray, adj: np.ndarray | None = None) -> Tensor:
-        """Token embeddings through the layers, reweighted by `adj` if given."""
+    def stack(self, ids: np.ndarray, adj: np.ndarray | None = None,
+              cls_only: bool = False) -> Tensor:
+        """Token embeddings through the layers, reweighted by `adj` if given;
+        every row, or with `cls_only` the [cls] row alone."""
         x = rows(self.params["embed"], ids) + Tensor(self.positions)
-        return _encoder_stack(x, adj, self.params, self.cfg)
+        return _encoder_stack(x, adj, self.params, self.cfg, cls_only)
 
     def forward(self, ids: np.ndarray,
                 rng: np.random.Generator | None = None) -> ModelOutput:
-        return _classify(self, self.stack(ids)[:, 0, :], rng)
+        return _classify(self, self.stack(ids, cls_only=True), rng)
 
 
 class GcanEncoder(TextEncoder):
@@ -343,15 +364,30 @@ class ImageEncoder:
         x = x.transpose(0, 2, 4, 1, 3, 5)
         return x.reshape(b, self.n_patches, -1)
 
-    def stack(self, images: np.ndarray) -> Tensor:
+    def embed(self, images: np.ndarray) -> Tensor:
+        """Patch projection, the [cls] row and the positions as one tape
+        node, (B, seq_len, d_att); the constant patches get no gradient."""
+        w, bias, cls = (self.params[n] for n in ("proj_w", "proj_b", "cls"))
         b = images.shape[0]
-        emb = linear(Tensor(self.patchify(images)),
-                     self.params["proj_w"], self.params["proj_b"])
-        cls_row = Tensor(np.zeros((b, 1, self.cfg.d_att))) + \
-            self.params["cls"].reshape(1, 1, self.cfg.d_att)
-        x = concat([cls_row, emb], axis=1) + Tensor(self.positions)
-        return _encoder_stack(x, None, self.params, self.cfg)
+        patches = self.patchify(images).reshape(b * self.n_patches, -1)
+        x = np.empty((b, self.seq_len, self.cfg.d_att))
+        x[:, 0] = cls.data
+        x[:, 1:] = _linear(patches, w.data, bias.data)[0].reshape(
+            b, self.n_patches, -1)
+        x += self.positions
+
+        def backward(g):
+            g_emb = g[:, 1:].reshape(len(patches), -1)
+            return (g_emb.T @ patches, np.ones(len(g_emb)) @ g_emb,
+                    np.ones(b) @ g[:, 0])
+
+        return fused(x, (w, bias, cls), backward)
+
+    def stack(self, images: np.ndarray, cls_only: bool = False) -> Tensor:
+        """Embedded patches through the layers, as `TextEncoder.stack`."""
+        return _encoder_stack(self.embed(images), None, self.params,
+                              self.cfg, cls_only)
 
     def forward(self, images: np.ndarray,
                 rng: np.random.Generator | None = None) -> ModelOutput:
-        return _classify(self, self.stack(images)[:, 0, :], rng)
+        return _classify(self, self.stack(images, cls_only=True), rng)

@@ -247,9 +247,8 @@ def validation_f1(probs: np.ndarray, y_mis: np.ndarray,
 
 def train_model(trainable, y_mis: np.ndarray, y_sub: np.ndarray,
                 val_y_mis: np.ndarray, val_y_sub: np.ndarray,
-                config: TrainConfig,
-                log=None) -> tuple[float, dict[str, np.ndarray],
-                                   list[EpochRecord]]:
+                config: TrainConfig) -> tuple[float, dict[str, np.ndarray],
+                                              list[EpochRecord]]:
     """Run one fold: epochs with early stopping and top-2 averaging.
 
     `trainable` exposes `params` (name -> Tensor), `forward_batch(indices,
@@ -298,8 +297,6 @@ def train_model(trainable, y_mis: np.ndarray, y_sub: np.ndarray,
         checkpoints[epoch] = snapshot(trainable.params)
         top = select_top2(records)
         checkpoints = {e: checkpoints[e] for e in top}  # the two kept
-        if log is not None:
-            log(records[-1])
         if f1 > best_f1:
             best_f1 = f1
             stale = 0

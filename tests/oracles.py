@@ -4,7 +4,7 @@ Everything here is written against the stated formulas only (no imports
 from memefuse internals beyond plain data), so that agreement with the
 package is a genuine cross-check rather than a tautology. Two
 exceptions keep earlier package code as references: the `unfused_*`
-layers, head and loss compose the autodiff tape node by node as the
+layers, image embedding, head and loss compose the autodiff tape node by node as the
 package did before each became one node, and
 `member_outputs_by_inference` keeps the path fusion training used before
 members saved their outputs, which the saved outputs must reproduce bit
@@ -400,6 +400,18 @@ def unfused_gcan_layer(x, adj, params, prefix, n_heads, is_last):
                             params[f"{prefix}.bo"])
     return unfused_layer_norm(x + branch, params[f"{prefix}.ln_g"],
                               params[f"{prefix}.ln_b"])
+
+
+def unfused_image_embedding(encoder, images):
+    """Patch projection, a zeros-plus-[cls] row, the concat and the
+    positions add: five nodes with the [cls] reshape."""
+    from memefuse.autodiff import Tensor, concat
+    b, d = images.shape[0], encoder.cfg.d_att
+    emb = unfused_linear(Tensor(encoder.patchify(images)),
+                         encoder.params["proj_w"], encoder.params["proj_b"])
+    cls_row = Tensor(np.zeros((b, 1, d))) + \
+        encoder.params["cls"].reshape(1, 1, d)
+    return concat([cls_row, emb], axis=1) + Tensor(encoder.positions)
 
 
 def unfused_classifier_head(f, params, prefix, drop_rate, rng):

@@ -664,3 +664,25 @@ def test_cli_hard_ensemble_refuses_mixed_setups(member_runs, setup_a_runs,
     assert vit_a in err and gcan_b in err
     assert "setup A" in err and "setup B" in err
     assert not os.path.exists(out)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_defaults_blas_to_one_thread(preset):
+    # fold workers run side by side, so each gets one BLAS thread unless
+    # the environment already chose a count
+    import subprocess
+    import sys
+
+    import memefuse
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(memefuse.__file__))
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_VARS, preset))
+    code = ("import os, memefuse; print(' '.join(os.environ[v] for v in "
+            f"{BLAS_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == [preset or "1"] * 3

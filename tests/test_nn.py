@@ -7,11 +7,12 @@ from memefuse.autodiff import Tensor, parameter
 from memefuse.nn import (AttentionConfig, GcanEncoder, ImageEncoder,
                          NumericError, TextEncoder, classifier_head,
                          gcan_layer, layer_norm, linear, multi_head_attention,
-                         sinusoidal_positions, _init_head, _init_layer)
+                         sinusoidal_positions, _classify, _init_head,
+                         _init_layer)
 from memefuse.training import TrainConfig, class_weights, setup_loss
 from oracles import (naive_attention_layer, numeric_gradient, rel_error,
                      unfused_classifier_head, unfused_gcan_layer,
-                     unfused_setup_b_loss)
+                     unfused_image_embedding, unfused_setup_b_loss)
 
 CFG = AttentionConfig(d_att=8, n_heads=2, n_layers=3, dropout=0.0)
 
@@ -379,18 +380,47 @@ def tape_nodes(loss):
     return len(seen)
 
 
+Y_SUB = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+
+
+def setup_b_loss(out):
+    return setup_loss(out.p, Y_SUB.max(axis=1), Y_SUB,
+                      TrainConfig(epochs=5, warmup_epochs=1),
+                      class_weights([1, 1, 1, 1], 2))
+
+
 def test_gcan_train_step_tape_stays_fused():
-    # 26 parameter leaves, then embedding and positions (2), three layers
-    # (3), sum pooling (1), the classifier head (1) and the setup-B loss
-    # (1): a layer that falls back to a chain of small ops makes this grow
+    # 26 parameter leaves (embed, 3 x 7 per layer, 4 in the head), then
+    # the embedding lookup and the positions add (2), three layers (3), sum
+    # pooling (1), the classifier head (1) and the setup-B loss (1): a
+    # layer that falls back to a chain of small ops makes this grow
     enc = GcanEncoder(10, 4, 4, CFG, seed=0)
     ids = np.array([[1, 3, 4, 0], [2, 5, 6, 7]])
     adj = np.broadcast_to(np.eye(4), (2, 4, 4)).copy()
     out = enc.forward(ids, adj, rng=np.random.default_rng(0))
-    y_sub = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
-    loss = setup_loss(out.p, y_sub.max(axis=1), y_sub,
-                      TrainConfig(epochs=5, warmup_epochs=1),
-                      class_weights([1, 1, 1, 1], 2))
+    assert tape_nodes(setup_b_loss(out)) <= 34
+
+
+def test_text_train_step_tape_stays_fused():
+    # 26 parameter leaves, then the embedding lookup and the positions add
+    # (2), three layers whose last one returns the [cls] row itself (3),
+    # the classifier head (1) and the setup-B loss (1): no row-0 slice
+    enc = TextEncoder(10, 4, 4, CFG, seed=0)
+    out = enc.forward(np.array([[1, 3, 4, 0], [2, 5, 6, 7]]),
+                      rng=np.random.default_rng(0))
+    assert tape_nodes(setup_b_loss(out)) <= 33
+
+
+def test_vit_train_step_tape_stays_fused():
+    # 28 parameter leaves (proj_w, proj_b, cls, 3 x 7 per layer, 4 in the
+    # head), then the embedding (1: patch projection, [cls] row and
+    # positions), three layers (3), the classifier head (1) and the
+    # setup-A loss (1)
+    enc = ImageEncoder(4, 2, 1, CFG, seed=0)
+    images = np.random.default_rng(0).standard_normal((2, 3, 4, 4))
+    out = enc.forward(images, rng=np.random.default_rng(0))
+    loss = setup_loss(out.p, np.array([1.0, 0.0]), Y_SUB,
+                      TrainConfig(setup="A", epochs=5, warmup_epochs=1), None)
     assert tape_nodes(loss) <= 34
 
 
@@ -427,6 +457,83 @@ def test_fused_gcan_layer_matches_unfused_composition():
             lambda: (unfused_gcan_layer(x, adj, params, "l", CFG.n_heads,
                                         is_last) * w).sum(),
             [x, *params.values()])
+
+
+def test_cls_only_layer_matches_full_layer_row_zero():
+    for seed in range(8):
+        gen = np.random.default_rng(seed)
+        is_last = bool(seed % 2)
+        params = make_layer_params(seed, is_last=is_last)
+        x = parameter(gen.standard_normal((3, 5, CFG.d_att)))
+        w = Tensor(gen.standard_normal((3, CFG.d_att)))
+        assert_matches_unfused(
+            lambda: (gcan_layer(x, None, params, "l", CFG, is_last,
+                                cls_only=True) * w).sum(),
+            lambda: (gcan_layer(x, None, params, "l", CFG, is_last)[:, 0]
+                     * w).sum(),
+            [x, *params.values()])
+
+
+@pytest.mark.parametrize("drop_rate", [0.0, 0.5])
+def test_cls_forward_matches_full_stack(drop_rate):
+    cfg = AttentionConfig(d_att=8, n_heads=2, n_layers=3, dropout=drop_rate)
+    gen = np.random.default_rng(1)
+    cases = [(TextEncoder(12, 5, 3, cfg, seed=1),
+              gen.integers(0, 12, size=(4, 5))),
+             (ImageEncoder(8, 4, 3, cfg, seed=1),
+              gen.standard_normal((4, 3, 8, 8)))]
+    w_p, w_f = Tensor(gen.standard_normal((4, 3))), \
+        Tensor(gen.standard_normal((4, 8)))
+    for enc, inputs in cases:
+        assert np.max(np.abs(enc.forward(inputs).f.data
+                             - enc.stack(inputs).data[:, 0, :])) <= 1e-12
+        rngs = {}
+
+        def build(key, full):
+            rngs[key] = np.random.default_rng(7)
+            out = _classify(enc, enc.stack(inputs)[:, 0, :], rngs[key]) \
+                if full else enc.forward(inputs, rngs[key])
+            return (out.p * w_p).sum() + (out.f * w_f).sum()
+
+        assert_matches_unfused(lambda: build("cls", False),
+                               lambda: build("full", True),
+                               list(enc.params.values()))
+        # the head draws its dropout mask at the same point of the stream
+        assert rngs["cls"].random() == rngs["full"].random()
+
+
+def test_cls_layer_non_finite_names_the_layer():
+    for enc, inputs in ((TextEncoder(10, 4, 2, CFG, seed=0),
+                         np.array([[1, 3, 4, 0]])),
+                        (ImageEncoder(4, 2, 2, CFG, seed=0),
+                         np.ones((1, 3, 4, 4)))):
+        enc.params["layer2.wq"].data[0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match="in layer2 attention logits$"):
+            enc.forward(inputs)
+
+
+def test_image_embedding_matches_unfused_composition():
+    for seed in range(4):
+        enc = ImageEncoder(8, 4, 2, CFG, seed=seed)
+        gen = np.random.default_rng(seed)
+        images = gen.standard_normal((3, 3, 8, 8))
+        w = Tensor(gen.standard_normal((3, enc.seq_len, CFG.d_att)))
+        assert_matches_unfused(
+            lambda: (enc.embed(images) * w).sum(),
+            lambda: (unfused_image_embedding(enc, images) * w).sum(),
+            [enc.params[n] for n in ("proj_w", "proj_b", "cls")])
+
+
+def test_image_embedding_gradients():
+    for seed in range(3):
+        enc = ImageEncoder(4, 2, 2, CFG, seed=seed)
+        gen = np.random.default_rng(seed)
+        images = gen.standard_normal((2, 3, 4, 4))
+        w = Tensor(gen.standard_normal((2, enc.seq_len, CFG.d_att)))
+        grads_ok(lambda: (enc.embed(images) * w).sum(),
+                 {n: enc.params[n] for n in ("proj_w", "proj_b", "cls")},
+                 LAYER_TOL)
 
 
 def test_fused_classifier_head_matches_unfused_composition():
