@@ -16,9 +16,10 @@ from .dataio import MODEL_MEMBERS, RunConfig, ingest, load_config
 from .ensemble import hard_vote, mann_whitney_u, significance_stars, \
     soft_vote, task_scores
 from .nn import NumericError
-from .pipeline import CvContext, DependencyError, load_fold_runs, \
-    setup_of, train_model_cv, write_manifest, write_predictions
+from .pipeline import CvContext, train_model_cv
 from .preprocess import DataError
+from .rundir import DependencyError, fold_file, load_fold_runs, read_scores, \
+    setup_of, write_manifest, write_predictions
 from .synth import SynthSpec, gen_synth
 
 
@@ -81,7 +82,7 @@ def _check_samples(model_dirs, model_runs, ids, reference: str) -> None:
         for run in runs:
             if run.test_ids != ids:
                 raise DataError(
-                    f"{os.path.join(model_dir, f'fold{run.fold}_preds.tsv')} "
+                    f"{fold_file('predictions', run.fold, model_dir)} "
                     f"predicts other samples than {reference}")
 
 
@@ -115,7 +116,7 @@ def cmd_ensemble(args) -> int:
     model_runs = [_model_dir_runs(d) for d in args.runs]
     first = model_runs[0][0]
     _check_samples(args.runs, model_runs, first.test_ids,
-                   os.path.join(args.runs[0], f"fold{first.fold}_preds.tsv"))
+                   fold_file("predictions", first.fold, args.runs[0]))
     width = first.test_probs.shape[1]
     for model_dir, runs in zip(args.runs, model_runs):
         other = runs[0].test_probs.shape[1]
@@ -134,28 +135,9 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def _read_f1_column(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if "test_taskA_f1" not in header:
-            raise DataError(f"{path} has no test_taskA_f1 column")
-        column = header.index("test_taskA_f1")
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                values.append(float(line.rstrip("\n").split("\t")[column]))
-            except (IndexError, ValueError):
-                values.append(None)
-            if values[-1] is None or not 0 <= values[-1] <= 1:
-                raise DataError(f"{path}:{lineno}: no test_taskA_f1 "
-                                f"score in [0, 1] in {line.rstrip()!r}")
-        return np.array(values)
-
-
 def cmd_significance(args) -> int:
-    x = _read_f1_column(args.a)
-    y = _read_f1_column(args.b)
-    u, p = mann_whitney_u(x, y)
+    u, p = mann_whitney_u(read_scores(args.a, "test_taskA_f1"),
+                          read_scores(args.b, "test_taskA_f1"))
     print("U\tp_two_sided\tstars")
     print(f"{u:.17g}\t{p:.17g}\t{significance_stars(p)}")
     return 0

@@ -130,8 +130,6 @@ class RunConfig:
     warmup_epochs: int = 4
     dropout: float = 0.5
     patience: int = 4
-    loss_mix_l1: float = 0.7
-    loss_mix_l2: float = 0.3
     seed: int = 0
     window_len: int = 10
     seq_len: int = 16

@@ -1,4 +1,4 @@
-"""Cross-validated training runs over a dataset, plus run-directory I/O.
+"""Cross-validated training runs over a dataset.
 
 A CvContext holds one pool of rows for a dataset, the training samples
 then the test samples: their ids and labels, and the fold splits as row
@@ -19,20 +19,11 @@ their blocks synthesized against the training statistics. After
 training, a uni-modal fold saves its eval-mode outputs over the train,
 val and test splits. A fusion fold's inputs are those saved outputs of
 its members, (p_1, f_1, ..., p_m, f_m): fusion trains only its heads and
-runs no member model.
-
-A run directory holds per-fold checkpoints, member outputs and
-predictions, runs.tsv, train_log.tsv and a manifest.tsv of their
-SHA-256 hashes. Readers verify what they read against the manifest:
-`load_fold_runs` the scores and predictions, fusion training each
-member's checkpoint and outputs, whose sample ids must be the fusion
-fold's. A predictions file records its own setup: setup A leaves the
-sub-category columns empty.
+runs no member model. `rundir` writes and reads run directories.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -42,16 +33,16 @@ from functools import cached_property
 
 import numpy as np
 
-from . import checkpoint as ckpt
 from .autodiff import Tensor, frozen
 from .dataio import MODEL_MEMBERS, RunConfig
-from .ensemble import FoldRun, derive_taskA_labels, derive_taskA_probs, \
-    kfold_split, task_scores
+from .ensemble import FoldRun, kfold_split, task_scores
 from .fusion import FusionModel
 from .nn import AttentionConfig, GcanEncoder, ImageEncoder, ModelOutput, \
     TextEncoder
 from .preprocess import DataError, RawSample, clean_text, combine_texts, \
     encode_document, build_vocabulary, normalize_image, tokenize
+from .rundir import SPLITS, DependencyError, SplitOutputs, member_outputs, \
+    write_run
 from .textgraph import build_adjacency, count_windows, \
     extract_document_adjacency, extract_unseen_adjacency
 from .training import EpochRecord, TrainConfig, train_model
@@ -59,17 +50,10 @@ from .training import EpochRecord, TrainConfig, train_model
 EVAL_BATCH = 64
 
 
-class DependencyError(RuntimeError):
-    """A fusion model was requested before its members were trained."""
-
-
 def document_tokens(sample: RawSample) -> list[str]:
     ocr = clean_text(sample.ocr_text)
     captions = [clean_text(c) for c in sample.captions]
     return tokenize(combine_texts(ocr, [c for c in captions if c]))
-
-
-SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -188,14 +172,10 @@ class CvContext:
         return self.fold_data(fold, inputs, len(vocab.id_to_token))
 
 
-def _attention_config(cfg: RunConfig) -> AttentionConfig:
-    return AttentionConfig(d_att=cfg.d_att, n_heads=cfg.n_heads,
-                           n_layers=cfg.n_layers, dropout=cfg.dropout)
-
-
 def make_unimodal(kind: str, cfg: RunConfig, vocab_size: int, n_classes: int,
                   seed: int):
-    att = _attention_config(cfg)
+    att = AttentionConfig(d_att=cfg.d_att, n_heads=cfg.n_heads,
+                          n_layers=cfg.n_layers, dropout=cfg.dropout)
     if kind == "bertc":
         return TextEncoder(vocab_size, cfg.seq_len, n_classes, att, seed)
     if kind == "gcan":
@@ -250,19 +230,10 @@ class FusionTrainable(UnimodalTrainable):
 
 def _train_config(cfg: RunConfig, fold: int, fusion: bool) -> TrainConfig:
     return TrainConfig(
-        setup=cfg.setup, epochs=cfg.epochs,
+        setup=cfg.setup, epochs=cfg.epochs, seed=cfg.seed + fold,
         batch_size=cfg.fusion_batch_size if fusion else cfg.batch_size,
         base_lr=cfg.fusion_lr if fusion else cfg.base_lr,
-        warmup_epochs=cfg.warmup_epochs, patience=cfg.patience,
-        mix=(cfg.loss_mix_l1, cfg.loss_mix_l2), seed=cfg.seed + fold)
-
-
-@dataclass
-class SplitOutputs:
-    """A uni-modal model's eval-mode outputs over one split."""
-    ids: list[str]
-    p: np.ndarray               # (N, n_outputs) probabilities
-    f: np.ndarray               # (N, d_att) features
+        warmup_epochs=cfg.warmup_epochs, patience=cfg.patience)
 
 
 @dataclass
@@ -278,72 +249,6 @@ class FoldArtifacts:
     start: float        # time.perf_counter() when the fold started
     wall_s: float
     cpu_s: float        # CPU time of the training process
-
-
-def setup_of(width: int) -> str:
-    """The setup whose models have `width` outputs per sample."""
-    return {1: "A", 4: "B"}.get(width, f"with {width} outputs")
-
-
-def write_outputs(path: str, outputs: dict[str, SplitOutputs]) -> None:
-    """A checkpoint file with arrays `<split>.p` and `<split>.f`; the
-    metadata `<split>.ids` holds the split's sample ids joined by tabs."""
-    arrays, meta = {}, {}
-    for split, out in outputs.items():
-        arrays[f"{split}.p"], arrays[f"{split}.f"] = out.p, out.f
-        meta[f"{split}.ids"] = "\t".join(out.ids)
-    ckpt.save_checkpoint(path, arrays, meta)
-
-
-def read_outputs(path: str) -> dict[str, SplitOutputs]:
-    arrays, meta = ckpt.load_checkpoint(path)
-    try:
-        return {split: SplitOutputs(ids=meta[f"{split}.ids"].split("\t"),
-                                    p=arrays[f"{split}.p"],
-                                    f=arrays[f"{split}.f"])
-                for split in SPLITS}
-    except KeyError as exc:
-        raise DataError(f"{path} has no {exc.args[0]} entry") from exc
-
-
-def member_outputs(ctx: CvContext, out_root: str, member: str, fusion: str,
-                   fold: int, n_outputs: int
-                   ) -> tuple[str, dict[str, SplitOutputs]]:
-    """A member's checkpoint hash and saved outputs for `fold`.
-
-    Both files are verified against the member's manifest; the outputs
-    must cover the fold's pool rows in order and have `n_outputs`
-    columns.
-    """
-    member_dir = os.path.join(out_root, member)
-    name = f"fold{fold}.ckpt"
-    if not os.path.exists(os.path.join(member_dir, name)):
-        raise DependencyError(
-            f"member model {member!r} has no checkpoint for fold "
-            f"{fold}; train it before {fusion!r}")
-    manifest = read_manifest(member_dir)
-    _verified(member_dir, name, manifest)
-    outputs_name = f"fold{fold}_outputs.ckpt"
-    if outputs_name not in manifest:
-        raise DependencyError(
-            f"member model {member!r} lists no {outputs_name} in "
-            f"{os.path.join(member_dir, 'manifest.tsv')}: it was trained "
-            f"before members saved their outputs; retrain {member!r}")
-    outputs_path = _verified(member_dir, outputs_name, manifest)
-    outputs = read_outputs(outputs_path)
-    for split, idx in ctx.split_indices(fold).items():
-        if outputs[split].ids != [ctx.ids[i] for i in idx]:
-            raise DependencyError(
-                f"member model {member!r} was trained on another fold "
-                f"split: the {split} ids of {outputs_path} are not fold "
-                f"{fold}'s; retrain {member!r} with this seed and folds")
-    width = outputs["train"].p.shape[1]
-    if width != n_outputs:
-        raise DependencyError(
-            f"member model {member!r} was trained in setup "
-            f"{setup_of(width)} ({outputs_path}), but {fusion!r} trains "
-            f"in setup {setup_of(n_outputs)}; retrain {member!r}")
-    return manifest[name], outputs
 
 
 def train_fold(ctx: CvContext, model_name: str, fold: int,
@@ -399,79 +304,6 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
                          cpu_s=time.process_time() - cpu_start)
 
 
-def write_predictions(path: str, ids: list[str], probs: np.ndarray) -> None:
-    """TSV with per-class probabilities and thresholded labels.
-
-    Four probability columns are setup B: mis is their max, its label the
-    OR of the sub-labels. One column is setup A: it fills only p_mis and
-    label_mis, and the sub-category columns stay empty.
-    """
-    labels = (probs >= 0.5).astype(int)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id\tp_shm\tp_ste\tp_obj\tp_vio\tp_mis\t"
-                 "label_shm\tlabel_ste\tlabel_obj\tlabel_vio\tlabel_mis\n")
-        for sid, p, lab in zip(ids, probs, labels, strict=True):
-            if len(p) == 1:
-                sub_p, sub_l, p_mis, l_mis = [""] * 4, [""] * 4, p[0], lab[0]
-            else:
-                sub_p, sub_l = [f"{v:.17g}" for v in p], [str(v) for v in lab]
-                p_mis, l_mis = derive_taskA_probs(p), derive_taskA_labels(lab)
-            fh.write("\t".join([sid, *sub_p, f"{p_mis:.17g}", *sub_l,
-                                str(l_mis)]) + "\n")
-
-
-def read_predictions(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Returns (ids, probabilities, labels).
-
-    Setup B gives the sub-category probabilities (N, 4) and the labels
-    (N, 5) including mis; setup A gives p_mis (N, 1) and label_mis (N, 1).
-    """
-    ids, probs, labels = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            setup_b = parts[1] != ""
-            ids.append(parts[0])
-            probs.append([float(v) for v in
-                          (parts[1:5] if setup_b else parts[5:6])])
-            labels.append([int(v) for v in
-                           (parts[6:11] if setup_b else parts[10:11])])
-    return ids, np.array(probs), np.array(labels, dtype=int)
-
-
-def write_manifest(directory: str, files) -> None:
-    """manifest.tsv: name, role and SHA-256 of each (name, role) in order."""
-    with open(os.path.join(directory, "manifest.tsv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("file\trole\tsha256\n")
-        for name, role in files:
-            digest = ckpt.file_hash(os.path.join(directory, name))
-            fh.write(f"{name}\t{role}\t{digest}\n")
-
-
-def read_manifest(directory: str) -> dict[str, str]:
-    """File name -> SHA-256 recorded in the directory's manifest.tsv."""
-    path = os.path.join(directory, "manifest.tsv")
-    if not os.path.exists(path):
-        raise DataError(f"{path} is missing, so {directory} cannot be "
-                        f"verified")
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        return {name: digest for name, _, digest in
-                (line.rstrip("\n").split("\t") for line in fh)}
-
-
-def _verified(directory: str, name: str, manifest: dict[str, str]) -> str:
-    """The file's path, once its hash matches its manifest entry."""
-    path = os.path.join(directory, name)
-    if name not in manifest:
-        raise DataError(f"{path} has no entry in manifest.tsv")
-    if ckpt.file_hash(path) != manifest[name]:
-        raise DataError(f"{path} does not match its SHA-256 in manifest.tsv")
-    return path
-
-
 _worker_job: tuple = ()  # (ctx, model_name, out_root) in a fold worker
 
 
@@ -492,9 +324,8 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
     The model's modality is computed here if the context has not yet,
     before any worker forks. With jobs > 1 the folds train in up to
     `jobs` worker processes, which are joined before this returns. The
-    parent writes every file, so each file in the manifest is
-    byte-identical to a jobs=1 run; fold timings go to events.jsonl,
-    outside the manifest.
+    parent writes the run directory (`rundir.write_run`), so each file
+    in the manifest is byte-identical to a jobs=1 run.
     """
     cfg = ctx.cfg
     model_dir = os.path.join(out_root, model_name)
@@ -522,71 +353,5 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
         artifacts = [logged(train_fold(ctx, model_name, fold, out_root))
                      for fold in range(cfg.folds)]
 
-    files = {}
-    log_path = os.path.join(model_dir, "train_log.tsv")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("fold\tepoch\ttrain_loss\tval_f1\tlr\n")
-        for fold, art in enumerate(artifacts):
-            for r in art.records:
-                fh.write(f"{fold}\t{r.epoch}\t{r.train_loss:.17g}\t"
-                         f"{r.val_f1:.17g}\t{r.lr:.17g}\n")
-    files["train_log.tsv"] = "log"
-
-    runs_path = os.path.join(model_dir, "runs.tsv")
-    with open(runs_path, "w", encoding="utf-8") as fh:
-        fh.write("fold\tbest_val_f1\ttest_taskA_f1\ttest_weighted_f1\n")
-        for fold, art in enumerate(artifacts):
-            weighted = "" if art.test_weighted_f1 is None \
-                else f"{art.test_weighted_f1:.17g}"
-            fh.write(f"{fold}\t{art.run.best_f1:.17g}\t"
-                     f"{art.test_taskA_f1:.17g}\t{weighted}\n")
-    files["runs.tsv"] = "scores"
-
-    for fold, art in enumerate(artifacts):
-        name = f"fold{fold}.ckpt"
-        ckpt.save_checkpoint(os.path.join(model_dir, name), art.params,
-                             art.meta)
-        files[name] = "checkpoint"
-        if art.outputs is not None:
-            out_name = f"fold{fold}_outputs.ckpt"
-            write_outputs(os.path.join(model_dir, out_name), art.outputs)
-            files[out_name] = "outputs"
-        pred_name = f"fold{fold}_preds.tsv"
-        write_predictions(os.path.join(model_dir, pred_name),
-                          art.run.test_ids, art.run.test_probs)
-        files[pred_name] = "predictions"
-    write_manifest(model_dir, sorted(files.items()))
-
-    with open(os.path.join(model_dir, "events.jsonl"), "w",
-              encoding="utf-8") as fh:
-        for fold, art in enumerate(artifacts):
-            fh.write(json.dumps({
-                "event": "fold", "fold": fold, "pid": art.pid,
-                "start_s": art.start - start, "wall_s": art.wall_s,
-                "cpu_s": art.cpu_s}) + "\n")
+    write_run(model_dir, artifacts, start)
     return artifacts
-
-
-def load_fold_runs(out_root: str, model_name: str) -> list[FoldRun]:
-    """Reassemble FoldRuns (validation F1, test ids and probabilities).
-
-    runs.tsv and each fold's predictions are verified against the
-    manifest before they are read; the predictions carry the setup.
-    """
-    model_dir = os.path.join(out_root, model_name)
-    if not os.path.exists(os.path.join(model_dir, "runs.tsv")):
-        raise DependencyError(f"no trained runs for {model_name!r} under "
-                              f"{out_root}")
-    manifest = read_manifest(model_dir)
-    runs = []
-    with open(_verified(model_dir, "runs.tsv", manifest),
-              encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.split("\t")
-            fold, best = int(parts[0]), float(parts[1])
-            ids, probs, _ = read_predictions(_verified(
-                model_dir, f"fold{fold}_preds.tsv", manifest))
-            runs.append(FoldRun(model_name=model_name, fold=fold,
-                                best_f1=best, test_probs=probs, test_ids=ids))
-    return runs

@@ -24,8 +24,8 @@ from memefuse.nn import (AttentionConfig, GcanEncoder, ImageEncoder,
                          ModelOutput, TextEncoder, classifier_head,
                          gcan_layer, linear, multi_head_attention, _init_head,
                          _init_layer)
-from memefuse.pipeline import (CvContext, load_fold_runs, read_predictions,
-                               train_model_cv)
+from memefuse.pipeline import CvContext, train_model_cv
+from memefuse.rundir import load_fold_runs, read_predictions
 from memefuse.preprocess import build_vocabulary
 from memefuse.synth import SynthSpec, gen_synth
 from memefuse.textgraph import build_adjacency, count_windows, pmi, tfidf

@@ -527,7 +527,7 @@ def test_cli_hard_ensemble_refuses_directories_over_other_samples(
         tiny_run, member_runs, tmp_path, capsys):
     # a run directory that is verified against its own manifest but
     # predicted other samples than the first directory
-    from memefuse.pipeline import write_manifest
+    from memefuse.rundir import write_manifest
     other = os.path.join(tmp_path, "vit")
     shutil.copytree(os.path.join(member_runs, "vit"), other)
     with open(os.path.join(other, "manifest.tsv")) as fh:
@@ -632,7 +632,7 @@ def test_cli_fusion_names_member_from_before_saved_outputs(
         tiny_run, member_runs, tmp_path, capsys):
     # a member directory as written before members saved their outputs:
     # no outputs files and no manifest lines for them
-    from memefuse.pipeline import write_manifest
+    from memefuse.rundir import write_manifest
     runs = os.path.join(tmp_path, "runs")
     shutil.copytree(member_runs, runs)
     gcan = os.path.join(runs, "gcan")
@@ -650,6 +650,50 @@ def test_cli_fusion_names_member_from_before_saved_outputs(
     assert "retrain 'gcan'" in err
     assert os.path.join(gcan, "manifest.tsv") in err
     assert "No such file" not in err
+
+
+def test_cli_names_manifest_line_without_three_fields(tiny_run, member_runs,
+                                                     tmp_path, capsys):
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    manifest = os.path.join(runs, "vit", "manifest.tsv")
+    with open(manifest) as fh:
+        lines = fh.readlines()
+    lines[1] = lines[1].rsplit("\t", 1)[0] + "\n"  # cut the sha256 column
+    with open(manifest, "w") as fh:
+        fh.writelines(lines)
+    for argv in (["evaluate", "--runs", runs, "--test", tiny_run["data"]],
+                 ["ensemble", "--mode", "soft", "--runs",
+                  os.path.join(runs, "vit"),
+                  "--out", os.path.join(tmp_path, "soft.tsv")],
+                 ["train", "--config", tiny_run["cfg"], "--data",
+                  tiny_run["data"], "--model", "gcan-vit", "--out", runs]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        assert f"{manifest}:2" in capsys.readouterr().err, argv[0]
+
+
+def test_cli_fusion_names_outputs_file_without_an_entry(tiny_run, member_runs,
+                                                       tmp_path, capsys):
+    # an outputs file that matches its manifest line but lacks val.f
+    from memefuse import checkpoint
+    from memefuse.rundir import write_manifest
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    gcan = os.path.join(runs, "gcan")
+    outputs = os.path.join(gcan, "fold0_outputs.ckpt")
+    arrays, meta = checkpoint.load_checkpoint(outputs)
+    del arrays["val.f"]
+    checkpoint.save_checkpoint(outputs, arrays, meta)
+    with open(os.path.join(gcan, "manifest.tsv")) as fh:
+        fh.readline()
+        roles = [tuple(line.split("\t")[:2]) for line in fh]
+    write_manifest(gcan, roles)
+    capsys.readouterr()
+    assert main(["train", "--config", tiny_run["cfg"], "--data",
+                 tiny_run["data"], "--model", "gcan-vit", "--out", runs]) == 2
+    assert f"{outputs} has no val.f entry" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(runs, "gcan-vit", "runs.tsv"))
 
 
 def test_cli_hard_ensemble_refuses_mixed_setups(member_runs, setup_a_runs,

@@ -16,15 +16,18 @@ from memefuse import checkpoint
 from memefuse.autodiff import Tensor
 from memefuse.checkpoint import file_hash
 from memefuse.dataio import MODEL_MEMBERS, RunConfig, ingest
+from memefuse.ensemble import FoldRun
 from memefuse.fusion import FusionModel
 from memefuse.nn import GcanEncoder, ImageEncoder, ModelOutput, TextEncoder
-from memefuse.pipeline import (CvContext, DependencyError, FoldData,
-                               FusionTrainable, Split, UnimodalTrainable,
-                               load_fold_runs, make_unimodal, read_manifest,
-                               read_predictions, train_fold, train_model_cv,
-                               write_manifest, write_predictions)
+from memefuse.pipeline import (CvContext, FoldData, FusionTrainable, Split,
+                               UnimodalTrainable, make_unimodal, train_fold,
+                               train_model_cv)
+from memefuse.rundir import (DependencyError, SplitOutputs, load_fold_runs,
+                             read_manifest, read_predictions, write_manifest,
+                             write_predictions, write_run)
 from memefuse.preprocess import DataError, build_vocabulary, encode_document
 from memefuse.textgraph import build_adjacency, count_windows
+from memefuse.training import EpochRecord
 from memefuse.synth import SynthSpec, gen_synth
 from oracles import document_block, member_outputs_by_inference, \
     unseen_block
@@ -473,6 +476,50 @@ def test_setup_a_predictions_leave_sub_columns_empty(tmp_path):
     assert labels.tolist() == [[1], [0]]
 
 
+def test_write_run_writes_exact_tables(tmp_path):
+    # fold 0 in setup A (no weighted F1), fold 1 in setup B with outputs;
+    # floats are written to 17 significant digits
+    def fold(k, probs, records, best, task_a, weighted, outputs=None):
+        run = FoldRun(model_name="m", fold=k, best_f1=best, test_probs=probs,
+                      test_ids=["a", "b"])
+        return pipeline.FoldArtifacts(
+            run=run, records=records, params={"w": np.ones(2)},
+            meta={"fold": str(k)}, outputs=outputs, test_taskA_f1=task_a,
+            test_weighted_f1=weighted, pid=7, start=1.0, wall_s=2.0,
+            cpu_s=1.5)
+
+    outputs = {split: SplitOutputs(["a"], np.ones((1, 4)), np.zeros((1, 2)))
+               for split in ("train", "val", "test")}
+    arts = [fold(0, np.array([[0.1], [0.75]]),
+                 [EpochRecord(1, 0.1, 0.5, 1e-17),
+                  EpochRecord(2, 0.25, 0.75, 0.003)], 0.75, 1e-17, None),
+            fold(1, np.array([[0.1, 1e-17, 0.5, 0.25]] * 2),
+                 [EpochRecord(1, 1.0, 0.2, 0.001)], 0.2, 1.0,
+                 0.1 + 0.2, outputs)]
+    write_run(str(tmp_path), arts, start=0.5)
+    with open(tmp_path / "train_log.tsv") as fh:
+        assert fh.read() == (
+            "fold\tepoch\ttrain_loss\tval_f1\tlr\n"
+            "0\t1\t0.10000000000000001\t0.5\t1.0000000000000001e-17\n"
+            "0\t2\t0.25\t0.75\t0.0030000000000000001\n"
+            "1\t1\t1\t0.20000000000000001\t0.001\n")
+    with open(tmp_path / "runs.tsv") as fh:
+        assert fh.read() == (
+            "fold\tbest_val_f1\ttest_taskA_f1\ttest_weighted_f1\n"
+            "0\t0.75\t1.0000000000000001e-17\t\n"
+            "1\t0.20000000000000001\t1\t0.30000000000000004\n")
+    with open(tmp_path / "manifest.tsv") as fh:
+        assert fh.readline() == "file\trole\tsha256\n"
+        rows = [line.rstrip("\n").split("\t") for line in fh]
+    assert [row[:2] for row in rows] == [
+        ["fold0.ckpt", "checkpoint"], ["fold0_preds.tsv", "predictions"],
+        ["fold1.ckpt", "checkpoint"], ["fold1_outputs.ckpt", "outputs"],
+        ["fold1_preds.tsv", "predictions"], ["runs.tsv", "scores"],
+        ["train_log.tsv", "log"]]
+    for name, _, digest in rows:
+        assert file_hash(str(tmp_path / name)) == digest
+
+
 def test_load_fold_runs_reads_no_checkpoint(dataset, tmp_path, monkeypatch):
     arts = {setup: train_model_cv(make_ctx(dataset, setup=setup), "vit",
                                   os.path.join(tmp_path, setup), log=None)
@@ -505,5 +552,17 @@ def test_load_fold_runs_verifies_manifest(dataset, tmp_path):
         load_fold_runs(str(tmp_path), "vit")
     os.remove(os.path.join(model_dir, "manifest.tsv"))
     with pytest.raises(DataError, match="manifest.tsv is missing"):
+        load_fold_runs(str(tmp_path), "vit")
+
+
+def test_manifest_row_without_three_fields_names_the_line(dataset, tmp_path):
+    train_model_cv(make_ctx(dataset), "vit", str(tmp_path), log=None)
+    path = os.path.join(tmp_path, "vit", "manifest.tsv")
+    with open(path) as fh:
+        lines = fh.readlines()
+    lines[2] = lines[2].rsplit("\t", 1)[0] + "\n"  # cut the sha256 column
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    with pytest.raises(DataError, match=re.escape(f"{path}:3")):
         load_fold_runs(str(tmp_path), "vit")
 
