@@ -150,9 +150,13 @@ class RunConfig:
         if self.setup not in ("A", "B"):
             raise ValueError(f"setup must be A or B, got {self.setup!r}")
         for name in ("jobs", "batch_size", "fusion_batch_size", "d_att",
-                     "window_len", "crop", "max_vocab"):
+                     "n_layers", "window_len", "crop", "max_vocab"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
+        for name in ("base_lr", "fusion_lr"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be above 0, got "
                                  f"{getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")

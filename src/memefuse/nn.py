@@ -159,6 +159,9 @@ def _gcan_layer(x, wq, wk, wv, wo, bo, ln_g, ln_b, seq_len, cfg, adj,
     return out, backward
 
 
+_HEAD_PARAMS = ("w1", "b1", "w2", "b2")  # `_head`'s parameters, in order
+
+
 def _head(f, w1, b1, w2, b2, drop_rate, rng, name):
     """Half-width hidden layer, ReLU, dropout, then a sigmoid output layer."""
     assert_finite(f"{name} input", f)
@@ -231,8 +234,7 @@ def classifier_head(f: Tensor, params: dict[str, Tensor], prefix: str,
                     drop_rate: float = 0.5,
                     rng: np.random.Generator | None = None) -> Tensor:
     """`_head` as one tape node; dropout only when `rng` is given."""
-    names = ("w1", "b1", "w2", "b2")
-    return _node(_head, f, [params[f"{prefix}.{n}"] for n in names],
+    return _node(_head, f, [params[f"{prefix}.{n}"] for n in _HEAD_PARAMS],
                  drop_rate, rng, prefix)
 
 

@@ -18,8 +18,9 @@ blocks are extracted in one batch; validation and test documents get
 their blocks synthesized against the training statistics. After
 training, a uni-modal fold saves its eval-mode outputs over the train,
 val and test splits. A fusion fold's inputs are those saved outputs of
-its members, (p_1, f_1, ..., p_m, f_m): fusion trains only its heads and
-runs no member model. `rundir` writes and reads run directories.
+its members, (p_1, f_1, ..., p_m, f_m): fusion trains only its two
+heads, one tape node over those constant outputs, and runs no member
+model. `rundir` writes and reads run directories.
 """
 
 from __future__ import annotations
@@ -325,13 +326,13 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
     before any worker forks. With jobs > 1 the folds train in up to
     `jobs` worker processes, which are joined before this returns. The
     parent writes the run directory (`rundir.write_run`), so each file
-    in the manifest is byte-identical to a jobs=1 run.
+    in the manifest is byte-identical to a jobs=1 run. A model directory
+    made here is removed again if training fails before writing to it.
     """
     cfg = ctx.cfg
     model_dir = os.path.join(out_root, model_name)
+    made = not os.path.isdir(model_dir)
     os.makedirs(model_dir, exist_ok=True)
-    ctx.prepare(model_name)  # here, so forked workers inherit it
-    start = time.perf_counter()
 
     def logged(art: FoldArtifacts) -> FoldArtifacts:
         if log is not None:
@@ -340,18 +341,24 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
                 f"{art.test_taskA_f1:.4f}")
         return art
 
-    if jobs > 1:
-        # fork: workers inherit the context instead of unpickling a copy
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, cfg.folds),
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_fold_worker,
-                initargs=(ctx, model_name, out_root)) as pool:
-            artifacts = [logged(art) for art in
-                         pool.map(_train_worker_fold, range(cfg.folds))]
-    else:
-        artifacts = [logged(train_fold(ctx, model_name, fold, out_root))
-                     for fold in range(cfg.folds)]
-
-    write_run(model_dir, artifacts, start)
+    try:
+        ctx.prepare(model_name)  # here, so forked workers inherit it
+        start = time.perf_counter()
+        if jobs > 1:
+            # fork: workers inherit the context instead of unpickling a copy
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, cfg.folds),
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_init_fold_worker,
+                    initargs=(ctx, model_name, out_root)) as pool:
+                artifacts = [logged(art) for art in
+                             pool.map(_train_worker_fold, range(cfg.folds))]
+        else:
+            artifacts = [logged(train_fold(ctx, model_name, fold, out_root))
+                         for fold in range(cfg.folds)]
+        write_run(model_dir, artifacts, start)
+    except BaseException:
+        if made and not os.listdir(model_dir):
+            os.rmdir(model_dir)
+        raise
     return artifacts

@@ -46,12 +46,6 @@ class CorpusGraph:
     def n_nodes(self) -> int:
         return self.n_D + self.n_W
 
-    def word_node(self, token_id: int) -> int | None:
-        if token_id < _FIRST_WORD_ID:
-            return None
-        node = self.n_D + token_id - _FIRST_WORD_ID
-        return node if node < self.n_nodes else None
-
 
 def count_windows(corpus: list[list[int]], window_len: int) -> WindowStats:
     """Sliding-window co-occurrence counts with step size 1.

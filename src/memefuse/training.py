@@ -17,7 +17,6 @@ from .autodiff import Tensor, fused, zero_grads
 from .ensemble import task_scores
 from .nn import NumericError
 
-SUB_CLASSES = ("shm", "ste", "obj", "vio")
 PROB_EPS = 1e-12
 
 

@@ -4,11 +4,11 @@ Everything here is written against the stated formulas only (no imports
 from memefuse internals beyond plain data), so that agreement with the
 package is a genuine cross-check rather than a tautology. Two
 exceptions keep earlier package code as references: the `unfused_*`
-layers, image embedding, head and loss compose the autodiff tape node by node as the
-package did before each became one node, and
-`member_outputs_by_inference` keeps the path fusion training used before
-members saved their outputs, which the saved outputs must reproduce bit
-for bit.
+layers, image embedding, head, loss and fusion network compose the
+autodiff tape node by node as the package did before each became one
+node, and `member_outputs_by_inference` keeps the path fusion training
+used before members saved their outputs, which the saved outputs must
+reproduce bit for bit.
 """
 
 import math
@@ -445,3 +445,26 @@ def unfused_setup_b_loss(p, y_mis, y_sub, w, mix, eps=1e-12):
     diff = p.max(axis=-1) - Tensor(np.asarray(y_mis, dtype=np.float64))
     l2 = (diff * diff).mean()
     return l1 * mix[0] + l2 * mix[1]
+
+
+def unfused_fusion(outputs, params, drop_rate, rng):
+    """The fusion network as tape algebra: the joint concat, the `wp` head
+    normalized by its row sums, the stream-weighted member probabilities,
+    the `rf` head and the branch average; 20 nodes for two members."""
+    from memefuse.autodiff import concat
+    from memefuse.nn import classifier_head
+    if len(outputs) < 2:
+        raise ValueError("fusion needs at least two member models")
+    joint = concat([t for out in outputs for t in (out.p, out.f)], axis=-1)
+    s = classifier_head(joint, params, "wp", drop_rate, rng)
+    weights = s / s.sum(axis=-1, keepdims=True)
+    p_list = [out.p for out in outputs]
+    if any(p.shape[-1] != p_list[0].shape[-1] for p in p_list):
+        raise ValueError("member probability vectors differ in length")
+    p_sw = p_list[0] * weights[:, 0:1]
+    for i in range(1, len(p_list)):
+        p_sw = p_sw + p_list[i] * weights[:, i:i + 1]
+    p_rf = classifier_head(joint, params, "rf", drop_rate, rng)
+    if p_sw.shape != p_rf.shape:
+        raise ValueError("branch probability shapes differ")
+    return (p_sw + p_rf) * 0.5

@@ -156,7 +156,8 @@ def test_config_validation():
     ("window_len", 0), ("warmup_epochs", 0), ("warmup_epochs", -1),
     ("warmup_epochs", 50), ("warmup_epochs", 60), ("dropout", 1.0),
     ("dropout", -0.5), ("crop", 0), ("seed", -1), ("max_vocab", -1),
-    ("max_vocab", 0)])
+    ("max_vocab", 0), ("n_layers", 0), ("n_layers", -1), ("base_lr", 0.0),
+    ("base_lr", -1.0), ("fusion_lr", 0.0), ("fusion_lr", -1e-3)])
 def test_config_validation_numeric_fields(field, value):
     # defaults: resize 36, crop 32, patch 8, d_att 32, n_heads 4, epochs 50
     RunConfig().validate()
@@ -482,6 +483,26 @@ def flip_byte(path, offset):
         byte = fh.read(1)[0]
         fh.seek(offset, os.SEEK_END)
         fh.write(bytes([byte ^ 1]))
+
+
+def test_cli_refused_train_leaves_no_model_directory(tiny_run, member_runs,
+                                                     tmp_path, capsys):
+    # bertc is missing: the fusion run is refused and removes the model
+    # directory it made, so evaluate still reads the run tree
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    for jobs in ("1", "2"):
+        assert main(["train", "--config", tiny_run["cfg"], "--data",
+                     tiny_run["data"], "--model", "bertc-vit", "--jobs", jobs,
+                     "--out", runs]) == 2, jobs
+        assert "member model 'bertc'" in capsys.readouterr().err
+        assert sorted(os.listdir(runs)) == ["gcan", "vit"], jobs
+    assert main(["evaluate", "--runs", runs, "--test", tiny_run["data"]]) == 0
+    # a model directory that was there before stays
+    os.mkdir(os.path.join(runs, "bertc-vit"))
+    assert main(["train", "--config", tiny_run["cfg"], "--data",
+                 tiny_run["data"], "--model", "bertc-vit", "--out", runs]) == 2
+    assert os.path.isdir(os.path.join(runs, "bertc-vit"))
 
 
 def test_cli_evaluate_refuses_tampered_predictions(tiny_run, member_runs,

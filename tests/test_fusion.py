@@ -1,16 +1,21 @@
-"""Fusion network: stream weighting, representation fusion, frozen members."""
+"""Fusion network: stream weighting, representation fusion, frozen members.
+
+The network is one tape node; its branches are observed through
+`FusionModel.forward` with zeroed heads, one-hot member probabilities
+and an eval-mode head computed by hand from the stated formula.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tape_nodes
 from memefuse.autodiff import Tensor, parameter
-from memefuse.fusion import (FusionModel, fuse, fusion_input,
-                             representation_fusion, stream_weighting,
-                             weight_predictor)
-from memefuse.nn import ModelOutput, NumericError, _init_head
-from oracles import numeric_gradient, rel_error
+from memefuse.fusion import FusionModel, _fusion
+from memefuse.nn import _HEAD_PARAMS, ModelOutput, NumericError
+from memefuse.training import TrainConfig, class_weights, setup_loss
+from oracles import numeric_gradient, rel_error, unfused_fusion
 
 
 def make_outputs(rng, m=2, n=4, d=6, batch=3):
@@ -22,27 +27,56 @@ def make_outputs(rng, m=2, n=4, d=6, batch=3):
     return outs
 
 
+def zeroed(model, *heads):
+    """`model` with every parameter of the named heads set to zero, so a
+    zeroed head outputs 1/2 everywhere."""
+    for name, p in model.params.items():
+        if name.split(".")[0] in heads:
+            p.data[:] = 0.0
+    return model
+
+
+def head_by_hand(model, prefix, joint):
+    """Eval-mode head: sigmoid(relu(joint W1^T + b1) W2^T + b2)."""
+    w1, b1, w2, b2 = (model.params[f"{prefix}.{n}"].data
+                      for n in _HEAD_PARAMS)
+    hidden = np.maximum(joint @ w1.T + b1, 0.0)
+    return 1.0 / (1.0 + np.exp(-(hidden @ w2.T + b2)))
+
+
+def branches_by_hand(model, outs):
+    """Stream-weighted member probabilities and the `rf` output."""
+    joint = np.concatenate([a for o in outs for a in (o.p.data, o.f.data)],
+                           axis=1)
+    s = head_by_hand(model, "wp", joint)
+    w = s / s.sum(axis=1, keepdims=True)
+    p_sw = sum(w[:, i:i + 1] * o.p.data for i, o in enumerate(outs))
+    return p_sw, head_by_hand(model, "rf", joint)
+
+
 def test_fusion_input_layout(rng):
     outs = make_outputs(rng, m=2, n=4, d=6)
-    joint = fusion_input(outs).data
+    model = FusionModel([(4, 6), (4, 6)], 4, dropout=0.0, seed=0)
+    joint = model.forward(outs).f.data
     assert joint.shape == (3, 20)
     assert np.array_equal(joint[:, :4], outs[0].p.data)
     assert np.array_equal(joint[:, 4:10], outs[0].f.data)
     assert np.array_equal(joint[:, 10:14], outs[1].p.data)
+    assert np.array_equal(joint[:, 14:], outs[1].f.data)
 
 
-def test_fusion_input_needs_two_members(rng):
-    with pytest.raises(ValueError):
-        fusion_input(make_outputs(rng, m=1))
+def test_fusion_input_needs_two_members():
+    with pytest.raises(ValueError, match="at least two member"):
+        FusionModel([(4, 6)], 4)
 
 
-def test_weight_predictor_zero_params_uniform():
-    params = {}
-    _init_head(params, "wp", 8, 3, np.random.default_rng(0))
-    for p in params.values():
-        p.data[:] = 0.0
-    w = weight_predictor(Tensor(np.ones((2, 8))), params, 0.0, None).data
-    assert np.allclose(w, 1.0 / 3.0)
+def test_weight_predictor_zero_params_uniform(rng):
+    # zeroed wp: every stream weight is 1/3; zeroed rf: its output is 1/2
+    model = zeroed(FusionModel([(4, 6)] * 3, 4, dropout=0.0), "wp", "rf")
+    outs = make_outputs(rng, m=3)
+    mean = sum(o.p.data for o in outs) / 3
+    assert np.allclose(model.forward(outs).p.data, 0.5 * (mean + 0.5),
+                       atol=1e-15)
 
 
 def test_weight_normalization_arithmetic():
@@ -52,76 +86,132 @@ def test_weight_normalization_arithmetic():
 
 
 def test_weight_predictor_simplex(rng):
-    params = {}
-    _init_head(params, "wp", 10, 3, np.random.default_rng(1))
+    # member i's probabilities are the one-hot row e_i, so with a zeroed
+    # rf head p = (w + 1/2) / 2 and the stream weights read w = 2p - 1/2
+    model = zeroed(FusionModel([(3, 4)] * 3, 3, dropout=0.0, seed=1), "rf")
     for _ in range(20):
-        joint = Tensor(rng.standard_normal((4, 10)))
-        w = weight_predictor(joint, params, 0.0, None).data
+        outs = [ModelOutput(p=Tensor(np.tile(np.eye(3)[i], (4, 1))),
+                            f=Tensor(rng.standard_normal((4, 4))))
+                for i in range(3)]
+        w = 2.0 * model.forward(outs).p.data - 0.5
         assert np.all(w >= 0)
         assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.ptp(w) > 0.0  # the weights depend on the input
 
 
 def test_stream_weighting_cases():
-    p = [Tensor(np.array([[0.2]])), Tensor(np.array([[0.6]]))]
-    mid = stream_weighting(p, Tensor(np.array([[0.5, 0.5]]))).data
-    assert np.allclose(mid, 0.4)
-    vertex = stream_weighting(p, Tensor(np.array([[1.0, 0.0]]))).data
-    assert np.allclose(vertex, 0.2)
+    outs = [ModelOutput(p=Tensor(np.array([[p]])), f=Tensor(np.ones((1, 2))))
+            for p in (0.2, 0.6)]
+    model = zeroed(FusionModel([(1, 2)] * 2, 1, dropout=0.0), "wp", "rf")
+    mid = model.forward(outs).p.data            # weights (1/2, 1/2)
+    assert np.allclose(mid, 0.5 * (0.4 + 0.5))
+    model.params["wp.b2"].data[:] = [50.0, -50.0]
+    vertex = model.forward(outs).p.data         # weights (1, 0)
+    assert np.allclose(vertex, 0.5 * (0.2 + 0.5))
 
 
 def test_stream_weighting_three_member_dot_product(rng):
-    probs = [Tensor(rng.random((2, 4))) for _ in range(3)]
-    w = rng.random((2, 3))
-    w /= w.sum(axis=1, keepdims=True)
-    out = stream_weighting(probs, Tensor(w)).data
-    ref = sum(w[:, i:i + 1] * probs[i].data for i in range(3))
-    assert np.allclose(out, ref, atol=1e-15)
+    model = FusionModel([(4, 6)] * 3, 4, dropout=0.0, seed=3)
+    outs = make_outputs(rng, m=3)
+    p_sw, p_rf = branches_by_hand(model, outs)
+    assert np.allclose(model.forward(outs).p.data, 0.5 * (p_sw + p_rf),
+                       atol=1e-15)
 
 
-def test_stream_weighting_length_mismatch(rng):
-    probs = [Tensor(rng.random((2, 4))), Tensor(rng.random((2, 3)))]
-    with pytest.raises(ValueError):
-        stream_weighting(probs, Tensor(np.full((2, 2), 0.5)))
+def test_stream_weighting_length_mismatch():
+    # members that differ in width, or agree on another width
+    for dims in ([(4, 6), (3, 6)], [(3, 6), (3, 6)]):
+        with pytest.raises(ValueError, match="member probability widths"):
+            FusionModel(dims, 4)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=50, deadline=None)
 def test_stream_weighting_convex_hull(seed):
+    # p lies in the convex hull of the member probabilities and the rf
+    # output, element by element
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 4))
-    probs = [Tensor(rng.random((3, 4))) for _ in range(m)]
-    w = rng.random((3, m))
-    w /= w.sum(axis=1, keepdims=True)
-    out = stream_weighting(probs, Tensor(w)).data
-    stackp = np.stack([p.data for p in probs])
-    assert np.all(out >= stackp.min(axis=0) - 1e-12)
-    assert np.all(out <= stackp.max(axis=0) + 1e-12)
+    model = FusionModel([(4, 5)] * m, 4, dropout=0.0, seed=seed)
+    outs = make_outputs(rng, m=m, n=4, d=5)
+    out = model.forward(outs).p.data
+    _, p_rf = branches_by_hand(model, outs)
+    corners = np.stack([o.p.data for o in outs] + [p_rf])
+    assert np.all(out >= corners.min(axis=0) - 1e-12)
+    assert np.all(out <= corners.max(axis=0) + 1e-12)
 
 
-def test_fuse_cases():
-    assert np.allclose(fuse(Tensor(np.array([0.3])),
-                            Tensor(np.array([0.3]))).data, 0.3)
-    assert np.allclose(fuse(Tensor(np.array([0.2])),
-                            Tensor(np.array([0.6]))).data, 0.4)
-    with pytest.raises(ValueError):
-        fuse(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
+def test_fuse_cases(rng):
+    # the fused output is the average of the two branches: members all at
+    # 1/2 and a zeroed rf head agree on 1/2; members all at 0.3 weigh to
+    # 0.3 whatever the weights, halfway to the rf head's 1/2 is 0.4
+    model = zeroed(FusionModel([(4, 6)] * 2, 4, dropout=0.0), "rf")
+    for value, fused in ((0.5, 0.5), (0.3, 0.4)):
+        outs = [ModelOutput(p=Tensor(np.full((3, 4), value)),
+                            f=Tensor(rng.standard_normal((3, 6))))
+                for _ in range(2)]
+        assert np.allclose(model.forward(outs).p.data, fused, atol=1e-15)
 
 
 def test_fuse_bounded_by_inputs(rng):
-    a, b = Tensor(rng.random((5, 4))), Tensor(rng.random((5, 4)))
-    out = fuse(a, b).data
-    assert np.all(out >= np.minimum(a.data, b.data) - 1e-15)
-    assert np.all(out <= np.maximum(a.data, b.data) + 1e-15)
+    model = FusionModel([(4, 6)] * 2, 4, dropout=0.0, seed=4)
+    outs = make_outputs(rng, m=2, batch=5)
+    out = model.forward(outs).p.data
+    p_sw, p_rf = branches_by_hand(model, outs)
+    assert np.all(out >= np.minimum(p_sw, p_rf) - 1e-15)
+    assert np.all(out <= np.maximum(p_sw, p_rf) + 1e-15)
 
 
 def test_representation_fusion_zero_params(rng):
-    params = {}
-    _init_head(params, "rf", 8, 4, np.random.default_rng(0))
-    for p in params.values():
-        p.data[:] = 0.0
-    out = representation_fusion(Tensor(rng.standard_normal((2, 8))),
-                                params, 0.0, None).data
-    assert np.allclose(out, 0.5)
+    # members share one probability matrix, so the stream branch returns
+    # it whatever the weights, and the zeroed rf branch adds 1/2
+    model = zeroed(FusionModel([(4, 6)] * 2, 4, dropout=0.0, seed=5), "rf")
+    probs = rng.random((2, 4))
+    outs = [ModelOutput(p=Tensor(probs), f=Tensor(rng.standard_normal((2, 6))))
+            for _ in range(2)]
+    assert np.allclose(model.forward(outs).p.data, 0.5 * (probs + 0.5),
+                       atol=1e-15)
+
+
+@pytest.mark.parametrize("drop_rate", [0.0, 0.1])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [1, 4], ids=["setupA", "setupB"])
+def test_fusion_kernel_matches_unfused_composition(n, m, drop_rate):
+    # bitwise: the probabilities, every head gradient and the RNG state
+    for seed in range(4):
+        gen = np.random.default_rng(seed)
+        model = FusionModel([(n, 6)] * m, n, drop_rate, seed=seed)
+        outs = make_outputs(gen, m=m, n=n, d=6, batch=5)
+        g = gen.standard_normal((5, n))
+        rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+        joint = np.concatenate([a for o in outs for a in (o.p.data, o.f.data)],
+                               axis=1)
+        wp, rf = ([model.params[f"{head}.{k}"].data for k in _HEAD_PARAMS]
+                  for head in ("wp", "rf"))
+        p, backward = _fusion(joint, [o.p.data for o in outs], wp, rf,
+                              drop_rate, rngs[0])
+        grads = backward(g)
+        ref = unfused_fusion(outs, model.params, drop_rate, rngs[1])
+        (ref * Tensor(g)).sum().backward()
+        assert p.tobytes() == ref.data.tobytes()
+        assert len(grads) == len(model.params)
+        for grad, (name, param) in zip(grads, model.params.items()):
+            assert grad.tobytes() == param.grad.tobytes(), name
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_fusion_train_step_tape_stays_fused(m, rng):
+    # 8 head parameter leaves, the fusion node and the setup-B loss; the
+    # members' saved outputs never go on the tape
+    model = FusionModel([(4, 6)] * m, 4, dropout=0.1, seed=0)
+    out = model.forward(make_outputs(rng, m=m, batch=2),
+                        rng=np.random.default_rng(0))
+    y_sub = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+    loss = setup_loss(out.p, y_sub.max(axis=1), y_sub,
+                      TrainConfig(epochs=5, warmup_epochs=1),
+                      class_weights([1, 1, 1, 1], 2))
+    assert tape_nodes(loss) <= 10
 
 
 def test_fusion_model_gradients(rng):

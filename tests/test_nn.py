@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import tape_nodes
 from memefuse.autodiff import Tensor, parameter
 from memefuse.nn import (AttentionConfig, GcanEncoder, ImageEncoder,
                          NumericError, TextEncoder, classifier_head,
@@ -367,17 +368,6 @@ def test_sinusoidal_positions_shape_and_range():
     assert np.all(np.abs(enc) <= 1.0)
     assert np.allclose(enc[0, 0::2], 0.0)
     assert np.allclose(enc[0, 1::2], 1.0)
-
-
-def tape_nodes(loss):
-    """Distinct tensors reachable from `loss` through the tape."""
-    seen, stack = set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node._parents)
-    return len(seen)
 
 
 Y_SUB = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])

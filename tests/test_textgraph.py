@@ -302,11 +302,11 @@ def test_extract_unseen_document():
            for t in set(doc_ids) if t >= 3}
     pseudo = 1.0 + sum(row.values())
     assert abs(m[0, 0] - 1.0 / pseudo) < 1e-15
-    node_a = graph.word_node(vocab.lookup("a"))
+    node_a = graph.n_D + vocab.lookup("a") - 3
     expected = row[vocab.lookup("a")] / math.sqrt(pseudo * graph.degree[node_a])
     assert abs(m[0, 1] - expected) < 1e-15
     # word-word entries reuse the training graph
-    node_c = graph.word_node(vocab.lookup("c"))
+    node_c = graph.n_D + vocab.lookup("c") - 3
     assert m[1, 2] == graph.normalized[node_a, node_c]
 
 
