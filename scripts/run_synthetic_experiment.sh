@@ -45,10 +45,14 @@ EOF
 
 memefuse gen-synth --spec "$ROOT/synth.spec" --out "$ROOT/data"
 
+# vit trains its folds in two forked workers that read the parent's
+# image pool in place
 for model in gcan vit gcan-vit; do
     echo "=== training $model ==="
+    jobs=1
+    if [ "$model" = vit ]; then jobs=2; fi
     memefuse train --config "$ROOT/run.cfg" --data "$ROOT/data" \
-        --model "$model" --out "$ROOT/runs"
+        --model "$model" --jobs "$jobs" --out "$ROOT/runs"
 done
 
 echo "=== per-fold and soft-vote scores ==="

@@ -111,6 +111,9 @@ def _model_dir_runs(model_dir: str):
 
 
 def cmd_ensemble(args) -> int:
+    if os.path.isdir(args.out):
+        raise DataError(f"--out {args.out} is a directory; ensemble writes "
+                        f"a predictions file")
     if args.mode == "soft" and len(args.runs) != 1:
         raise DataError("soft voting takes exactly one model directory")
     model_runs = [_model_dir_runs(d) for d in args.runs]
@@ -193,7 +196,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (DataError, DependencyError, ValueError, FileNotFoundError) as exc:
+    except (DataError, DependencyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

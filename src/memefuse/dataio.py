@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,6 +21,17 @@ MODEL_MEMBERS: dict[str, list[str] | None] = {
     "bertc-gcan": ["bertc", "gcan"],
     "bertc-gcan-vit": ["bertc", "gcan", "vit"],
 }
+
+
+@contextmanager
+def open_text(path: str):
+    """`path` opened to read UTF-8 text; bytes that do not decode are a
+    DataError naming `path`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def write_ppm(path: str, image: np.ndarray) -> None:
@@ -84,7 +96,7 @@ def ingest(dataset_path: str, image_dir: str | None = None) -> list[RawSample]:
         image_dir = os.path.join(os.path.dirname(dataset_path), "images")
     samples = []
     seen = set()
-    with open(dataset_path, encoding="utf-8") as fh:
+    with open_text(dataset_path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != TSV_HEADER:
             raise DataError(f"{dataset_path}:1: bad or missing header {header}")
@@ -215,5 +227,5 @@ def parse_config(text: str, cls=RunConfig, source: str = "config"):
 
 
 def load_config(path: str, cls=RunConfig):
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_config(fh.read(), cls, source=path)

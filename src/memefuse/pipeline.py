@@ -8,23 +8,26 @@ images for `vit`, neither for a fusion model. The context computes a
 modality when it is first read and keeps it; it reads its own model's
 modality when it is built, and `train_model_cv` reads the trained
 model's before any fold worker forks, so no worker redoes it.
-Every model trains on a FoldData of the same shape, each split's ids,
-labels and model inputs, and one train and eval loop serves them all.
-`train_fold` builds a uni-modal fold with only what its model reads, and
-drops it once trained: token ids for `bertc`, those and their adjacency
-blocks for `gcan`, image rows for `vit`. A `gcan` fold's corpus graph
-comes from its training documents only, and each split's adjacency
-blocks are extracted in one batch; validation and test documents get
-their blocks synthesized against the training statistics. After
-training, a uni-modal fold saves its eval-mode outputs over the train,
-val and test splits. A fusion fold's inputs are those saved outputs of
-its members, (p_1, f_1, ..., p_m, f_m): fusion trains only its two
-heads, one tape node over those constant outputs, and runs no member
-model. `rundir` writes and reads run directories.
+A fold partitions the pool's rows into its train, val and test splits.
+Its FoldData holds the model inputs of every pool row, and each split
+its ids, labels and rows, through which one train and eval loop gathers
+the batches of every model. `train_fold` builds a uni-modal fold with
+only what its model reads, and drops it once trained: the context's own
+images for `vit`, token ids under the fold's vocabulary for `bertc`,
+those and their adjacency blocks for `gcan`. A `gcan` fold's corpus
+graph comes from its training rows only, whose blocks are extracted in
+one batch; the other rows' blocks are synthesized in another, against
+the training statistics. After training, a uni-modal fold saves its
+eval-mode outputs over its splits. A fusion fold's inputs are those
+saved outputs of its members, (p_1, f_1, ..., p_m, f_m), in pool order:
+fusion trains only its two heads, one tape node over those constant
+outputs, and runs no member model. `rundir` writes and reads run
+directories.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import time
@@ -62,7 +65,7 @@ class Split:
     ids: list[str]
     y_mis: np.ndarray
     y_sub: np.ndarray
-    inputs: tuple[np.ndarray, ...]  # the model's forward arguments, by row
+    rows: np.ndarray    # the split's rows of the pool and of FoldData.inputs
 
 
 @dataclass
@@ -70,6 +73,7 @@ class FoldData:
     train: Split
     val: Split
     test: Split
+    inputs: tuple[np.ndarray, ...]  # forward arguments, by pool row
     vocab_size: int | None      # None unless the model reads tokens
 
     def splits(self) -> dict[str, Split]:
@@ -110,7 +114,11 @@ class CvContext:
     @cached_property
     def images(self) -> np.ndarray:
         cfg = self.cfg
-        images = np.empty((len(self._samples), 3, cfg.crop, cfg.crop))
+        shape = (len(self._samples), 3, cfg.crop, cfg.crop)
+        # a mapping of its own, unmapped when freed: the heap of a process
+        # that builds one context after another would keep it resident
+        buf = mmap.mmap(-1, 8 * int(np.prod(shape)), flags=mmap.MAP_PRIVATE)
+        images = np.frombuffer(buf).reshape(shape)
         for row, s in enumerate(self._samples):
             images[row] = normalize_image(s.image, cfg.resize, cfg.crop)
         return images
@@ -124,53 +132,49 @@ class CvContext:
 
     def split_indices(self, fold: int) -> dict[str, np.ndarray]:
         """Pool rows of a fold's train, val and test splits."""
-        n_train = len(self.train_samples)
-        mask = np.ones(n_train, dtype=bool)
-        mask[self.folds[fold]] = False
-        return {"train": np.flatnonzero(mask), "val": self.folds[fold],
+        n_train, val = len(self.train_samples), self.folds[fold]
+        return {"train": np.setdiff1d(np.arange(n_train), val), "val": val,
                 "test": np.arange(n_train, len(self.ids))}
 
-    def fold_data(self, fold: int, inputs: dict[str, tuple[np.ndarray, ...]],
+    def fold_data(self, fold: int, inputs: tuple[np.ndarray, ...],
                   vocab_size: int | None = None) -> FoldData:
-        """A fold's splits: the ids and labels of their rows, with
-        `inputs[split]` as the split's model inputs."""
+        """A fold's splits, the ids, labels and pool rows of each, over
+        `inputs`, the model inputs of every pool row."""
         return FoldData(**{
             split: Split([self.ids[i] for i in idx], self.y_mis[idx],
-                         self.y_sub[idx], inputs[split])
+                         self.y_sub[idx], idx)
             for split, idx in self.split_indices(fold).items()},
-            vocab_size=vocab_size)
+            inputs=inputs, vocab_size=vocab_size)
 
     def _build_fold(self, fold: int, model_name: str) -> FoldData:
-        """A fold's splits with the inputs of `model_name`'s encoder only:
-        token ids for bertc, token ids and adjacency blocks for gcan,
-        images for vit."""
+        """A fold over the inputs of `model_name`'s encoder only, for every
+        pool row: the images themselves for vit; token ids under the
+        fold's vocabulary for bertc, and their adjacency blocks for gcan."""
         cfg = self.cfg
-        indices = self.split_indices(fold)
         if model_name == "vit":
-            return self.fold_data(fold, {split: (self.images[idx],)
-                                         for split, idx in indices.items()})
-        vocab = build_vocabulary([self.tokens[i] for i in indices["train"]],
+            return self.fold_data(fold, (self.images,))
+        train = self.split_indices(fold)["train"]  # sorted: the graph's order
+        vocab = build_vocabulary([self.tokens[i] for i in train],
                                  cfg.min_freq, cfg.max_vocab)
-        inputs, lengths, id_docs = {}, {}, {}
-        for split, idx in indices.items():
-            encoded = [encode_document(self.tokens[i], vocab, cfg.seq_len)
-                       for i in idx]
-            inputs[split] = (np.stack([seq.ids for seq in encoded]),)
-            if model_name == "gcan":
-                lengths[split] = np.array([seq.true_length
-                                           for seq in encoded])
-                id_docs[split] = [[vocab.lookup(t) for t in self.tokens[i]]
-                                  for i in idx]
-        if model_name == "gcan":
-            stats = count_windows(id_docs["train"], cfg.window_len)
-            graph = build_adjacency(id_docs["train"], stats, vocab)
-            inputs["train"] += (extract_document_adjacency(
-                graph, inputs["train"][0], lengths["train"]),)
-            for split in ("val", "test"):
-                inputs[split] += (extract_unseen_adjacency(
-                    graph, inputs[split][0], lengths[split],
-                    id_docs[split]),)
-        return self.fold_data(fold, inputs, len(vocab.id_to_token))
+        encoded = [encode_document(doc, vocab, cfg.seq_len)
+                   for doc in self.tokens]
+        seqs = np.stack([seq.ids for seq in encoded])
+        if model_name == "bertc":
+            return self.fold_data(fold, (seqs,), len(vocab.id_to_token))
+        lengths = np.array([seq.true_length for seq in encoded])
+        del encoded  # not held through the graph build's memory peak
+        id_docs = [[vocab.lookup(t) for t in doc] for doc in self.tokens]
+        unseen = np.setdiff1d(np.arange(len(seqs)), train)  # val, test
+        train_docs = [id_docs[i] for i in train]
+        graph = build_adjacency(
+            train_docs, count_windows(train_docs, cfg.window_len), vocab)
+        block = extract_document_adjacency(graph, seqs[train], lengths[train])
+        # allocated after that extraction, the memory peak of a fold build
+        adj = np.empty((len(seqs),) + block.shape[1:])
+        adj[train] = block
+        adj[unseen] = extract_unseen_adjacency(
+            graph, seqs[unseen], lengths[unseen], [id_docs[i] for i in unseen])
+        return self.fold_data(fold, (seqs, adj), len(vocab.id_to_token))
 
 
 def make_unimodal(kind: str, cfg: RunConfig, vocab_size: int, n_classes: int,
@@ -197,17 +201,19 @@ class UnimodalTrainable:
     def _forward(self, inputs: list[np.ndarray], rng) -> ModelOutput:
         return self.model.forward(*inputs, rng=rng)
 
+    def _forward_rows(self, rows: np.ndarray, rng) -> ModelOutput:
+        return self._forward([a[rows] for a in self.data.inputs], rng)
+
     def forward_batch(self, idx, rng) -> ModelOutput:
-        return self._forward([a[idx] for a in self.data.train.inputs], rng)
+        return self._forward_rows(self.data.train.rows[idx], rng)
 
     def eval_split(self, split: Split) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode probabilities and features, EVAL_BATCH rows at a time."""
         probs, feats = [], []
-        n = len(split.ids)
         with frozen(self.params):
-            for start in range(0, n, EVAL_BATCH):
-                idx = np.arange(start, min(start + EVAL_BATCH, n))
-                out = self._forward([a[idx] for a in split.inputs], None)
+            for start in range(0, len(split.rows), EVAL_BATCH):
+                out = self._forward_rows(split.rows[start:start + EVAL_BATCH],
+                                         None)
                 probs.append(out.p.data)
                 feats.append(out.f.data)
         return np.concatenate(probs), np.concatenate(feats)
@@ -217,8 +223,8 @@ class UnimodalTrainable:
 
 
 class FusionTrainable(UnimodalTrainable):
-    """Trains the fusion heads; a split's inputs are the members' saved
-    outputs (p_1, f_1, ..., p_m, f_m)."""
+    """Trains the fusion heads; the inputs are the members' saved outputs
+    (p_1, f_1, ..., p_m, f_m) by pool row."""
 
     def _forward(self, inputs: list[np.ndarray], rng) -> ModelOutput:
         return self.model.forward(
@@ -276,10 +282,13 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
                                              model_name, fold, tconf.n_outputs)
             meta[f"member_hash:{member}"] = digest
             saved.append(outputs)
-        data = ctx.fold_data(fold, {
-            split: tuple(a for out in saved
-                         for a in (out[split].p, out[split].f))
-            for split in SPLITS})
+        # each part's split rows in split order, put back in pool order
+        pool_order = np.argsort(np.concatenate(
+            list(ctx.split_indices(fold).values())))
+        data = ctx.fold_data(fold, tuple(
+            np.concatenate([getattr(out[split], part)
+                            for split in SPLITS])[pool_order]
+            for out in saved for part in ("p", "f")))
         model = FusionModel([(out["train"].p.shape[1], out["train"].f.shape[1])
                              for out in saved],
                             tconf.n_outputs, cfg.dropout, seed=tconf.seed)

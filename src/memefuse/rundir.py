@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import checkpoint as ckpt
+from .dataio import open_text
 from .ensemble import FoldRun, derive_taskA_labels, derive_taskA_probs
 from .preprocess import DataError
 
@@ -65,7 +66,7 @@ def _write_tsv(path: str, header, rows) -> None:
 def _read_tsv(path: str) -> tuple[list[str], list[list[str]]]:
     """The header and the rows' fields; a row with another field count
     than the header is a DataError naming `path:line`."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         rows = [line.rstrip("\n").split("\t") for line in fh]
     for lineno, row in enumerate(rows, start=2):

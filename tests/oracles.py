@@ -2,13 +2,15 @@
 
 Everything here is written against the stated formulas only (no imports
 from memefuse internals beyond plain data), so that agreement with the
-package is a genuine cross-check rather than a tautology. Two
+package is a genuine cross-check rather than a tautology. Three
 exceptions keep earlier package code as references: the `unfused_*`
 layers, image embedding, head, loss and fusion network compose the
 autodiff tape node by node as the package did before each became one
-node, and `member_outputs_by_inference` keeps the path fusion training
+node, `member_outputs_by_inference` keeps the path fusion training
 used before members saved their outputs, which the saved outputs must
-reproduce bit for bit.
+reproduce bit for bit, and `per_split_inputs` builds a fold's model
+inputs split by split, as folds did before they became partitions of
+the pool's rows.
 """
 
 import math
@@ -310,6 +312,52 @@ def member_outputs_by_inference(ctx, member, fold, checkpoint_path):
     trainable = UnimodalTrainable(model, data)
     return {split: trainable.eval_split(getattr(data, split))
             for split in ("train", "val", "test")}
+
+
+def per_split_inputs(ctx, fold, model_name, out_root=None):
+    """Each split's model inputs of a fold, split by split: image rows for
+    vit; token ids under the fold's vocabulary for bertc, and for gcan
+    their adjacency blocks, the validation and test blocks extracted
+    apart; a fusion model's members' saved outputs, read from
+    `out_root`."""
+    import os
+
+    from memefuse.dataio import MODEL_MEMBERS
+    from memefuse.preprocess import build_vocabulary, encode_document
+    from memefuse.rundir import fold_file, read_outputs
+    from memefuse.textgraph import build_adjacency, count_windows, \
+        extract_document_adjacency, extract_unseen_adjacency
+    cfg = ctx.cfg
+    indices = ctx.split_indices(fold)
+    members = MODEL_MEMBERS[model_name]
+    if members is not None:
+        saved = [read_outputs(fold_file("outputs", fold,
+                                        os.path.join(out_root, member)))
+                 for member in members]
+        return {split: tuple(a for out in saved
+                             for a in (out[split].p, out[split].f))
+                for split in indices}
+    if model_name == "vit":
+        return {split: (ctx.images[idx],) for split, idx in indices.items()}
+    vocab = build_vocabulary([ctx.tokens[i] for i in indices["train"]],
+                             cfg.min_freq, cfg.max_vocab)
+    inputs, lengths, id_docs = {}, {}, {}
+    for split, idx in indices.items():
+        encoded = [encode_document(ctx.tokens[i], vocab, cfg.seq_len)
+                   for i in idx]
+        inputs[split] = (np.stack([seq.ids for seq in encoded]),)
+        lengths[split] = np.array([seq.true_length for seq in encoded])
+        id_docs[split] = [[vocab.lookup(t) for t in ctx.tokens[i]]
+                          for i in idx]
+    if model_name == "gcan":
+        stats = count_windows(id_docs["train"], cfg.window_len)
+        graph = build_adjacency(id_docs["train"], stats, vocab)
+        inputs["train"] += (extract_document_adjacency(
+            graph, inputs["train"][0], lengths["train"]),)
+        for split in ("val", "test"):
+            inputs[split] += (extract_unseen_adjacency(
+                graph, inputs[split][0], lengths[split], id_docs[split]),)
+    return inputs
 
 
 # ------------------------------------------------ unfused tape compositions

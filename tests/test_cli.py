@@ -731,6 +731,51 @@ def test_cli_hard_ensemble_refuses_mixed_setups(member_runs, setup_a_runs,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv, named", [
+    ("gen-synth --spec {dir} --out {out}", "{dir}"),
+    ("train --config {dir} --data {data} --model gcan --out {out}", "{dir}"),
+    ("train --config {cfg} --data {file} --model gcan --out {out}", "{file}"),
+    ("evaluate --runs {file} --test {data}", "{file}"),
+    ("significance --a {members}/gcan --b {members}/vit/runs.tsv",
+     "{members}/gcan"),
+    ("ensemble --mode soft --runs {members}/gcan --out {dir}", "{dir}"),
+    ("gen-synth --spec {binary} --out {out}", "{binary}"),
+    ("train --config {binary} --data {data} --model gcan --out {out}",
+     "{binary}"),
+    ("significance --a {binary} --b {members}/vit/runs.tsv", "{binary}"),
+    ("evaluate --runs {members} --test {binary_data}",
+     "{binary_data}/test.tsv")],
+    ids=["gen-synth-spec-dir", "train-config-dir", "train-data-file",
+         "evaluate-runs-file", "significance-a-dir", "ensemble-out-dir",
+         "gen-synth-spec-not-utf8", "train-config-not-utf8",
+         "significance-a-not-utf8", "evaluate-test-not-utf8"])
+def test_cli_refuses_path_of_the_wrong_kind(tiny_run, member_runs, tmp_path,
+                                           capsys, argv, named):
+    # a directory where a file is read or written, a file where a
+    # directory is read, or a file that is not UTF-8 text: exit 2 naming
+    # the path, before any output is written
+    paths = {name: os.path.join(tmp_path, name)
+             for name in ("dir", "file", "binary", "binary_data", "out")}
+    paths.update(data=tiny_run["data"], cfg=tiny_run["cfg"],
+                 members=member_runs)
+    for name in ("dir", "binary_data"):
+        os.mkdir(paths[name])
+    for path, content in ((paths["file"], b"x\n"),
+                          (paths["binary"], b"seed = 1\n\xff\xfe\n"),
+                          (os.path.join(paths["binary_data"], "test.tsv"),
+                           b"\xff\xfeid\n")):
+        with open(path, "wb") as fh:
+            fh.write(content)
+    capsys.readouterr()
+    assert main(argv.format(**paths).split()) == 2
+    err = capsys.readouterr().err
+    assert named.format(**paths) in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["binary", "binary_data", "dir",
+                                            "file"]
+    assert os.listdir(paths["dir"]) == []
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

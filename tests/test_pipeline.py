@@ -30,7 +30,7 @@ from memefuse.textgraph import build_adjacency, count_windows
 from memefuse.training import EpochRecord
 from memefuse.synth import SynthSpec, gen_synth
 from oracles import document_block, member_outputs_by_inference, \
-    unseen_block
+    per_split_inputs, unseen_block
 
 CFG_KW = dict(folds=3, epochs=3, warmup_epochs=1, base_lr=3e-3,
               fusion_lr=1e-2, seq_len=10, resize=12, crop=8, patch=4,
@@ -51,21 +51,26 @@ def make_ctx(dataset, **overrides):
     return CvContext(train, test, RunConfig(**{**CFG_KW, **overrides}))
 
 
+def rows_of(data, split):
+    """A split's rows of each of the fold's model inputs."""
+    return [a[split.rows] for a in data.inputs]
+
+
 def test_fold_encoding_shapes_and_leakage(dataset):
     ctx = make_ctx(dataset)
     data = ctx._build_fold(0, "gcan")
     n_val = len(ctx.folds[0])
-    seqs, adjs = data.train.inputs
+    seqs, adjs = rows_of(data, data.train)
     assert seqs.shape == (24 - n_val, 10)
     assert adjs.shape == (24 - n_val, 10, 10)
-    assert data.val.inputs[0].shape[0] == n_val
-    assert data.test.inputs[0].shape[0] == 6
+    assert rows_of(data, data.val)[0].shape[0] == n_val
+    assert rows_of(data, data.test)[0].shape[0] == 6
     # fold splits partition the training ids
     all_val = np.concatenate(ctx.folds)
     assert sorted(all_val.tolist()) == list(range(24))
     # every adjacency block is symmetric with ones on PAD diagonals
     for split in (data.train, data.val, data.test):
-        adjs = split.inputs[1]
+        adjs = rows_of(data, split)[1]
         assert np.allclose(adjs, np.swapaxes(adjs, 1, 2), atol=0)
 
 
@@ -93,7 +98,7 @@ def test_fold_blocks_equal_per_document_reference(dataset):
             else:
                 ref = unseen_block(graph, [vocab.lookup(t) for t in doc],
                                    seq.ids, seq.true_length)
-            assert split.inputs[1][k].tobytes() == ref.tobytes()
+            assert data.inputs[1][split.rows[k]].tobytes() == ref.tobytes()
 
 
 class CountingCsr(sp.csr_matrix):
@@ -139,19 +144,90 @@ def test_fold_holds_only_what_its_model_reads(dataset, monkeypatch, model):
     ctx = make_ctx(dataset)
     data = ctx._build_fold(0, model)
     encoder = make_unimodal(model, ctx.cfg, data.vocab_size, 4, seed=0)
+    n = len(ctx.ids)
+    assert [a.shape for a in data.inputs] == {
+        "bertc": [(n, 10)],
+        "gcan": [(n, 10), (n, 10, 10)],
+        "vit": [(n, 3, 8, 8)]}[model]
+    if model != "vit":
+        assert all(a.ndim < 4 for a in data.inputs)  # no image rows
     for split in data.splits().values():
-        n = len(split.ids)
-        assert [a.shape for a in split.inputs] == {
-            "bertc": [(n, 10)],
-            "gcan": [(n, 10), (n, 10, 10)],
-            "vit": [(n, 3, 8, 8)]}[model]
-        if model != "vit":
-            assert all(a.ndim < 4 for a in split.inputs)  # no image rows
-        out = encoder.forward(*(a[:2] for a in split.inputs))
+        out = encoder.forward(*(a[split.rows[:2]] for a in data.inputs))
         assert out.p.shape == (2, 4)
     train_fold(ctx, model, 0)
     with pytest.raises(DependencyError):  # no member outputs to read
         train_fold(ctx, "bertc-vit", 1, None)
+
+
+@pytest.mark.parametrize("model", ["bertc", "gcan", "vit", "gcan-vit"])
+def test_fold_rows_equal_per_split_reference(dataset, tmp_path, monkeypatch,
+                                             model):
+    # the same rows reach the encoders as when each split held its own
+    # arrays, and the splits partition the pool
+    members = MODEL_MEMBERS[model]
+    for member in members or []:
+        train_model_cv(make_ctx(dataset), member, str(tmp_path), log=None)
+    folds = []
+    fold_data = CvContext.fold_data
+
+    def recorded_fold(self, *args, **kwargs):
+        folds.append(fold_data(self, *args, **kwargs))
+        return folds[-1]
+
+    monkeypatch.setattr(CvContext, "fold_data", recorded_fold)
+    ctx = make_ctx(dataset)
+    for fold in range(3):
+        if members is None:
+            ctx._build_fold(fold, model)
+        else:
+            train_fold(ctx, model, fold, str(tmp_path))
+        data = folds[-1]
+        assert all(len(a) == len(ctx.ids) for a in data.inputs)
+        assert sorted(np.concatenate([split.rows for split in
+                                      data.splits().values()]).tolist()) == \
+            list(range(len(ctx.ids)))
+        ref = per_split_inputs(ctx, fold, model, str(tmp_path))
+        for name, split in data.splits().items():
+            assert [(a.dtype, a.shape, a.tobytes())
+                    for a in rows_of(data, split)] == \
+                [(a.dtype, a.shape, a.tobytes()) for a in ref[name]], \
+                (fold, name)
+
+
+def test_vit_fold_holds_no_copy_of_the_image_pool(dataset):
+    import tracemalloc
+    # images large enough that a copy of them would dwarf the fold's ids
+    ctx = make_ctx(dataset, model="vit", resize=32, crop=32)
+    tracemalloc.start()
+    try:
+        data = ctx._build_fold(0, "vit")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(data.inputs[0], ctx.images)
+    assert peak < ctx.images.nbytes / 10
+
+
+def resident_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmRSS:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the resident set size from /proc")
+def test_image_pool_is_returned_when_its_context_is_freed(dataset):
+    # the pool is a mapping of its own: once a block of its size has been
+    # freed, the allocator would keep the next one on a heap that stays
+    # resident in a process that builds contexts in turn
+    for _ in range(2):
+        ctx = make_ctx(dataset, model="vit", resize=128, crop=128)
+        nbytes = ctx.images.nbytes
+        gc.collect()
+        before = resident_kib()
+        del ctx
+        gc.collect()
+        assert (before - resident_kib()) * 1024 >= 0.9 * nbytes
 
 
 @pytest.mark.parametrize("model", ["gcan", "bertc", "vit", "gcan-vit",
@@ -277,7 +353,7 @@ def test_fusion_fold_inputs_are_member_outputs(dataset, tmp_path,
     for split, fold_split in data.splits().items():
         expected = [arrays[f"{split}.{part}"] for arrays in saved
                     for part in ("p", "f")]
-        assert [a.tobytes() for a in fold_split.inputs] == \
+        assert [a.tobytes() for a in rows_of(data, fold_split)] == \
             [a.tobytes() for a in expected], split
     assert sizes == [[(arrays["train.p"].shape[1],
                        arrays["train.f"].shape[1]) for arrays in saved]]
@@ -326,7 +402,7 @@ def test_eval_forwards_record_no_tape(dataset):
     probs, feats = UnimodalTrainable(model, data).eval_split(data.val)
     assert outputs and all(out.p._parents == () and out.f._parents == ()
                            for out in outputs)
-    taped = forward(*data.val.inputs)
+    taped = forward(*rows_of(data, data.val))
     assert taped.p._parents  # outside eval the same forward is on the tape
     assert probs.tobytes() == taped.p.data.tobytes()
     assert feats.tobytes() == taped.f.data.tobytes()
@@ -334,8 +410,9 @@ def test_eval_forwards_record_no_tape(dataset):
 
     fmodel = FusionModel([(4, 8)] * 2, 4, 0.1, seed=0)
     saved = Split(data.val.ids, data.val.y_mis, data.val.y_sub,
-                  (probs, feats) * 2)
-    trainable = FusionTrainable(fmodel, FoldData(saved, saved, saved, None))
+                  np.arange(len(probs)))
+    trainable = FusionTrainable(fmodel, FoldData(saved, saved, saved,
+                                                 (probs, feats) * 2, None))
     fused = trainable.eval_val()
     ref = fmodel.forward([ModelOutput(p=Tensor(probs), f=Tensor(feats))] * 2)
     assert ref.p._parents
