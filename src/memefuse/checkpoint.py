@@ -14,19 +14,12 @@ import hashlib
 
 import numpy as np
 
-from .autodiff import Tensor
-
 MAGIC = b"GFCKPT1"
-
-
-def _as_arrays(params: dict) -> dict[str, np.ndarray]:
-    return {k: (v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64))
-            for k, v in params.items()}
 
 
 def save_checkpoint(path: str, params: dict,
                     meta: dict[str, str] | None = None) -> None:
-    arrays = _as_arrays(params)
+    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
     meta = meta or {}
     with open(path, "wb") as fh:
         fh.write(MAGIC + b"\n")
@@ -89,7 +82,7 @@ def file_hash(path: str) -> str:
 def average_checkpoints(first: dict[str, np.ndarray],
                         second: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Elementwise mean of two parameter sets with identical manifests."""
-    a, b = _as_arrays(first), _as_arrays(second)
-    if set(a) != set(b) or any(a[k].shape != b[k].shape for k in a):
+    if set(first) != set(second) or any(first[k].shape != second[k].shape
+                                        for k in first):
         raise ValueError("checkpoint manifests do not match")
-    return {k: (a[k] + b[k]) / 2.0 for k in a}
+    return {k: (first[k] + second[k]) / 2.0 for k in first}

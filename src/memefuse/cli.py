@@ -27,6 +27,7 @@ def cmd_gen_synth(args) -> int:
     spec = load_config(args.spec, SynthSpec) if args.spec else SynthSpec()
     if args.seed is not None:
         spec.seed = args.seed
+    spec.validate()
     train_path, test_path = gen_synth(spec, args.out)
     write_manifest(args.out, [(os.path.basename(train_path), "train"),
                               (os.path.basename(test_path), "test")])

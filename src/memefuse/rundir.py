@@ -256,9 +256,10 @@ def load_fold_runs(out_root: str, model_name: str) -> list[FoldRun]:
     manifest before they are read; the predictions carry the setup.
     """
     model_dir = os.path.join(out_root, model_name)
-    if not os.path.exists(os.path.join(model_dir, "runs.tsv")):
-        raise DependencyError(f"no trained runs for {model_name!r} under "
-                              f"{out_root}")
+    runs_tsv = os.path.join(model_dir, "runs.tsv")
+    if not os.path.exists(runs_tsv):
+        raise DependencyError(f"no trained runs for {model_name!r}: "
+                              f"{runs_tsv} does not exist")
     manifest = read_manifest(model_dir)
     scores = read_scores(_verified(model_dir, "runs.tsv", manifest),
                          "best_val_f1")

@@ -47,6 +47,17 @@ class SynthSpec:
     image_side: int = 48
     n_filler: int = 6
 
+    def validate(self) -> None:
+        for name, low in (("n_train", 1), ("n_test", 1), ("seed", 0),
+                          ("n_filler", 0), ("image_side", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got "
+                                 f"{getattr(self, name)}")
+        for name in ("keyword_prob", "motif_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got "
+                                 f"{getattr(self, name)}")
+
 
 def _make_image(rng: np.random.Generator, spec: SynthSpec,
                 motifs: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from .ensemble import task_scores
 from .nn import NumericError
 
 PROB_EPS = 1e-12
+LOSS_MIX = (0.7, 0.3)  # setup B: weighted BCE, teacher forcing
 
 
 @dataclass
@@ -39,7 +40,6 @@ class TrainConfig:
     base_lr: float = 2e-5            # 5e-6 for fusion models
     warmup_epochs: int = 4
     patience: int = 4
-    mix: tuple[float, float] = (0.7, 0.3)
     seed: int = 0
 
     def __post_init__(self):
@@ -124,7 +124,7 @@ def teacher_forcing_loss(p: Tensor, y_mis: np.ndarray) -> Tensor:
 
 
 def combined_loss(l1: Tensor, l2: Tensor,
-                  mix: tuple[float, float] = (0.7, 0.3)) -> Tensor:
+                  mix: tuple[float, float] = LOSS_MIX) -> Tensor:
     return l1 * mix[0] + l2 * mix[1]
 
 
@@ -136,9 +136,9 @@ def setup_loss(p: Tensor, y_mis: np.ndarray, y_sub: np.ndarray,
         return bce(p, y_mis.reshape(-1, 1))
     l1, back1 = _bce(p.data, y_sub, weights.w / p.shape[0])
     l2, back2 = _teacher_forcing(p.data, y_mis)
-    mix = config.mix
-    return fused(np.asarray(l1 * mix[0] + l2 * mix[1]), (p,),
-                 lambda g: (back1(g * mix[0]) + back2(g * mix[1]),))
+    w1, w2 = LOSS_MIX
+    return fused(np.asarray(l1 * w1 + l2 * w2), (p,),
+                 lambda g: (back1(g * w1) + back2(g * w2),))
 
 
 def lr_at(step: int, base_lr: float, warmup_steps: int,
@@ -159,9 +159,9 @@ class AdamW:
     The parameter values, gradients and both moments live in flat
     buffers, with a view per parameter name, so a step is a few in-place
     vector operations over all parameters at once. Each parameter's
-    `data` is the view into the value buffer; a step first copies back
-    any `data` that was replaced since. A parameter whose `grad` is None
-    is neither moved nor decayed, and its moments stay as they were.
+    `data` is its view into the value buffer for the optimizer's life;
+    write new values into it in place (as `restore` does). Every
+    parameter must hold a `grad` of its shape when `step` is called.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
@@ -171,46 +171,32 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._sizes = [p.data.size for p in params.values()]
-        bounds = np.cumsum([0] + self._sizes)
+        bounds = np.cumsum([0] + [p.data.size for p in params.values()])
         self._theta, self._m, self._v, self._g, self._s1, self._s2 = \
             np.zeros((6, bounds[-1]))  # s1 and s2 are scratch for `step`
-        self._views, self.m, self.v = [], {}, {}
+        self.m, self.v = {}, {}
         for (name, p), lo, hi in zip(params.items(), bounds, bounds[1:]):
             view = self._theta[lo:hi].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
-            self._views.append(view)
             self.m[name] = self._m[lo:hi].reshape(view.shape)
             self.v[name] = self._v[lo:hi].reshape(view.shape)
 
     def step(self, lr: float) -> None:
-        grads = []
-        for p, view in zip(self.params.values(), self._views):
-            if p.data is not view:
-                view[...] = p.data
-                p.data = view
-            grads.append(p.grad)
-        self.t += 1
-        if all(grad is None for grad in grads):
-            return
-        flat = [np.zeros(view.size) if grad is None else grad.ravel()
-                for grad, view in zip(grads, self._views)]
-        g = np.concatenate(flat, out=self._g)
+        grads = [p.grad for p in self.params.values()]
+        g = np.concatenate([grad.ravel() for grad in grads], out=self._g)
         if not np.isfinite(g).all():
             bad = next(name for name, grad in zip(self.params, grads)
-                       if grad is not None and not np.isfinite(grad).all())
+                       if not np.isfinite(grad).all())
             raise NumericError(f"non-finite gradient for {bad}")
-        # the textbook formula op for op, in place; the value and moments
-        # of a parameter without a gradient are masked out of every write
-        live = True if all(grad is not None for grad in grads) else \
-            np.repeat([grad is not None for grad in grads], self._sizes)
+        self.t += 1
+        # the textbook formula op for op, in place over every parameter
         m, v, theta, s1, s2 = self._m, self._v, self._theta, self._s1, self._s2
-        np.multiply(m, self.beta1, out=m, where=live)
-        np.add(m, np.multiply(g, 1 - self.beta1, out=s1), out=m, where=live)
-        np.multiply(v, self.beta2, out=v, where=live)
+        m *= self.beta1
+        m += np.multiply(g, 1 - self.beta1, out=s1)
+        v *= self.beta2
         np.multiply(g, 1 - self.beta2, out=s1)
-        np.add(v, np.multiply(s1, g, out=s1), out=v, where=live)
+        v += np.multiply(s1, g, out=s1)
         np.divide(v, 1 - self.beta2 ** self.t, out=s1)
         np.sqrt(s1, out=s1)
         s1 += self.eps
@@ -218,7 +204,7 @@ class AdamW:
         s2 /= s1
         s2 += np.multiply(theta, self.weight_decay, out=s1)
         s2 *= lr
-        np.subtract(theta, s2, out=theta, where=live)
+        theta -= s2
 
 
 def snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -226,8 +212,10 @@ def snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 
 
 def restore(params: dict[str, Tensor], values: dict[str, np.ndarray]) -> None:
+    """Write `values` into each parameter's `data` in place, so an
+    optimizer's views stay the parameters' values."""
     for k, p in params.items():
-        p.data = values[k].copy()
+        p.data[...] = values[k]
 
 
 def select_top2(records: list[EpochRecord]) -> list[int]:

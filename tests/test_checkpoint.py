@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from memefuse.autodiff import parameter
 from memefuse.checkpoint import (MAGIC, average_checkpoints, file_hash,
                                  load_checkpoint, save_checkpoint)
 
@@ -13,7 +12,7 @@ from memefuse.checkpoint import (MAGIC, average_checkpoints, file_hash,
 def test_roundtrip(tmp_path):
     params = {"w": np.arange(6.0).reshape(2, 3),
               "b": np.array(1.5),
-              "t": parameter(np.ones((2, 2)))}
+              "t": np.ones((2, 2))}
     meta = {"model": "gcan", "fold": "3"}
     path = os.path.join(tmp_path, "m.ckpt")
     save_checkpoint(path, params, meta)

@@ -458,6 +458,28 @@ def test_cli_gen_synth_spec_errors_name_the_line(tmp_path, capsys, text,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("spec, field", [
+    ("n_train = -3", "n_train"), ("n_test = 0", "n_test"),
+    ("keyword_prob = 1.5", "keyword_prob"),
+    ("motif_prob = -0.1", "motif_prob"), ("image_side = 0", "image_side"),
+    ("image_side = 1", "image_side"), ("n_filler = -1", "n_filler"),
+    ("seed = 5", "seed")],
+    ids=["n_train", "n_test", "keyword_prob", "motif_prob", "image_side-0",
+         "image_side-1", "n_filler", "seed-flag"])
+def test_cli_gen_synth_refuses_spec_it_cannot_honour(tmp_path, capsys, spec,
+                                                     field):
+    # exit 2 naming the field before anything is written; --seed
+    # overrides the spec's seed and is checked too
+    path = os.path.join(tmp_path, "bad.spec")
+    with open(path, "w") as fh:
+        fh.write(spec + "\n")
+    out = os.path.join(tmp_path, "data")
+    seed = ["--seed", "-1"] if field == "seed" else []
+    assert main(["gen-synth", "--spec", path, "--out", out, *seed]) == 2
+    assert f"error: {field} " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cli_config_value_error_names_the_line(tiny_run, tmp_path, capsys):
     cfg = os.path.join(tmp_path, "bad.cfg")
     with open(cfg, "w") as fh:
@@ -744,11 +766,14 @@ def test_cli_hard_ensemble_refuses_mixed_setups(member_runs, setup_a_runs,
      "{binary}"),
     ("significance --a {binary} --b {members}/vit/runs.tsv", "{binary}"),
     ("evaluate --runs {members} --test {binary_data}",
-     "{binary_data}/test.tsv")],
+     "{binary_data}/test.tsv"),
+    ("ensemble --mode soft --runs {file} --out {out}", "{file}/runs.tsv"),
+    ("ensemble --mode hard --runs {dir} --out {out}", "{dir}/runs.tsv")],
     ids=["gen-synth-spec-dir", "train-config-dir", "train-data-file",
          "evaluate-runs-file", "significance-a-dir", "ensemble-out-dir",
          "gen-synth-spec-not-utf8", "train-config-not-utf8",
-         "significance-a-not-utf8", "evaluate-test-not-utf8"])
+         "significance-a-not-utf8", "evaluate-test-not-utf8",
+         "ensemble-runs-file", "ensemble-runs-dir"])
 def test_cli_refuses_path_of_the_wrong_kind(tiny_run, member_runs, tmp_path,
                                            capsys, argv, named):
     # a directory where a file is read or written, a file where a

@@ -10,7 +10,8 @@ from memefuse.nn import (AttentionConfig, GcanEncoder, ImageEncoder,
                          gcan_layer, layer_norm, linear, multi_head_attention,
                          sinusoidal_positions, _classify, _init_head,
                          _init_layer)
-from memefuse.training import TrainConfig, class_weights, setup_loss
+from memefuse.training import (LOSS_MIX, TrainConfig, class_weights,
+                               setup_loss, teacher_forcing_loss)
 from oracles import (naive_attention_layer, numeric_gradient, rel_error,
                      unfused_classifier_head, unfused_gcan_layer,
                      unfused_image_embedding, unfused_setup_b_loss)
@@ -562,13 +563,12 @@ def test_fused_setup_b_loss_matches_unfused_composition():
         y_mis = y_sub.max(axis=1)
         assert_matches_unfused(
             lambda: setup_loss(p, y_mis, y_sub, cfg, weights),
-            lambda: unfused_setup_b_loss(p, y_mis, y_sub, weights.w, cfg.mix),
+            lambda: unfused_setup_b_loss(p, y_mis, y_sub, weights.w,
+                                         LOSS_MIX),
             [p])
     # the teacher-forcing gradient of a tied row goes to the first argmax
     p = parameter(np.array([[0.2, 0.7, 0.7, 0.1]]))
-    tf_only = TrainConfig(epochs=5, warmup_epochs=1, mix=(0.0, 1.0))
-    setup_loss(p, np.array([0.0]), np.zeros((1, 4)), tf_only,
-               weights).backward()
+    teacher_forcing_loss(p, np.array([0.0])).backward()
     assert np.array_equal(np.flatnonzero(p.grad), [1])
 
 

@@ -27,7 +27,8 @@ from memefuse.rundir import (DependencyError, SplitOutputs, load_fold_runs,
                              write_predictions, write_run)
 from memefuse.preprocess import DataError, build_vocabulary, encode_document
 from memefuse.textgraph import build_adjacency, count_windows
-from memefuse.training import EpochRecord
+from memefuse.training import (EpochRecord, TrainConfig, class_weights,
+                               setup_loss)
 from memefuse.synth import SynthSpec, gen_synth
 from oracles import document_block, member_outputs_by_inference, \
     per_split_inputs, unseen_block
@@ -417,6 +418,37 @@ def test_eval_forwards_record_no_tape(dataset):
     ref = fmodel.forward([ModelOutput(p=Tensor(probs), f=Tensor(feats))] * 2)
     assert ref.p._parents
     assert fused.tobytes() == ref.p.data.tobytes()
+
+
+@pytest.mark.parametrize("setup", ["A", "B"])
+@pytest.mark.parametrize("model", ["bertc", "gcan", "vit", "gcan-vit"])
+def test_training_step_reaches_every_parameter(dataset, model, setup):
+    # AdamW gathers every parameter's gradient into one buffer, so one
+    # training forward with dropout and its loss must reach them all
+    ctx = make_ctx(dataset, setup=setup)
+    n_out = 1 if setup == "A" else 4
+    if MODEL_MEMBERS[model] is None:
+        data = ctx._build_fold(0, model)
+        trainable = UnimodalTrainable(make_unimodal(
+            model, ctx.cfg, data.vocab_size, n_out, seed=0), data)
+    else:
+        gen = np.random.default_rng(0)
+        n, d = len(ctx.ids), ctx.cfg.d_att
+        outputs = (gen.random((n, n_out)), gen.standard_normal((n, d))) * 2
+        rows = Split([], ctx.y_mis, ctx.y_sub, np.arange(n))
+        trainable = FusionTrainable(
+            FusionModel([(n_out, d)] * 2, n_out, ctx.cfg.dropout, seed=0),
+            FoldData(rows, rows, rows, outputs, None))
+    idx = np.arange(8)
+    rows = trainable.data.train.rows[idx]
+    out = trainable.forward_batch(idx, np.random.default_rng(1))
+    weights = class_weights([3, 1, 2, 5], 8) if setup == "B" else None
+    setup_loss(out.p, ctx.y_mis[rows], ctx.y_sub[rows],
+               TrainConfig(setup=setup, epochs=5, warmup_epochs=1),
+               weights).backward()
+    for name, p in trainable.params.items():
+        assert isinstance(p.grad, np.ndarray), name
+        assert p.grad.shape == p.data.shape, name
 
 
 def test_context_refuses_more_folds_than_samples(dataset):

@@ -249,38 +249,32 @@ def test_adamw_rejects_non_finite_gradient():
     with pytest.raises(NumericError, match="non-finite gradient for bad$"):
         AdamW({"ok": ok, "bad": bad}).step(0.1)
     assert ok.data[0] == 1.0  # nothing moved
+    assert bad.data.tolist() == [1.0, 2.0]
 
 
 def test_adamw_flat_buffer_matches_per_tensor_reference():
     gen = np.random.default_rng(0)
-    shapes = {"w": (3, 4), "b": (4,), "frozen": (2, 2), "s": ()}
+    shapes = {"w": (3, 4), "b": (4,), "u": (2, 2), "s": ()}
     params = {k: parameter(gen.standard_normal(s)) for k, s in shapes.items()}
     ref = {k: p.data.copy() for k, p in params.items()}
     ref_m = {k: np.zeros(s) for k, s in shapes.items()}
     ref_v = {k: np.zeros(s) for k, s in shapes.items()}
     opt = AdamW(params, weight_decay=0.05)
     for t in range(1, 6):
-        grads = {k: gen.standard_normal(s) for k, s in shapes.items()}
-        grads["frozen"] = None  # no gradient: not moved, not decayed
-        for k, p in params.items():
-            p.grad = grads[k]
         lr = 0.01 * t
+        for k, p in params.items():
+            p.grad = gen.standard_normal(shapes[k])
+            ref[k], ref_m[k], ref_v[k] = adamw_reference_step(
+                ref[k], p.grad, ref_m[k], ref_v[k], t, lr, weight_decay=0.05)
         opt.step(lr)
-        for k in params:
-            if grads[k] is not None:
-                ref[k], ref_m[k], ref_v[k] = adamw_reference_step(
-                    ref[k], grads[k], ref_m[k], ref_v[k], t, lr,
-                    weight_decay=0.05)
     for k, p in params.items():
         assert np.array_equal(p.data, ref[k]), k
         assert np.array_equal(opt.m[k], ref_m[k]), k
         assert np.array_equal(opt.v[k], ref_v[k]), k
-    assert not np.any(opt.m["frozen"]) and not np.any(opt.v["frozen"])
 
 
-def test_adamw_in_place_step_is_bitwise_the_formula_for_any_missing_grad():
-    # the parameter without a gradient moves from first to last, so the
-    # in-place update runs over one span, two spans or the tail only
+def test_adamw_in_place_step_is_bitwise_the_formula():
+    # every step, over parameters of mixed shapes including a scalar
     gen = np.random.default_rng(1)
     shapes = {"a": (2, 3), "b": (3,), "c": (), "d": (4, 1)}
     params = {k: parameter(gen.standard_normal(s)) for k, s in shapes.items()}
@@ -288,13 +282,11 @@ def test_adamw_in_place_step_is_bitwise_the_formula_for_any_missing_grad():
            for (k, p), s in zip(params.items(), shapes.values())}
     opt = AdamW(params)
     for t in range(1, 11):
-        missing = list(shapes)[t % 5] if t % 5 < 4 else None
         lr = 1e-3 * t
         for k, p in params.items():
-            p.grad = None if k == missing else gen.standard_normal(shapes[k])
-            if p.grad is not None:
-                ref[k] = adamw_reference_step(*ref[k][:1], p.grad,
-                                              *ref[k][1:], t, lr)
+            p.grad = gen.standard_normal(shapes[k])
+            ref[k] = adamw_reference_step(*ref[k][:1], p.grad, *ref[k][1:],
+                                          t, lr)
         opt.step(lr)
         for k, p in params.items():
             assert p.data.tobytes() == ref[k][0].tobytes(), (t, k)
@@ -302,13 +294,23 @@ def test_adamw_in_place_step_is_bitwise_the_formula_for_any_missing_grad():
             assert opt.v[k].tobytes() == ref[k][2].tobytes(), (t, k)
 
 
-def test_adamw_picks_up_replaced_parameter_data():
+def test_adamw_steps_from_restored_values():
+    # restore writes into the optimizer's views, so the next step moves
+    # the restored values, not the ones they replaced
     p = parameter(np.array([1.0, 2.0]))
-    opt = AdamW({"p": p}, weight_decay=0.0)
-    p.data = np.array([5.0, 6.0])  # e.g. restore() of a snapshot
-    p.grad = np.zeros(2)
+    params = {"p": p}
+    opt = AdamW(params, weight_decay=0.05)
+    grads = [np.array([0.5, -0.5]), np.array([0.25, 1.0])]
+    p.grad = grads[0]
     opt.step(0.1)
-    assert np.array_equal(p.data, [5.0, 6.0])
+    _, m, v = adamw_reference_step(np.array([1.0, 2.0]), grads[0], 0.0, 0.0,
+                                   1, 0.1, weight_decay=0.05)
+    restore(params, {"p": np.array([5.0, 6.0])})
+    p.grad = grads[1]
+    opt.step(0.1)
+    expected, _, _ = adamw_reference_step(np.array([5.0, 6.0]), grads[1], m,
+                                          v, 2, 0.1, weight_decay=0.05)
+    assert np.array_equal(p.data, expected)
 
 
 def test_snapshot_restore_roundtrip():
