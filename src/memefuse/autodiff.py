@@ -208,13 +208,6 @@ def fused(data, parents, backward) -> Tensor:
     return out
 
 
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    datas = [t.data for t in tensors]
-    cuts = np.cumsum([d.shape[axis] for d in datas[:-1]])
-    return fused(np.concatenate(datas, axis=axis), tuple(tensors),
-                 lambda g: np.split(g, cuts, axis=axis))
-
-
 def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Embedding lookup: gather rows of `table` by an integer id array."""
     def backward(g):

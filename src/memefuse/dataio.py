@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -109,18 +110,20 @@ def ingest(dataset_path: str, image_dir: str | None = None) -> list[RawSample]:
             if sid in seen:
                 raise DataError(f"{dataset_path}:{lineno}: duplicate id {sid}")
             seen.add(sid)
-            try:
+            image_path = os.path.join(image_dir, f"{sid}.ppm")
+            try:  # a DataError is a ValueError
                 labels = LabelVector(*(int(v) for v in parts[3:8]))
                 labels.validate()
-            except (ValueError, DataError) as exc:
+                if not os.path.exists(image_path):
+                    raise DataError(f"missing image for sample {sid}: "
+                                    f"{image_path}")
+                image = read_ppm(image_path)
+            except ValueError as exc:
                 raise DataError(f"{dataset_path}:{lineno}: {exc}") from exc
-            image_path = os.path.join(image_dir, f"{sid}.ppm")
-            if not os.path.exists(image_path):
-                raise DataError(f"missing image for sample {sid}: {image_path}")
             samples.append(RawSample(
                 id=sid, ocr_text=ocr,
                 captions=[c for c in captions.split("|") if c],
-                image=read_ppm(image_path), labels=labels))
+                image=image, labels=labels))
     samples.sort(key=lambda s: s.id)
     return samples
 
@@ -204,11 +207,12 @@ def parse_config(text: str, cls=RunConfig, source: str = "config"):
     """Build a `cls` dataclass from `key = value` lines; `#` comments.
 
     Keys are the dataclass's field names and values convert to the
-    field's type; any other line is a DataError naming its line.
+    field's type; any other line is a DataError naming its line, counted
+    as a text file read with universal newlines counts them.
     """
     types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -202,10 +202,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(_linear, x, (weight, bias))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return _node(_layer_norm, x, (gain, bias))
-
-
 def multi_head_attention(x: Tensor, params: dict[str, Tensor], prefix: str,
                          cfg: AttentionConfig, adj: np.ndarray | None = None,
                          is_last: bool = False) -> Tensor:

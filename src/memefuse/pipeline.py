@@ -7,7 +7,9 @@ pool: the tokenized documents for `bertc` and `gcan`, the normalized
 images for `vit`, neither for a fusion model. The context computes a
 modality when it is first read and keeps it; it reads its own model's
 modality when it is built, and `train_model_cv` reads the trained
-model's before any fold worker forks, so no worker redoes it.
+model's before any fold worker forks, so no worker redoes it. The
+images are one shared mapping that the parent and, with `jobs` > 1,
+forked fill workers normalize into, each its own block of rows.
 A fold partitions the pool's rows into its train, val and test splits.
 Its FoldData holds the model inputs of every pool row, and each split
 its ids, labels and rows, through which one train and eval loop gathers
@@ -87,7 +89,9 @@ class CvContext:
     members' saved outputs.
 
     `tokens` and `images` are computed on first read and then kept; the
-    context reads the modality of `cfg.model` when it is built.
+    context reads the modality of `cfg.model` when it is built. The
+    images are a shared mapping filled by `cfg.jobs` processes, each
+    row once; the fill workers are joined before `images` returns.
     """
 
     def __init__(self, train_samples: list[RawSample],
@@ -113,14 +117,26 @@ class CvContext:
 
     @cached_property
     def images(self) -> np.ndarray:
-        cfg = self.cfg
-        shape = (len(self._samples), 3, cfg.crop, cfg.crop)
+        cfg, samples = self.cfg, self._samples
+        shape = (len(samples), 3, cfg.crop, cfg.crop)
         # a mapping of its own, unmapped when freed: the heap of a process
-        # that builds one context after another would keep it resident
-        buf = mmap.mmap(-1, 8 * int(np.prod(shape)), flags=mmap.MAP_PRIVATE)
+        # that builds one context after another would keep it resident;
+        # shared, so that forked fill workers write into it
+        buf = mmap.mmap(-1, 8 * int(np.prod(shape)), flags=mmap.MAP_SHARED)
         images = np.frombuffer(buf).reshape(shape)
-        for row, s in enumerate(self._samples):
-            images[row] = normalize_image(s.image, cfg.resize, cfg.crop)
+        job = (images, samples, cfg)
+        own, *rest = np.array_split(np.arange(len(samples)),
+                                    min(cfg.jobs, len(samples)))
+        if rest:  # fork: the workers inherit the mapping and the samples
+            with ProcessPoolExecutor(
+                    max_workers=len(rest),
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_init_worker, initargs=job) as pool:
+                filled = pool.map(_normalize_rows, rest)
+                _normalize_rows(own, job)
+                list(filled)  # raises a worker's error, first block first
+        else:
+            _normalize_rows(own, job)
         return images
 
     def prepare(self, model_name: str) -> None:
@@ -314,12 +330,21 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
                          cpu_s=time.process_time() - cpu_start)
 
 
-_worker_job: tuple = ()  # (ctx, model_name, out_root) in a fold worker
+_worker_job: tuple = ()  # what a forked worker was started with
 
 
-def _init_fold_worker(ctx: CvContext, model_name: str, out_root: str):
+def _init_worker(*job) -> None:
     global _worker_job
-    _worker_job = (ctx, model_name, out_root)
+    _worker_job = job
+
+
+def _normalize_rows(rows: np.ndarray, job: tuple = ()) -> None:
+    """Normalize the images of pool rows `rows` into the pool; `job` is
+    (images, samples, cfg), in a fill worker the one it was started with."""
+    images, samples, cfg = job or _worker_job
+    for row in rows:
+        images[row] = normalize_image(samples[row].image, cfg.resize,
+                                      cfg.crop)
 
 
 def _train_worker_fold(fold: int) -> FoldArtifacts:
@@ -358,7 +383,7 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
             with ProcessPoolExecutor(
                     max_workers=min(jobs, cfg.folds),
                     mp_context=multiprocessing.get_context("fork"),
-                    initializer=_init_fold_worker,
+                    initializer=_init_worker,
                     initargs=(ctx, model_name, out_root)) as pool:
                 artifacts = [logged(art) for art in
                              pool.map(_train_worker_fold, range(cfg.folds))]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,31 +142,21 @@ def encode_document(tokens: list[str], vocab: Vocabulary,
     return TokenIdSequence(ids=ids, true_length=1 + len(body))
 
 
-def _bilinear_resize(image: np.ndarray, out_side: int) -> np.ndarray:
-    """Bilinear resampling to out_side x out_side.
+@lru_cache(maxsize=256)
+def _crop_coords(n_in: int, resize: int, crop: int):
+    """Bilinear sampling coordinates, along an axis of `n_in` pixels, of
+    the centered `crop` pixels of a resize to `resize`: each output
+    pixel's lower and upper source pixel and the upper one's weight.
 
-    Sample centers are aligned: source coordinate of output pixel i is
-    (i + 0.5) * in/out - 0.5, clamped to the valid range. With in == out
-    this is the identity.
+    Sample centers are aligned: the source coordinate of resized pixel i
+    is (i + 0.5) * n_in/resize - 0.5, clamped to the valid range. With
+    n_in == resize this is the identity. Cached: do not write to them.
     """
-    img = image.astype(np.float64)
-    h, w = img.shape[:2]
-
-    def axis_coords(n_in, n_out):
-        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        src = np.clip(src, 0.0, n_in - 1.0)
-        lo = np.floor(src).astype(int)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = src - lo
-        return lo, hi, frac
-
-    ylo, yhi, yf = axis_coords(h, out_side)
-    xlo, xhi, xf = axis_coords(w, out_side)
-    yf = yf[:, None, None]
-    xf = xf[None, :, None]
-    top = img[ylo][:, xlo] * (1 - xf) + img[ylo][:, xhi] * xf
-    bot = img[yhi][:, xlo] * (1 - xf) + img[yhi][:, xhi] * xf
-    return top * (1 - yf) + bot * yf
+    start = (resize - crop) // 2
+    src = (np.arange(start, start + crop) + 0.5) * (n_in / resize) - 0.5
+    src = np.clip(src, 0.0, n_in - 1.0)
+    lo = np.floor(src).astype(int)
+    return lo, np.minimum(lo + 1, n_in - 1), src - lo
 
 
 def normalize_image(image: np.ndarray, resize: int = 36,
@@ -174,15 +165,24 @@ def normalize_image(image: np.ndarray, resize: int = 36,
 
     Returns a (3, crop, crop) float64 tensor with zero mean and unit
     variance over all values; a constant image is mapped to all zeros
-    (variance-0 fallback divides by 1).
+    (variance-0 fallback divides by 1). Only the crop window is
+    interpolated, from the gathered pixels.
     """
     if image.ndim != 3 or image.shape[2] != 3 or min(image.shape[:2]) < 1:
         raise DataError(f"expected (H, W, 3) image, got shape {image.shape}")
     if crop > resize:
         raise ValueError(f"crop {crop} exceeds resize {resize}")
-    resized = _bilinear_resize(image, resize)
-    start = (resize - crop) // 2
-    cropped = resized[start: start + crop, start: start + crop, :]
+    ylo, yhi, yf = _crop_coords(image.shape[0], resize, crop)
+    xlo, xhi, xf = _crop_coords(image.shape[1], resize, crop)
+    yf, xf = yf[:, None, None], xf[None, :, None]
+
+    def row_mix(ys):  # uint8 pixels, promoted to float64 by the weights
+        rows = image[ys]
+        return rows[:, xlo] * (1 - xf) + rows[:, xhi] * xf
+
+    cropped = row_mix(ylo) * (1 - yf) + row_mix(yhi) * yf  # (crop, crop, 3)
+    # the reductions run in the memory order of the HWC crop; a
+    # channel-first copy would change their low bits
     tensor = np.transpose(cropped, (2, 0, 1)) / 255.0
     mean = tensor.mean()
     std = tensor.std()  # population std over all 3*C*C values

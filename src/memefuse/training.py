@@ -113,11 +113,6 @@ def class_weights(counts, total: int) -> LossWeights:
     return LossWeights(inv / inv.sum())
 
 
-def weighted_bce(p: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:
-    """Sum over the four classes of w_c * BCE on that class column."""
-    return _loss_node(p, _bce, y, weights.w / p.shape[0])
-
-
 def teacher_forcing_loss(p: Tensor, y_mis: np.ndarray) -> Tensor:
     """MSE between max of the sub-category probabilities and the binary target."""
     return _loss_node(p, _teacher_forcing, y_mis)

@@ -2,15 +2,18 @@
 
 Everything here is written against the stated formulas only (no imports
 from memefuse internals beyond plain data), so that agreement with the
-package is a genuine cross-check rather than a tautology. Three
+package is a genuine cross-check rather than a tautology. Some
 exceptions keep earlier package code as references: the `unfused_*`
 layers, image embedding, head, loss and fusion network compose the
 autodiff tape node by node as the package did before each became one
 node, `member_outputs_by_inference` keeps the path fusion training
 used before members saved their outputs, which the saved outputs must
-reproduce bit for bit, and `per_split_inputs` builds a fold's model
+reproduce bit for bit, `per_split_inputs` builds a fold's model
 inputs split by split, as folds did before they became partitions of
-the pool's rows.
+the pool's rows, and `normalize_image_full_resize` resizes the whole
+image before it crops, as `normalize_image` did before it interpolated
+only the crop window. `concat`, `layer_norm` and `weighted_bce` are
+package nodes kept here because only tests call them.
 """
 
 import math
@@ -360,6 +363,62 @@ def per_split_inputs(ctx, fold, model_name, out_root=None):
     return inputs
 
 
+def normalize_image_full_resize(image, resize=36, crop=32):
+    """`normalize_image` by way of the whole resized image: resize to
+    resize x resize, then take the centered crop, then standardize."""
+    img = image.astype(np.float64)
+    h, w = img.shape[:2]
+
+    def axis_coords(n_in, n_out):
+        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+        src = np.clip(src, 0.0, n_in - 1.0)
+        lo = np.floor(src).astype(int)
+        hi = np.minimum(lo + 1, n_in - 1)
+        frac = src - lo
+        return lo, hi, frac
+
+    ylo, yhi, yf = axis_coords(h, resize)
+    xlo, xhi, xf = axis_coords(w, resize)
+    yf = yf[:, None, None]
+    xf = xf[None, :, None]
+    top = img[ylo][:, xlo] * (1 - xf) + img[ylo][:, xhi] * xf
+    bot = img[yhi][:, xlo] * (1 - xf) + img[yhi][:, xhi] * xf
+    resized = top * (1 - yf) + bot * yf
+    start = (resize - crop) // 2
+    cropped = resized[start: start + crop, start: start + crop, :]
+    tensor = np.transpose(cropped, (2, 0, 1)) / 255.0
+    mean = tensor.mean()
+    std = tensor.std()
+    if std == 0.0:
+        std = 1.0
+    return (tensor - mean) / std
+
+
+# ------------------------------------------------ one-node package kernels
+
+def concat(tensors, axis=-1):
+    """Tensors joined along `axis` as one tape node, which splits the
+    gradient back into their widths."""
+    from memefuse.autodiff import fused
+    datas = [t.data for t in tensors]
+    cuts = np.cumsum([d.shape[axis] for d in datas[:-1]])
+    return fused(np.concatenate(datas, axis=axis), tuple(tensors),
+                 lambda g: np.split(g, cuts, axis=axis))
+
+
+def layer_norm(x, gain, bias):
+    """The package's layer-norm kernel as one tape node."""
+    from memefuse.nn import _layer_norm, _node
+    return _node(_layer_norm, x, (gain, bias))
+
+
+def weighted_bce(p, y, weights):
+    """Sum over the four classes of w_c * BCE on that class column, with
+    the package's BCE kernel as one tape node."""
+    from memefuse.training import _bce, _loss_node
+    return _loss_node(p, _bce, y, weights.w / p.shape[0])
+
+
 # ------------------------------------------------ unfused tape compositions
 
 def unfused_linear(x, weight, bias):
@@ -453,7 +512,7 @@ def unfused_gcan_layer(x, adj, params, prefix, n_heads, is_last):
 def unfused_image_embedding(encoder, images):
     """Patch projection, a zeros-plus-[cls] row, the concat and the
     positions add: five nodes with the [cls] reshape."""
-    from memefuse.autodiff import Tensor, concat
+    from memefuse.autodiff import Tensor
     b, d = images.shape[0], encoder.cfg.d_att
     emb = unfused_linear(Tensor(encoder.patchify(images)),
                          encoder.params["proj_w"], encoder.params["proj_b"])
@@ -499,7 +558,6 @@ def unfused_fusion(outputs, params, drop_rate, rng):
     """The fusion network as tape algebra: the joint concat, the `wp` head
     normalized by its row sums, the stream-weighted member probabilities,
     the `rf` head and the branch average; 20 nodes for two members."""
-    from memefuse.autodiff import concat
     from memefuse.nn import classifier_head
     if len(outputs) < 2:
         raise ValueError("fusion needs at least two member models")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from memefuse.autodiff import (Tensor, concat, frozen, fused, parameter,
-                               rows, zero_grads)
-from oracles import numeric_gradient, rel_error, rows_gradient_add_at
+from memefuse.autodiff import (Tensor, frozen, fused, parameter, rows,
+                               zero_grads)
+from oracles import concat, numeric_gradient, rel_error, rows_gradient_add_at
 
 TOL = 1e-6
 

@@ -1,16 +1,21 @@
 """Dataset I/O, synthetic generator, configuration, and the CLI surface."""
 
 import os
+import re
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sample
 from memefuse.checkpoint import file_hash
 from memefuse.cli import main
-from memefuse.dataio import (RunConfig, emit_config, ingest, load_config,
-                             parse_config, read_ppm, write_dataset, write_ppm)
+from memefuse.dataio import (TSV_HEADER, RunConfig, emit_config, ingest,
+                             load_config, parse_config, read_ppm,
+                             write_dataset, write_ppm)
 from memefuse.preprocess import DataError
 from memefuse.synth import SynthSpec, bayes_accuracies, gen_synth, generate
 
@@ -115,6 +120,84 @@ def test_ingest_missing_image(tmp_path):
         ingest(path, os.path.join(tmp_path, "images"))
 
 
+def test_ingest_missing_image_names_the_line(tmp_path):
+    # found by test_ingest_gives_samples_or_names_the_line
+    path = write_rows(tmp_path, ["\t\t\t0\t0\t0\t0\t0"])
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}:2: missing image for sample : ")):
+        ingest(path, os.path.join(tmp_path, "images"))
+
+
+def test_ingest_malformed_image_names_the_line(tmp_path):
+    os.makedirs(os.path.join(tmp_path, "images"))
+    with open(os.path.join(tmp_path, "images", "x.ppm"), "wb") as fh:
+        fh.write(b"P6\n2 2\n255\n")
+    path = write_rows(tmp_path, ["x\ta\t\t0\t0\t0\t0\t0"])
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: PPM raster")):
+        ingest(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Images for ids a, b and c, and a PPM without its raster for `bad`."""
+    root = tmp_path_factory.mktemp("fuzz")
+    os.makedirs(os.path.join(root, "images"))
+    for sid in ("a", "b", "c"):
+        write_ppm(os.path.join(root, "images", f"{sid}.ppm"),
+                  np.zeros((2, 2, 3), dtype=np.uint8))
+    with open(os.path.join(root, "images", "bad.ppm"), "wb") as fh:
+        fh.write(b"P6\n2 2\n255\n")
+    return str(root)
+
+
+SIDS = st.sampled_from(["a", "b", "c", "bad", "zz"])
+LABELS = st.sampled_from([["0"] * 5, ["1", "1", "0", "0", "0"],
+                          ["1", "0", "0", "1", "1"]])
+
+
+def tsv_row(sid, ocr, captions, labels):
+    return "\t".join([sid, ocr, captions, *labels])
+
+
+# well-formed rows (of a missing, malformed or good image), rows with
+# any id or labels, and any text
+TSV_ROWS = st.one_of(
+    st.builds(tsv_row, SIDS, st.text(max_size=10), st.text(max_size=10),
+              LABELS),
+    st.builds(tsv_row, SIDS | st.text(max_size=4), st.text(max_size=10),
+              st.text(max_size=10),
+              LABELS | st.lists(st.sampled_from(["0", "1", "2", " 1", "x",
+                                                 ""]), min_size=4,
+                                max_size=6)),
+    st.text(max_size=40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(header=st.sampled_from(["\t".join(TSV_HEADER)] * 3 + ["id\tbad", ""]),
+       rows=st.lists(TSV_ROWS, max_size=6))
+def test_ingest_gives_samples_or_names_the_line(fuzz_dir, header, rows):
+    # a DataError names `path:line`, and every line before that one
+    # ingests; never any other exception
+    path = os.path.join(fuzz_dir, "train.tsv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
+    try:
+        samples = ingest(path)
+    except DataError as exc:
+        where = re.match(re.escape(path) + r":(\d+): ", str(exc))
+        assert where, str(exc)
+        with open(path, encoding="utf-8") as fh:
+            lineno, lines = int(where[1]), fh.readlines()
+        assert 1 <= lineno <= len(lines)
+        if lineno > 1:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(lines[:lineno - 1])
+            ingest(path)
+    else:
+        ids = [s.id for s in samples]
+        assert ids == sorted(set(ids)) and set(ids) <= {"a", "b", "c"}
+
+
 # -------------------------------------------------------------------- config
 
 def test_config_roundtrip():
@@ -135,11 +218,57 @@ def test_config_parsing_details():
         parse_config("seed = 1\nfolds = x\n")
 
 
+def test_config_lines_counted_as_in_a_text_file():
+    # found by test_parse_config_gives_a_config_or_names_the_line:
+    # str.splitlines also ends a line at \x1e, \x0c, \x85 or \u2028
+    for text in ("\x1e=", "\x1e=\r"):
+        with pytest.raises(DataError,
+                           match="^config line 1: unknown key ''$"):
+            parse_config(text)
+    with pytest.raises(DataError, match="^config line 1: seed"):
+        parse_config("seed = 1\x0cfolds = 3")
+    assert parse_config("folds = 3\rseed = 4\r\nn_heads = 2") == \
+        RunConfig(folds=3, seed=4, n_heads=2)
+
+
 def test_config_parser_builds_other_dataclasses():
     spec = parse_config("n_train = 7\nkeyword_prob = 0.25\n", SynthSpec)
     assert spec == SynthSpec(n_train=7, keyword_prob=0.25)
     with pytest.raises(DataError, match="line 1: unknown key 'folds'"):
         parse_config("folds = 3", SynthSpec)
+
+
+CONFIG_LINES = st.one_of(st.text(max_size=30), st.builds(
+    "{}{}{}".format,
+    st.sampled_from([f.name for f in fields(RunConfig)])
+    | st.text(max_size=8),
+    st.sampled_from(["=", " = ", "==", " "]),
+    st.text(max_size=12) | st.integers().map(str)
+    | st.floats().map(repr)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=6),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_parse_config_gives_a_config_or_names_the_line(lines, newline):
+    # a DataError names the line, counted as a text file's lines are, and
+    # every line before it parses; never any other exception
+    text = newline.join(lines)
+    try:
+        cfg = parse_config(text, source="run.cfg")
+    except DataError as exc:
+        where = re.match(r"run\.cfg line (\d+): ", str(exc))
+        assert where, str(exc)
+        lineno = int(where[1])
+        file_lines = re.split(r"\r\n|\r|\n", text)
+        assert 1 <= lineno <= len(file_lines)
+        parse_config("\n".join(file_lines[:lineno - 1]))
+        with pytest.raises(DataError):
+            parse_config(file_lines[lineno - 1])
+    else:
+        kinds = {"str": str, "int": int, "float": float}
+        assert all(type(getattr(cfg, f.name)) is kinds[f.type]
+                   for f in fields(RunConfig))
 
 
 def test_config_validation():

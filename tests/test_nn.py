@@ -7,13 +7,13 @@ from conftest import tape_nodes
 from memefuse.autodiff import Tensor, parameter
 from memefuse.nn import (AttentionConfig, GcanEncoder, ImageEncoder,
                          NumericError, TextEncoder, classifier_head,
-                         gcan_layer, layer_norm, linear, multi_head_attention,
+                         gcan_layer, linear, multi_head_attention,
                          sinusoidal_positions, _classify, _init_head,
                          _init_layer)
 from memefuse.training import (LOSS_MIX, TrainConfig, class_weights,
                                setup_loss, teacher_forcing_loss)
-from oracles import (naive_attention_layer, numeric_gradient, rel_error,
-                     unfused_classifier_head, unfused_gcan_layer,
+from oracles import (layer_norm, naive_attention_layer, numeric_gradient,
+                     rel_error, unfused_classifier_head, unfused_gcan_layer,
                      unfused_image_embedding, unfused_setup_b_loss)
 
 CFG = AttentionConfig(d_att=8, n_heads=2, n_layers=3, dropout=0.0)

@@ -1,5 +1,6 @@
 """Cross-validation pipeline: fold encoding, determinism, predictions I/O."""
 
+import dataclasses
 import gc
 import json
 import multiprocessing
@@ -25,7 +26,8 @@ from memefuse.pipeline import (CvContext, FoldData, FusionTrainable, Split,
 from memefuse.rundir import (DependencyError, SplitOutputs, load_fold_runs,
                              read_manifest, read_predictions, write_manifest,
                              write_predictions, write_run)
-from memefuse.preprocess import DataError, build_vocabulary, encode_document
+from memefuse.preprocess import DataError, build_vocabulary, \
+    encode_document, normalize_image
 from memefuse.textgraph import build_adjacency, count_windows
 from memefuse.training import (EpochRecord, TrainConfig, class_weights,
                                setup_loss)
@@ -271,6 +273,70 @@ def test_images_normalized_once_by_the_parent(dataset, tmp_path,
         with open(calls) as fh:
             pids = fh.read().split()
         assert pids == [str(os.getpid())] * len(ctx.ids), built_for
+
+
+@pytest.mark.parametrize("n_train, n_test, jobs", [(24, 6, 2), (24, 6, 3),
+                                                   (4, 2, 8)])
+def test_image_pool_same_bytes_whatever_the_fill_jobs(dataset, n_train,
+                                                      n_test, jobs):
+    # 8 jobs over 6 rows: one block of one row per process
+    train, test = dataset[0][:n_train], dataset[1][:n_test]
+    serial = make_ctx((train, test), model="vit", folds=2).images
+    assert serial.tobytes() == np.stack([
+        normalize_image(s.image, CFG_KW["resize"], CFG_KW["crop"])
+        for s in train + test]).tobytes()
+    ctx = make_ctx((train, test), model="vit", folds=2, jobs=jobs)
+    assert multiprocessing.active_children() == []
+    assert ctx.images.tobytes() == serial.tobytes()
+
+
+def test_image_pool_filled_once_by_parent_and_workers(dataset, tmp_path,
+                                                      monkeypatch):
+    # each row once, by the parent and one fill worker, none of which
+    # trains a fold; forked, a worker sees the samples' images at the
+    # parent's addresses
+    train, test = dataset
+    row_of = {id(s.image): row for row, s in enumerate(train + test)}
+    calls = os.path.join(tmp_path, "calls")
+    normalize = pipeline.normalize_image
+
+    def logged(image, *args):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()} {row_of[id(image)]}\n")
+        return normalize(image, *args)
+
+    monkeypatch.setattr(pipeline, "normalize_image", logged)
+    ctx = make_ctx(dataset, model="vit", jobs=2)
+    out = os.path.join(tmp_path, "runs")
+    train_model_cv(ctx, "vit", out, jobs=2, log=None)
+    with open(calls) as fh:
+        pid_rows = [line.split() for line in fh]
+    assert sorted(int(row) for _, row in pid_rows) == list(range(len(ctx.ids)))
+    pids = {int(pid) for pid, _ in pid_rows}
+    with open(os.path.join(out, "vit", "events.jsonl")) as fh:
+        fold_pids = {json.loads(line)["pid"] for line in fh}
+    assert os.getpid() in pids and len(pids) == 2
+    assert not pids & fold_pids
+
+
+@pytest.mark.parametrize("bad_rows", [(25,), (3, 25), (12, 25), (20, 25)])
+def test_image_pool_refuses_like_the_serial_fill(dataset, bad_rows):
+    # the first refused row's error, whichever process normalized it;
+    # every fill worker is joined on success and on error
+    train, test = dataset
+    samples = list(train + test)
+    for row in bad_rows:
+        samples[row] = dataclasses.replace(
+            samples[row], image=np.zeros((row, 4), dtype=np.uint8))
+    errors = []
+    for jobs in (1, 2, 3):
+        with pytest.raises(DataError) as err:
+            CvContext(samples[:len(train)], samples[len(train):],
+                      RunConfig(**{**CFG_KW, "model": "vit", "jobs": jobs}))
+        errors.append(str(err.value))
+        assert multiprocessing.active_children() == []
+    assert errors == [f"expected (H, W, 3) image, got shape "
+                      f"({bad_rows[0]}, 4)"] * 3
 
 
 def test_context_built_for_another_model_writes_same_bytes(dataset,

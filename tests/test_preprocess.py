@@ -9,6 +9,7 @@ from memefuse.preprocess import (CLS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID,
                                  DataError, LabelVector, Vocabulary,
                                  build_vocabulary, clean_text, combine_texts,
                                  encode_document, normalize_image, tokenize)
+from oracles import normalize_image_full_resize
 
 
 # ---------------------------------------------------------------- clean_text
@@ -245,6 +246,24 @@ def test_normalize_identity_resize():
     ref = np.transpose(img, (2, 0, 1)) / 255.0
     ref = (ref - ref.mean()) / ref.std()
     assert np.allclose(out, ref, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(height=st.integers(1, 90), width=st.integers(1, 90),
+       sizes=st.sampled_from([(36, 32), (12, 8), (8, 8), (2, 2), (2, 1),
+                              (48, 40), (33, 7), (90, 90), (17, 16)]),
+       constant=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_normalize_equals_full_resize_reference(height, width, sizes,
+                                                constant, seed):
+    # interpolating only the crop window changes no bit of the result
+    gen = np.random.default_rng(seed)
+    img = gen.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    if constant:
+        img[:] = img[0, 0]
+    resize, crop = sizes
+    out = normalize_image(img, resize, crop)
+    assert out.shape == (3, crop, crop) and out.dtype == np.float64
+    assert np.array_equal(out, normalize_image_full_resize(img, resize, crop))
 
 
 def test_normalize_rejects_bad_shapes():

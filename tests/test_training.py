@@ -15,9 +15,9 @@ from memefuse.training import (AdamW, EpochRecord, LossWeights, TrainConfig,
                                bce, class_weights, combined_loss, lr_at,
                                restore, select_top2, setup_loss, snapshot,
                                teacher_forcing_loss, train_model,
-                               validation_f1, weighted_bce)
+                               validation_f1)
 from oracles import (adamw_reference_step, column_weighted_bce,
-                     numeric_gradient, rel_error)
+                     numeric_gradient, rel_error, weighted_bce)
 
 # Table 1 training-split counts: 10000 misogynous memes total
 TABLE1_COUNTS = (1274, 2810, 2202, 953)
