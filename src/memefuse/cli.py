@@ -42,6 +42,8 @@ def _run_config(args) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
     if args.data:
+        if not os.path.isdir(args.data):
+            raise DataError(f"--data {args.data} is not a directory")
         cfg.dataset = os.path.join(args.data, "train.tsv")
         cfg.image_dir = os.path.join(args.data, "images")
     if args.out:
@@ -50,6 +52,10 @@ def _run_config(args) -> RunConfig:
     if not cfg.dataset or not cfg.out_dir:
         raise DataError("train needs --data (or dataset in the config) "
                         "and --out")
+    for path in (cfg.out_dir, os.path.join(cfg.out_dir, cfg.model)):
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise DataError(f"{path} is not a directory; train writes its "
+                            f"run under {cfg.out_dir}")
     return cfg
 
 

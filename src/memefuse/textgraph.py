@@ -3,10 +3,11 @@
 Word-word edges carry positive pointwise mutual information gathered with
 a sliding window; document-word edges carry TF-IDF; the diagonal is 1.
 The adjacency matrix is symmetrically normalized by inverse square-root
-degrees. The graph-attention encoder reads one L_S x L_S adjacency block
-per document, extracted for a whole split at once: sequence position 0
-maps to the document node, the remaining positions map to their word
-nodes.
+degrees. Both matrices are `Csr`, a NumPy-only compressed sparse row
+container laid out as SciPy's `csr_matrix`. The graph-attention encoder
+reads one L_S x L_S adjacency block per document, extracted for a whole
+split at once: sequence position 0 maps to the document node, the
+remaining positions map to their word nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .preprocess import Vocabulary
 
@@ -34,17 +34,72 @@ class WindowStats:
 
 
 @dataclass
+class Csr:
+    """A float64 sparse matrix in SciPy's compressed sparse row layout:
+    row r holds `data[indptr[r]:indptr[r + 1]]` at columns `indices[...]`,
+    ascending; both index arrays are int32 where the entry count and the
+    shape fit. Rows and columns given to it must be in range."""
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_coords(cls, values, rows, cols, shape: tuple[int, int]) -> Csr:
+        """`values[k]` at (`rows[k]`, `cols[k]`), each (row, col) once."""
+        key = np.asarray(rows, dtype=np.int64) * shape[1] + cols
+        order = np.argsort(key)
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("duplicate (row, col) entries")
+        index = np.int32 if max(len(key), *shape) < 2 ** 31 else np.int64
+        row_starts = np.searchsorted(key, np.arange(shape[0] + 1) * shape[1])
+        return cls(np.asarray(values, dtype=np.float64)[order],
+                   (key % shape[1]).astype(index), row_starts.astype(index),
+                   shape)
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def row_sums(self) -> np.ndarray:
+        """Row sums as SciPy's `sum(axis=1)` adds them: `np.add.reduceat`
+        over the nonempty rows, onto zeros (a -0.0 sum reads 0.0)."""
+        sums = np.zeros(self.shape[0])
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        sums[nonempty] += np.add.reduceat(self.data, self.indptr[nonempty])
+        return sums
+
+    def __getitem__(self, index) -> np.ndarray:
+        """The entries at `[rows, cols]`, broadcast (a float for scalar
+        indices); 0.0 where no entry is stored."""
+        rows, cols = index
+        n_cols = self.shape[1]
+        # row-major keys ascend; a last key past every index matches none
+        keys = np.append(self.entry_rows() * n_cols + self.indices,
+                         self.shape[0] * n_cols)
+        wanted = np.asarray(rows, dtype=np.int64) * n_cols + cols
+        at = np.searchsorted(keys, wanted)
+        return np.where(keys[at] == wanted, np.append(self.data, 0.0)[at],
+                        0.0)[()]
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix, entries added onto zeros as SciPy adds them."""
+        dense = np.zeros(self.shape)
+        dense[self.entry_rows(), self.indices] += self.data
+        return dense
+
+
+@dataclass
 class CorpusGraph:
+    """Nodes [documents..., words...]; the adjacency and its normalization
+    are `Csr` matrices, symmetric bit for bit."""
     n_D: int
     n_W: int
-    raw: sp.csr_matrix         # A, symmetric, unit diagonal
-    normalized: sp.csr_matrix  # D^{-1/2} A D^{-1/2}
+    raw: Csr         # A, symmetric, unit diagonal
+    normalized: Csr  # D^{-1/2} A D^{-1/2}
     degree: np.ndarray
     idf: np.ndarray            # per word id (offset by reserved ids), ln(n_D/df)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_D + self.n_W
 
 
 def count_windows(corpus: list[list[int]], window_len: int) -> WindowStats:
@@ -189,33 +244,33 @@ def build_adjacency(corpus: list[list[int]], stats: WindowStats,
     tfidf_value = tf * idf[word]
     nonzero = tfidf_value != 0.0
 
-    # entries in the order a loop would add them: each edge as (r, c)
-    # then (c, r), word pairs first, then document by document, then the
-    # unit diagonal
+    # each edge as (r, c) and (c, r), then the unit diagonal. No (r, c)
+    # repeats: word pairs are distinct with i < j (per_pair's keys),
+    # document-word pairs distinct (first occurrences), and no edge joins
+    # a node to itself or a document to a document
     edges = np.concatenate([word_nodes,
                             np.stack([doc, n_D + word], axis=1)[nonzero]])
     values = np.concatenate([value[positive], tfidf_value[nonzero]])
     diagonal = np.arange(n)
-    raw = sp.coo_matrix(
-        (np.concatenate([np.repeat(values, 2), np.ones(n)]),
-         (np.concatenate([edges.ravel(), diagonal]),
-          np.concatenate([edges[:, ::-1].ravel(), diagonal]))),
-        shape=(n, n)).tocsr()
-    degree = np.asarray(raw.sum(axis=1)).ravel()
+    raw = Csr.from_coords(
+        np.concatenate([np.repeat(values, 2), np.ones(n)]),
+        np.concatenate([edges.ravel(), diagonal]),
+        np.concatenate([edges[:, ::-1].ravel(), diagonal]), (n, n))
+    degree = raw.row_sums()
     return CorpusGraph(n_D=n_D, n_W=n_W, raw=raw,
                        normalized=_normalize(raw, degree),
                        degree=degree, idf=idf)
 
 
-def _normalize(raw: sp.csr_matrix, degree: np.ndarray) -> sp.csr_matrix:
-    """D^{-1/2} A D^{-1/2}, computed entrywise as v / sqrt(d_i * d_j).
+def _normalize(raw: Csr, degree: np.ndarray) -> Csr:
+    """D^{-1/2} A D^{-1/2}, computed entrywise as v / sqrt(d_i * d_j),
+    on A's own index arrays.
 
     sqrt(d_i * d_j) is symmetric in (i, j), so the result is bitwise
     symmetric whenever A is.
     """
-    coo = raw.tocoo()
-    data = coo.data / np.sqrt(degree[coo.row] * degree[coo.col])
-    return sp.coo_matrix((data, (coo.row, coo.col)), shape=raw.shape).tocsr()
+    data = raw.data / np.sqrt(degree[raw.entry_rows()] * degree[raw.indices])
+    return Csr(data, raw.indices, raw.indptr, raw.shape)
 
 
 def _position_nodes(graph: CorpusGraph, seqs: np.ndarray,
@@ -226,21 +281,23 @@ def _position_nodes(graph: CorpusGraph, seqs: np.ndarray,
     pos = np.arange(seqs.shape[1])
     nodes = graph.n_D + seqs - _FIRST_WORD_ID
     valid = ((pos >= 1) & (pos < np.asarray(lengths)[:, None])
-             & (seqs >= _FIRST_WORD_ID) & (nodes < graph.n_nodes))
+             & (seqs >= _FIRST_WORD_ID) & (nodes < graph.n_D + graph.n_W))
     return np.where(valid, nodes, -1)
 
 
 def _gather_blocks(graph: CorpusGraph, nodes: np.ndarray) -> np.ndarray:
     """(N, L, L) normalized entries between every pair of positions with a
-    node, in one sparse gather; a position without one keeps a unit
-    self-loop only."""
+    node, in one sparse gather of the lower triangles mirrored (the
+    normalized matrix is bitwise symmetric); a position without a node
+    keeps a unit self-loop only."""
     n, seq_len = nodes.shape
     has_node = nodes >= 0
-    doc, p, q = np.nonzero(has_node[:, :, None] & has_node[:, None, :])
-    blocks = np.zeros((n, seq_len, seq_len))
-    if len(doc):
-        blocks[doc, p, q] = np.asarray(
-            graph.normalized[nodes[doc, p], nodes[doc, q]]).ravel()
+    p, q = np.tril_indices(seq_len)
+    values = np.where(has_node[:, p] & has_node[:, q], graph.normalized[
+        np.maximum(nodes[:, p], 0), np.maximum(nodes[:, q], 0)], 0.0)
+    blocks = np.empty((n, seq_len, seq_len))
+    blocks[:, p, q] = values
+    blocks[:, q, p] = values
     diag = np.arange(seq_len)
     blocks[:, diag, diag] = np.where(has_node, blocks[:, diag, diag], 1.0)
     return blocks

@@ -92,7 +92,7 @@ def _word_block(graph, ids, true_length, matrix):
     positions = [p for p in range(1, len(ids)) if nodes[p] is not None]
     if positions:
         node_arr = np.array([nodes[p] for p in positions])
-        block = graph.normalized[node_arr][:, node_arr].toarray()
+        block = graph.normalized.toarray()[np.ix_(node_arr, node_arr)]
         matrix[np.ix_(positions, positions)] = block
     for p in range(1, len(ids)):
         if nodes[p] is None:

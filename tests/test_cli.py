@@ -897,27 +897,41 @@ def test_cli_hard_ensemble_refuses_mixed_setups(member_runs, setup_a_runs,
     ("evaluate --runs {members} --test {binary_data}",
      "{binary_data}/test.tsv"),
     ("ensemble --mode soft --runs {file} --out {out}", "{file}/runs.tsv"),
-    ("ensemble --mode hard --runs {dir} --out {out}", "{dir}/runs.tsv")],
+    ("ensemble --mode hard --runs {dir} --out {out}", "{dir}/runs.tsv"),
+    ("train --config {cfg} --data {data} --model gcan --out {file}",
+     "{file}"),
+    ("train --config {cfg} --data {data} --model gcan --out {taken}",
+     "{taken}")],
     ids=["gen-synth-spec-dir", "train-config-dir", "train-data-file",
          "evaluate-runs-file", "significance-a-dir", "ensemble-out-dir",
          "gen-synth-spec-not-utf8", "train-config-not-utf8",
          "significance-a-not-utf8", "evaluate-test-not-utf8",
-         "ensemble-runs-file", "ensemble-runs-dir"])
+         "ensemble-runs-file", "ensemble-runs-dir", "train-out-file",
+         "train-out-model-file"])
 def test_cli_refuses_path_of_the_wrong_kind(tiny_run, member_runs, tmp_path,
-                                           capsys, argv, named):
+                                           capsys, monkeypatch, argv, named):
     # a directory where a file is read or written, a file where a
-    # directory is read, or a file that is not UTF-8 text: exit 2 naming
-    # the path, before any output is written
-    paths = {name: os.path.join(tmp_path, name)
-             for name in ("dir", "file", "binary", "binary_data", "out")}
+    # directory is read or written, or a file that is not UTF-8 text:
+    # exit 2 naming the path, before any output is written and before
+    # train reads a sample
+    from memefuse import cli
+
+    def no_ingest(*args):
+        raise AssertionError("train read samples before refusing")
+
+    if argv.startswith("train"):
+        monkeypatch.setattr(cli, "ingest", no_ingest)
+    paths = {name: os.path.join(tmp_path, name) for name in
+             ("dir", "file", "binary", "binary_data", "taken", "out")}
     paths.update(data=tiny_run["data"], cfg=tiny_run["cfg"],
                  members=member_runs)
-    for name in ("dir", "binary_data"):
+    for name in ("dir", "binary_data", "taken"):
         os.mkdir(paths[name])
     for path, content in ((paths["file"], b"x\n"),
                           (paths["binary"], b"seed = 1\n\xff\xfe\n"),
                           (os.path.join(paths["binary_data"], "test.tsv"),
-                           b"\xff\xfeid\n")):
+                           b"\xff\xfeid\n"),
+                          (os.path.join(paths["taken"], "gcan"), b"x\n")):
         with open(path, "wb") as fh:
             fh.write(content)
     capsys.readouterr()
@@ -926,8 +940,24 @@ def test_cli_refuses_path_of_the_wrong_kind(tiny_run, member_runs, tmp_path,
     assert named.format(**paths) in err
     assert "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["binary", "binary_data", "dir",
-                                            "file"]
+                                            "file", "taken"]
     assert os.listdir(paths["dir"]) == []
+    assert os.listdir(paths["taken"]) == ["gcan"]
+
+
+def test_cli_imports_no_scipy():
+    # memefuse depends on NumPy alone; SciPy is a test-only oracle
+    import subprocess
+    import sys
+
+    import memefuse
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(memefuse.__file__)))
+    code = ("import sys, memefuse.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -10,7 +10,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from memefuse import pipeline
 from memefuse import checkpoint
@@ -28,7 +27,7 @@ from memefuse.rundir import (DependencyError, SplitOutputs, load_fold_runs,
                              write_predictions, write_run)
 from memefuse.preprocess import DataError, build_vocabulary, \
     encode_document, normalize_image
-from memefuse.textgraph import build_adjacency, count_windows
+from memefuse.textgraph import Csr, build_adjacency, count_windows
 from memefuse.training import (EpochRecord, TrainConfig, class_weights,
                                setup_loss)
 from memefuse.synth import SynthSpec, gen_synth
@@ -104,7 +103,7 @@ def test_fold_blocks_equal_per_document_reference(dataset):
             assert data.inputs[1][split.rows[k]].tobytes() == ref.tobytes()
 
 
-class CountingCsr(sp.csr_matrix):
+class CountingCsr(Csr):
     calls = 0
 
     def __getitem__(self, key):
@@ -120,7 +119,7 @@ def test_fold_build_indexes_graph_a_few_times_per_split(dataset,
 
     def counting_graph(*args):
         graph = build(*args)
-        graph.normalized = CountingCsr(graph.normalized)
+        graph.normalized = CountingCsr(**vars(graph.normalized))
         return graph
 
     monkeypatch.setattr(pipeline, "build_adjacency", counting_graph)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memefuse.preprocess import build_vocabulary, encode_document
-from memefuse.textgraph import (NEG_INF, WindowStats, build_adjacency,
+from memefuse.textgraph import (NEG_INF, Csr, WindowStats, build_adjacency,
                                 count_windows, extract_document_adjacency,
                                 extract_unseen_adjacency, pmi, tfidf)
 from oracles import (count_windows_loop, dense_graph, document_block,
@@ -174,11 +174,49 @@ def test_single_doc_identity_graph():
 
 
 def test_normalization_closed_form():
-    import scipy.sparse as sp
     from memefuse.textgraph import _normalize
-    raw = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    raw = Csr.from_coords(np.ones(4), [0, 0, 1, 1], [0, 1, 0, 1], (2, 2))
     norm = _normalize(raw, np.array([2.0, 2.0])).toarray()
     assert np.allclose(norm, 0.5)
+
+
+@st.composite
+def sparse_coords(draw):
+    """(values, rows, cols, shape): distinct coordinates in any order."""
+    shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    flat = draw(st.lists(st.integers(0, shape[0] * shape[1] - 1),
+                         unique=True, max_size=shape[0] * shape[1]))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(flat), max_size=len(flat)))
+    rows, cols = np.divmod(np.array(flat, dtype=np.int64), shape[1])
+    return np.array(values, dtype=np.float64), rows, cols, shape
+
+
+@given(sparse_coords())
+@settings(max_examples=200, deadline=None)
+def test_csr_equals_scipy_bitwise(coords):
+    # SciPy is the oracle only: the layout, the row sums, every element
+    # gathered (absent ones included) and the dense form
+    sp = pytest.importorskip("scipy.sparse")
+    values, rows, cols, shape = coords
+    got = Csr.from_coords(values, rows, cols, shape)
+    want = sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values
+        sums = got.row_sums(), np.asarray(want.sum(axis=1)).ravel()
+    assert sums[0].tobytes() == sums[1].tobytes()
+    r = np.repeat(np.arange(shape[0]), shape[1])
+    c = np.tile(np.arange(shape[1]), shape[0])
+    assert got[r, c].tobytes() == np.asarray(want[r, c]).ravel().tobytes()
+    assert got.toarray().tobytes() == want.toarray().tobytes()
+    assert got[shape[0] - 1, 0] == want[shape[0] - 1, 0]
+
+
+def test_csr_refuses_duplicate_entries():
+    with pytest.raises(ValueError, match="duplicate"):
+        Csr.from_coords([1.0, 2.0], [0, 0], [1, 1], (2, 2))
 
 
 def test_adjacency_structure():
