@@ -1,4 +1,4 @@
-"""Minimal reverse-mode automatic differentiation on float64 numpy arrays.
+"""Minimal reverse-mode automatic differentiation on float numpy arrays.
 
 A Tensor wraps an ndarray. Every op makes its result with `fused`, the one
 kind of tape node: the new tensor keeps the parents that lead to a
@@ -7,9 +7,9 @@ gradient per kept parent. Layers that would otherwise chain many small
 ops are single `fused` nodes with hand-derived gradients. Each tensor
 takes a creation number, and a node is always created after its parents,
 so ``backward()`` on a scalar visits the reachable nodes newest-first and
-accumulates gradients into every leaf with ``requires_grad``. All
-arithmetic is float64; any NaN/Inf produced by an op is treated as a hard
-error by the callers.
+accumulates gradients into every leaf with ``requires_grad``. Ops compute
+in their inputs' float dtype (float64 for other data); any NaN/Inf
+produced by an op is treated as a hard error by the callers.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class Tensor:
                  "_order")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(float)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -216,7 +217,7 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
         width = table.data.size // table.shape[0]
         flat = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
         acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
-        return (acc.reshape(table.shape),)
+        return (acc.astype(table.data.dtype, copy=False).reshape(table.shape),)
 
     return fused(table.data[ids], (table,), backward)
 

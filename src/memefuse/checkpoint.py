@@ -2,10 +2,11 @@
 
 Layout: an ASCII header (magic line, counts line, metadata lines, one
 manifest line per parameter with its shape), then the raw little-endian
-float64 values in manifest order. A fusion checkpoint's metadata records
-the content hash of each member checkpoint, which names the member run
-whose saved outputs the fusion heads trained on. A file whose header is
-cut, or whose data is short or followed by more bytes, does not load.
+float64 values in manifest order, to which float32 parameters widen
+exactly. A fusion checkpoint's metadata records the content hash of
+each member checkpoint, which names the member run whose saved outputs
+the fusion heads trained on. A file whose header is cut, or whose data
+is short or followed by more bytes, does not load.
 """
 
 from __future__ import annotations

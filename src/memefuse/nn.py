@@ -63,13 +63,13 @@ def assert_finite(name: str, a: np.ndarray) -> None:
 def _linear(x, w, b):
     """y = x W^T + b."""
     def backward(g):
-        return g @ w, g.T @ x, np.ones(len(g)) @ g
+        return g @ w, g.T @ x, np.ones(len(g), g.dtype) @ g
 
     return x @ np.ascontiguousarray(w.T) + b, backward
 
 
 def _layer_norm(x, gain, bias):
-    avg = np.full(x.shape[1], 1.0 / x.shape[1])
+    avg = np.full(x.shape[1], 1.0 / x.shape[1], x.dtype)
     centered = x - (x @ avg)[:, None]
     std = np.sqrt((centered * centered) @ avg + 1e-5)[:, None]
     normed = centered / std
@@ -78,7 +78,7 @@ def _layer_norm(x, gain, bias):
         gn = g * gain
         gx = (gn - (gn @ avg)[:, None]
               - normed * ((gn * normed) @ avg)[:, None]) / std
-        ones = np.ones(len(g))
+        ones = np.ones(len(g), g.dtype)
         return gx, ones @ (g * normed), ones @ g
 
     return normed * gain + bias, backward
@@ -97,11 +97,11 @@ def _attention(x, wq, wk, wv, seq_len, cfg, adj, is_last, name,
     q, k, v = (x @ w).reshape(b, seq_len, 3, h, d_k).transpose(2, 0, 3, 1, 4)
     n_q = 1 if cls_only else seq_len
     q = q[:, :, :n_q]
-    scale = 1.0 / np.sqrt(d_k)
+    scale = float(1.0 / np.sqrt(d_k))  # a NumPy float64 would promote
     # key-major softmax: km[j, b, h, i] is query i's weight on key j, so
     # the max and the sum over keys run over the outermost axis, which is
     # far faster than reducing a short last axis (and the max is exact)
-    km = np.empty((seq_len, b, h, n_q))
+    km = np.empty((seq_len, b, h, n_q), x.dtype)
     np.matmul(k, q.swapaxes(-1, -2), out=km.transpose(1, 2, 0, 3))
     km *= scale
     assert_finite(f"{name} attention logits", km)
@@ -120,19 +120,19 @@ def _attention(x, wq, wk, wv, seq_len, cfg, adj, is_last, name,
             g = adj.swapaxes(-1, -2) @ g
         g_heads = (g / h)[:, None] if is_last else \
             g.reshape(b, n_q, h, d_k).transpose(0, 2, 1, 3)
-        g_km = np.empty(km.shape)                           # key-major too
+        g_km = np.empty_like(km)                            # key-major too
         np.matmul(v, g_heads.swapaxes(-1, -2), out=g_km.transpose(1, 2, 0, 3))
         g_km -= (g_km * km).sum(axis=0)
         g_km *= km
         g_km *= scale
         # dq, dk and dv written straight into the (B, L, 3, h, d_k) layout;
         # rows that did not query get a zero dq
-        g_qkv = (np.zeros if cls_only else np.empty)((b, seq_len, 3, h, d_k))
-        g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
+        g_qkv = (np.zeros if cls_only else np.empty)((n, 3 * d), x.dtype)
+        g_q, g_k, g_v = g_qkv.reshape(b, seq_len, 3, h, d_k).transpose(
+            2, 0, 3, 1, 4)
         np.matmul(g_km.transpose(1, 2, 3, 0), k, out=g_q[:, :, :n_q])
         np.matmul(g_km.transpose(1, 2, 0, 3), q, out=g_k)
         np.matmul(km.transpose(1, 2, 0, 3), g_heads, out=g_v)
-        g_qkv = g_qkv.reshape(n, 3 * d)
         g_w = g_qkv.T @ x
         return g_qkv @ w.T, g_w[:d], g_w[d:2 * d], g_w[2 * d:]
 
@@ -169,13 +169,14 @@ def _head(f, w1, b1, w2, b2, drop_rate, rng, name):
     keep = pre > 0
     if rng is not None and drop_rate > 0.0:  # inverted dropout
         keep = keep * ((rng.random(pre.shape) >= drop_rate)
-                       / (1.0 - drop_rate))
+                       / pre.dtype.type(1.0 - drop_rate))
     logits, back2 = _linear(pre * keep, w2, b2)
-    p = 0.5 * (1.0 + np.tanh(0.5 * logits))  # stable logistic
+    # stable logistic, in float64: in float32 it is 1.0 from a logit of 17.3
+    p = 0.5 * (1.0 + np.tanh(0.5 * logits.astype(np.float64)))
     assert_finite(f"{name} probabilities", p)
 
     def backward(g):
-        g_hidden, g_w2, g_b2 = back2(g * p * (1.0 - p))
+        g_hidden, g_w2, g_b2 = back2((g * p * (1.0 - p)).astype(pre.dtype))
         g_f, g_w1, g_b1 = back1(g_hidden * keep)
         return g_f, g_w1, g_b1, g_w2, g_b2
 
@@ -311,7 +312,8 @@ class TextEncoder:
               cls_only: bool = False) -> Tensor:
         """Token embeddings through the layers, reweighted by `adj` if given;
         every row, or with `cls_only` the [cls] row alone."""
-        x = rows(self.params["embed"], ids) + Tensor(self.positions)
+        x = rows(self.params["embed"], ids)
+        x = x + Tensor(self.positions.astype(x.data.dtype, copy=False))
         return _encoder_stack(x, adj, self.params, self.cfg, cls_only)
 
     def forward(self, ids: np.ndarray,
@@ -368,7 +370,7 @@ class ImageEncoder:
         w, bias, cls = (self.params[n] for n in ("proj_w", "proj_b", "cls"))
         b = images.shape[0]
         patches = self.patchify(images).reshape(b * self.n_patches, -1)
-        x = np.empty((b, self.seq_len, self.cfg.d_att))
+        x = np.empty((b, self.seq_len, self.cfg.d_att), w.data.dtype)
         x[:, 0] = cls.data
         x[:, 1:] = _linear(patches, w.data, bias.data)[0].reshape(
             b, self.n_patches, -1)
@@ -376,8 +378,8 @@ class ImageEncoder:
 
         def backward(g):
             g_emb = g[:, 1:].reshape(len(patches), -1)
-            return (g_emb.T @ patches, np.ones(len(g_emb)) @ g_emb,
-                    np.ones(b) @ g[:, 0])
+            return (g_emb.T @ patches, np.ones(len(g_emb), g.dtype) @ g_emb,
+                    np.ones(b, g.dtype) @ g[:, 0])
 
         return fused(x, (w, bias, cls), backward)
 

@@ -25,6 +25,13 @@ saved outputs of its members, (p_1, f_1, ..., p_m, f_m), in pool order:
 fusion trains only its two heads, one tape node over those constant
 outputs, and runs no member model. `rundir` writes and reads run
 directories.
+
+Models train in float32, which DTYPE picks here alone: the kernels
+compute in their inputs' dtype, and every model's parameters and inputs
+(the images, gcan's adjacency blocks, fusion's member outputs) are kept
+in DTYPE. `nn._head` widens its logits, as a float32 logistic is exactly
+1.0 above a logit of about 17, where the losses divide by 1 - p; so
+probabilities, losses and prediction files stay float64.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from .textgraph import build_adjacency, count_windows, \
 from .training import EpochRecord, TrainConfig, train_model
 
 EVAL_BATCH = 64
+DTYPE = np.float32  # models' parameters and inputs
 
 
 def document_tokens(sample: RawSample) -> list[str]:
@@ -122,8 +130,9 @@ class CvContext:
         # a mapping of its own, unmapped when freed: the heap of a process
         # that builds one context after another would keep it resident;
         # shared, so that forked fill workers write into it
-        buf = mmap.mmap(-1, 8 * int(np.prod(shape)), flags=mmap.MAP_SHARED)
-        images = np.frombuffer(buf).reshape(shape)
+        buf = mmap.mmap(-1, DTYPE().itemsize * int(np.prod(shape)),
+                        flags=mmap.MAP_SHARED)
+        images = np.frombuffer(buf, DTYPE).reshape(shape)
         job = (images, samples, cfg)
         own, *rest = np.array_split(np.arange(len(samples)),
                                     min(cfg.jobs, len(samples)))
@@ -186,24 +195,30 @@ class CvContext:
             train_docs, count_windows(train_docs, cfg.window_len), vocab)
         block = extract_document_adjacency(graph, seqs[train], lengths[train])
         # allocated after that extraction, the memory peak of a fold build
-        adj = np.empty((len(seqs),) + block.shape[1:])
+        adj = np.empty((len(seqs),) + block.shape[1:], DTYPE)
         adj[train] = block
         adj[unseen] = extract_unseen_adjacency(
             graph, seqs[unseen], lengths[unseen], [id_docs[i] for i in unseen])
         return self.fold_data(fold, (seqs, adj), len(vocab.id_to_token))
 
 
+def _narrowed(model):
+    for p in model.params.values():  # every model trains in DTYPE
+        p.data = p.data.astype(DTYPE)
+    return model
+
+
 def make_unimodal(kind: str, cfg: RunConfig, vocab_size: int, n_classes: int,
                   seed: int):
     att = AttentionConfig(d_att=cfg.d_att, n_heads=cfg.n_heads,
                           n_layers=cfg.n_layers, dropout=cfg.dropout)
-    if kind == "bertc":
-        return TextEncoder(vocab_size, cfg.seq_len, n_classes, att, seed)
-    if kind == "gcan":
-        return GcanEncoder(vocab_size, cfg.seq_len, n_classes, att, seed)
     if kind == "vit":
-        return ImageEncoder(cfg.crop, cfg.patch, n_classes, att, seed)
-    raise ValueError(f"unknown uni-modal model {kind!r}")
+        return _narrowed(ImageEncoder(cfg.crop, cfg.patch, n_classes, att,
+                                      seed))
+    if kind not in ("bertc", "gcan"):
+        raise ValueError(f"unknown uni-modal model {kind!r}")
+    text = TextEncoder if kind == "bertc" else GcanEncoder
+    return _narrowed(text(vocab_size, cfg.seq_len, n_classes, att, seed))
 
 
 class UnimodalTrainable:
@@ -302,12 +317,12 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
         pool_order = np.argsort(np.concatenate(
             list(ctx.split_indices(fold).values())))
         data = ctx.fold_data(fold, tuple(
-            np.concatenate([getattr(out[split], part)
-                            for split in SPLITS])[pool_order]
+            np.concatenate([getattr(out[split], part) for split in SPLITS],
+                           dtype=DTYPE)[pool_order]
             for out in saved for part in ("p", "f")))
-        model = FusionModel([(out["train"].p.shape[1], out["train"].f.shape[1])
-                             for out in saved],
-                            tconf.n_outputs, cfg.dropout, seed=tconf.seed)
+        model = _narrowed(FusionModel(
+            [(out["train"].p.shape[1], out["train"].f.shape[1])
+             for out in saved], tconf.n_outputs, cfg.dropout, seed=tconf.seed))
         trainable = FusionTrainable(model, data)
     best_f1, params, records = train_model(
         trainable, data.train.y_mis, data.train.y_sub, data.val.y_mis,

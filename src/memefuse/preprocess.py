@@ -164,9 +164,10 @@ def normalize_image(image: np.ndarray, resize: int = 36,
     """Resize, center-crop, and standardize an 8-bit RGB image.
 
     Returns a (3, crop, crop) float64 tensor with zero mean and unit
-    variance over all values; a constant image is mapped to all zeros
-    (variance-0 fallback divides by 1). Only the crop window is
-    interpolated, from the gathered pixels.
+    variance over all values, which the pipeline narrows into its float32
+    image pool; a constant image is mapped to all zeros (variance-0
+    fallback divides by 1). Only the crop window is interpolated, from
+    the gathered pixels.
     """
     if image.ndim != 3 or image.shape[2] != 3 or min(image.shape[:2]) < 1:
         raise DataError(f"expected (H, W, 3) image, got shape {image.shape}")

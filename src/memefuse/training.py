@@ -87,7 +87,7 @@ def _teacher_forcing(pd: np.ndarray, y_mis):
 
     def backward(g):
         half = (g * (1.0 / diff.size)) * diff
-        out = np.zeros(pd.shape)
+        out = np.zeros(pd.shape, pd.dtype)
         out[rows, top] = half + half
         return out
 
@@ -152,11 +152,12 @@ class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer.
 
     The parameter values, gradients and both moments live in flat
-    buffers, with a view per parameter name, so a step is a few in-place
-    vector operations over all parameters at once. Each parameter's
-    `data` is its view into the value buffer for the optimizer's life;
-    write new values into it in place (as `restore` does). Every
-    parameter must hold a `grad` of its shape when `step` is called.
+    buffers of the parameters' dtype, with a view per parameter name, so
+    a step is a few in-place vector operations over all parameters at
+    once. Each parameter's `data` is its view into the value buffer for
+    the optimizer's life; write new values into it in place (as `restore`
+    does). Every parameter must hold a `grad` of its shape when `step` is
+    called.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
@@ -167,8 +168,9 @@ class AdamW:
         self.weight_decay = weight_decay
         self.t = 0
         bounds = np.cumsum([0] + [p.data.size for p in params.values()])
+        dtype = np.result_type(*{p.data.dtype for p in params.values()})
         self._theta, self._m, self._v, self._g, self._s1, self._s2 = \
-            np.zeros((6, bounds[-1]))  # s1 and s2 are scratch for `step`
+            np.zeros((6, bounds[-1]), dtype)  # s1 and s2 are scratch for `step`
         self.m, self.v = {}, {}
         for (name, p), lo, hi in zip(params.items(), bounds, bounds[1:]):
             view = self._theta[lo:hi].reshape(p.data.shape)

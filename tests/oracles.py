@@ -299,10 +299,46 @@ def f1_oracle(pred, true):
     return 2 * precision * recall / (precision + recall)
 
 
+def confusion_matrix(pred, true):
+    """counts[t][p]: the samples of true label t predicted p, for 0/1
+    labels, by enumeration."""
+    counts = [[0, 0], [0, 0]]
+    for p_, t_ in zip(np.asarray(pred).ravel(), np.asarray(true).ravel()):
+        counts[int(t_)][int(p_)] += 1
+    return counts
+
+
+def class_f1(counts, c):
+    """F1 of class c from a confusion matrix, 2 TP / (2 TP + FP + FN);
+    0.0 for a class that is neither predicted nor true."""
+    tp, fp, fn = counts[c][c], counts[1 - c][c], counts[c][1 - c]
+    return 2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
+
+
+def macro_f1_reference(pred, true):
+    """Mean F1 of the positive and the negative class."""
+    counts = confusion_matrix(pred, true)
+    return 0.5 * (class_f1(counts, 1) + class_f1(counts, 0))
+
+
+def weighted_f1_reference(pred, true):
+    """Each label column's positive-class F1, weighted by the column's
+    support (its true positives plus false negatives); 0.0 when no column
+    has support."""
+    columns = [confusion_matrix(np.asarray(pred)[:, c], np.asarray(true)[:, c])
+               for c in range(np.shape(true)[1])]
+    support = [counts[1][0] + counts[1][1] for counts in columns]
+    if sum(support) == 0:
+        return 0.0
+    return sum(s * class_f1(counts, 1)
+               for s, counts in zip(support, columns)) / sum(support)
+
+
 def member_outputs_by_inference(ctx, member, fold, checkpoint_path):
     """A member's eval-mode (p, f) over a fold's train, val and test splits,
     from its checkpoint: load the parameters, rebuild the member model and
-    run it over the fold's encoded splits."""
+    run it over the fold's encoded splits, each parameter narrowed to the
+    model's dtype."""
     from memefuse.checkpoint import load_checkpoint
     from memefuse.pipeline import UnimodalTrainable, make_unimodal
     data = ctx._build_fold(fold, member)
@@ -310,7 +346,7 @@ def member_outputs_by_inference(ctx, member, fold, checkpoint_path):
     n_classes = 1 if ctx.cfg.setup == "A" else 4
     model = make_unimodal(member, ctx.cfg, data.vocab_size, n_classes, seed=0)
     for name, tensor in model.params.items():
-        tensor.data = params[name]
+        tensor.data = params[name].astype(tensor.data.dtype)
         tensor.requires_grad = False
     trainable = UnimodalTrainable(model, data)
     return {split: trainable.eval_split(getattr(data, split))

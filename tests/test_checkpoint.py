@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from memefuse.autodiff import Tensor
 from memefuse.checkpoint import (MAGIC, average_checkpoints, file_hash,
                                  load_checkpoint, save_checkpoint)
+from memefuse.training import AdamW, restore
 
 
 def test_roundtrip(tmp_path):
@@ -25,6 +27,28 @@ def test_roundtrip(tmp_path):
     assert np.array_equal(loaded["t"], np.ones((2, 2)))
     with open(path, "rb") as fh:
         assert fh.readline().rstrip(b"\n") == MAGIC
+
+
+def test_float32_parameters_widen_and_restore_exactly(tmp_path):
+    # float32 values are saved as <f8, and restore narrows them back to
+    # the same bits in the optimizer's float32 views
+    rng = np.random.default_rng(3)
+    trained = {"w": rng.standard_normal((3, 4)).astype(np.float32),
+               "b": np.float32([1e-30, -0.0, 3.4e38])}
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(path, trained)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data.startswith(MAGIC + b"\n0 2\nb\t3\nw\t3,4\n")
+    assert data.endswith(trained["b"].astype("<f8").tobytes()
+                         + trained["w"].astype("<f8").tobytes())
+    loaded, _ = load_checkpoint(path)
+    params = {k: Tensor(np.zeros_like(v)) for k, v in trained.items()}
+    AdamW(params)  # the parameters' data become float32 buffer views
+    restore(params, loaded)
+    for k, v in trained.items():
+        assert params[k].data.dtype == np.float32
+        assert params[k].data.tobytes() == v.tobytes()
 
 
 def test_deterministic_bytes(tmp_path):

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from memefuse.ensemble import (EXACT_LIMIT, EnsemblePrediction, FoldRun,
                                _exact_p, _normal_p, binary_f1,
@@ -15,7 +16,7 @@ from memefuse.ensemble import (EXACT_LIMIT, EnsemblePrediction, FoldRun,
                                hard_vote, kfold_split, mann_whitney_u,
                                significance_stars, soft_vote, task_scores,
                                taskA_macro_f1, weighted_f1)
-from oracles import f1_oracle
+from oracles import f1_oracle, macro_f1_reference, weighted_f1_reference
 
 
 # --------------------------------------------------------------------- kfold
@@ -117,6 +118,31 @@ def test_f1_matches_confusion_matrix_oracle(n, seed):
     macro_ref = 0.5 * (f1_oracle(pred, true)
                        + f1_oracle(1 - pred, 1 - true))
     assert abs(taskA_macro_f1(pred, true) - macro_ref) < 1e-12
+
+
+def label_pairs(shape):
+    """Predicted and true 0/1 label matrices of one shape."""
+    labels = hnp.arrays(np.int64, shape, elements=st.integers(0, 1))
+    return st.tuples(labels, labels)
+
+
+@given(st.tuples(st.integers(1, 30), st.integers(1, 4)).flatmap(label_pairs))
+@settings(max_examples=300, deadline=None)
+@example((np.zeros((3, 4), int), np.zeros((3, 4), int)))  # no support
+@example((np.ones((3, 4), int), np.zeros((3, 4), int)))   # nothing true
+@example((np.zeros((3, 4), int), np.ones((3, 4), int)))   # nothing predicted
+@example((np.ones((2, 1), int), np.ones((2, 1), int)))    # no negatives
+@example((np.array([[0, 1], [0, 1]]), np.array([[0, 0], [1, 0]])))
+def test_f1_scores_equal_confusion_matrix_reference(labels):
+    # runs without scikit-learn, and to the bit: the same divisions and
+    # sums, in the same order, from an explicit confusion matrix; columns
+    # without support and classes that are neither predicted nor true
+    # are among the cases
+    pred, true = labels
+    assert weighted_f1(pred, true) == weighted_f1_reference(pred, true)
+    for c in range(true.shape[1]):
+        assert taskA_macro_f1(pred[:, c], true[:, c]) == \
+            macro_f1_reference(pred[:, c], true[:, c])
 
 
 def test_f1_matches_sklearn():

@@ -11,8 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from memefuse import pipeline
-from memefuse import checkpoint
+from memefuse import autodiff, checkpoint, fusion, nn, pipeline, training
 from memefuse.autodiff import Tensor
 from memefuse.checkpoint import file_hash
 from memefuse.dataio import MODEL_MEMBERS, RunConfig, ingest
@@ -28,7 +27,7 @@ from memefuse.rundir import (DependencyError, SplitOutputs, load_fold_runs,
 from memefuse.preprocess import DataError, build_vocabulary, \
     encode_document, normalize_image
 from memefuse.textgraph import Csr, build_adjacency, count_windows
-from memefuse.training import (EpochRecord, TrainConfig, class_weights,
+from memefuse.training import (AdamW, EpochRecord, TrainConfig, class_weights,
                                setup_loss)
 from memefuse.synth import SynthSpec, gen_synth
 from oracles import document_block, member_outputs_by_inference, \
@@ -56,6 +55,11 @@ def make_ctx(dataset, **overrides):
 def rows_of(data, split):
     """A split's rows of each of the fold's model inputs."""
     return [a[split.rows] for a in data.inputs]
+
+
+def narrowed(a):
+    """A float64 reference array as the float32 that models read."""
+    return a.astype(np.float32) if a.dtype == np.float64 else a
 
 
 def test_fold_encoding_shapes_and_leakage(dataset):
@@ -100,7 +104,8 @@ def test_fold_blocks_equal_per_document_reference(dataset):
             else:
                 ref = unseen_block(graph, [vocab.lookup(t) for t in doc],
                                    seq.ids, seq.true_length)
-            assert data.inputs[1][split.rows[k]].tobytes() == ref.tobytes()
+            assert data.inputs[1][split.rows[k]].tobytes() == \
+                narrowed(ref).tobytes()
 
 
 class CountingCsr(Csr):
@@ -192,7 +197,8 @@ def test_fold_rows_equal_per_split_reference(dataset, tmp_path, monkeypatch,
         for name, split in data.splits().items():
             assert [(a.dtype, a.shape, a.tobytes())
                     for a in rows_of(data, split)] == \
-                [(a.dtype, a.shape, a.tobytes()) for a in ref[name]], \
+                [(a.dtype, a.shape, a.tobytes())
+                 for a in map(narrowed, ref[name])], \
                 (fold, name)
 
 
@@ -281,9 +287,9 @@ def test_image_pool_same_bytes_whatever_the_fill_jobs(dataset, n_train,
     # 8 jobs over 6 rows: one block of one row per process
     train, test = dataset[0][:n_train], dataset[1][:n_test]
     serial = make_ctx((train, test), model="vit", folds=2).images
-    assert serial.tobytes() == np.stack([
+    assert serial.tobytes() == narrowed(np.stack([
         normalize_image(s.image, CFG_KW["resize"], CFG_KW["crop"])
-        for s in train + test]).tobytes()
+        for s in train + test])).tobytes()
     ctx = make_ctx((train, test), model="vit", folds=2, jobs=jobs)
     assert multiprocessing.active_children() == []
     assert ctx.images.tobytes() == serial.tobytes()
@@ -417,7 +423,7 @@ def test_fusion_fold_inputs_are_member_outputs(dataset, tmp_path,
         for member in members]
     [data] = folds
     for split, fold_split in data.splits().items():
-        expected = [arrays[f"{split}.{part}"] for arrays in saved
+        expected = [narrowed(arrays[f"{split}.{part}"]) for arrays in saved
                     for part in ("p", "f")]
         assert [a.tobytes() for a in rows_of(data, fold_split)] == \
             [a.tobytes() for a in expected], split
@@ -442,9 +448,11 @@ def test_saved_outputs_equal_member_inference(dataset, tmp_path, setup):
             ref = member_outputs_by_inference(
                 ctx, member, fold, os.path.join(member_dir, f"fold{fold}.ckpt"))
             assert len(arrays) == 6
-            for split, (p, f) in ref.items():
-                assert arrays[f"{split}.p"].tobytes() == p.tobytes()
-                assert arrays[f"{split}.f"].tobytes() == f.tobytes()
+            for split, (p, f) in ref.items():  # the file widens exactly
+                assert arrays[f"{split}.p"].tobytes() == \
+                    p.astype(np.float64).tobytes()
+                assert arrays[f"{split}.f"].tobytes() == \
+                    f.astype(np.float64).tobytes()
             val = set(ctx.folds[fold].tolist())
             assert meta == {
                 "train.ids": "\t".join(sid for i, sid in enumerate(train_ids)
@@ -740,3 +748,91 @@ def test_manifest_row_without_three_fields_names_the_line(dataset, tmp_path):
     with pytest.raises(DataError, match=re.escape(f"{path}:3")):
         load_fold_runs(str(tmp_path), "vit")
 
+
+@pytest.mark.parametrize("model", ["bertc", "gcan", "vit", "gcan-vit"])
+def test_models_compute_in_float32(dataset, tmp_path, monkeypatch, model):
+    # a silent upcast anywhere would compute in float64, lose the speed
+    # and memory of float32 and fail nothing else: every tape node's
+    # output and every gradient its backward returns is float32, but for
+    # the probabilities (the head's and fusion's) and the loss
+    for member in MODEL_MEMBERS[model] or []:
+        train_model_cv(make_ctx(dataset), member, str(tmp_path), log=None)
+    nodes, grads, probs, losses, optimizers = [], [], set(), set(), []
+    fused = autodiff.fused
+
+    def recorded(data, parents, backward):
+        def checked(g):
+            out = backward(g)
+            grads.append((node, [a.dtype for a in out]))
+            return out
+
+        node = fused(data, parents, checked)
+        nodes.append(node)
+        return node
+
+    def marking(fn, marks):
+        def marked(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            marks.add(id(out.p if isinstance(out, ModelOutput) else out))
+            return out
+        return marked
+
+    class RecordedAdamW(AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    for module in (autodiff, nn, training, fusion):
+        monkeypatch.setattr(module, "fused", recorded)
+    monkeypatch.setattr(nn, "classifier_head",
+                        marking(nn.classifier_head, probs))
+    monkeypatch.setattr(FusionModel, "forward",
+                        marking(FusionModel.forward, probs))
+    monkeypatch.setattr(training, "setup_loss",
+                        marking(training.setup_loss, losses))
+    monkeypatch.setattr(training, "AdamW", RecordedAdamW)
+    ctx = make_ctx(dataset, model=model, epochs=2)
+    train_fold(ctx, model, 0, str(tmp_path))  # training steps, then evals
+    assert probs and losses and grads
+    for node in nodes:
+        wide = id(node) in probs or id(node) in losses
+        assert node.data.dtype == (np.float64 if wide else np.float32), \
+            node.shape
+    for node, dtypes in grads:
+        assert dtypes == [np.float64 if id(node) in losses
+                          else np.float32] * len(dtypes), node.shape
+    [optimizer] = optimizers
+    assert {buf.dtype for buf in (optimizer._theta, optimizer._m,
+                                  optimizer._v, optimizer._g, optimizer._s1,
+                                  optimizer._s2)} == {np.dtype(np.float32)}
+    if model == "vit":
+        assert ctx.images.dtype == np.float32
+
+
+@pytest.mark.parametrize("setup", ["A", "B"])
+def test_saturated_float32_head_keeps_gradients_finite(dataset, setup):
+    # a float32 logistic is exactly 1.0 above a logit of about 17, where
+    # both losses divide by 1 - p; the head's logistic runs in float64
+    ctx = make_ctx(dataset, setup=setup)
+    data = ctx._build_fold(0, "gcan")
+    n_out = 1 if setup == "A" else 4
+    model = make_unimodal("gcan", ctx.cfg, data.vocab_size, n_out, seed=0)
+    optimizer = AdamW(model.params)
+    ids, adj = (a[data.train.rows[:4]] for a in data.inputs)
+    head = {k: model.params[f"head.{k}"].data.astype(np.float64)
+            for k in ("w1", "b1", "w2", "b2")}
+    f = model.stack(ids, adj).sum(axis=1).data.astype(np.float64)
+    logits = np.maximum(f @ head["w1"].T + head["b1"], 0.0) @ head["w2"].T \
+        + head["b2"]
+    column = np.argmax(np.abs(logits[0]))
+    model.params["head.w2"].data *= 32.0 / logits[0, column]  # b2 is 0
+    out = model.forward(ids, adj)
+    assert float(out.p.data[0, column]) > 1.0 - 1e-13  # a logit above 30
+    # label 0 for every sample, so sample 0's p needs 1 - p
+    y_mis, y_sub = np.zeros(4), np.zeros((4, 4))
+    setup_loss(out.p, y_mis, y_sub,
+               TrainConfig(setup=setup, epochs=5, warmup_epochs=1),
+               class_weights([1, 1, 1, 1], 4)).backward()
+    for name, p in model.params.items():
+        assert np.isfinite(p.grad).all(), name
+    optimizer.step(1e-3)
