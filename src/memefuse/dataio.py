@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,38 +45,74 @@ def write_ppm(path: str, image: np.ndarray) -> None:
         fh.write(image.astype(np.uint8).tobytes())
 
 
-def read_ppm(path: str) -> np.ndarray:
-    """Binary P6 with maxval 255; any other or malformed file is a
-    DataError naming `path`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fields_ = []
-    pos = 0
-    while len(fields_) < 4:
-        while pos < len(data) and data[pos: pos + 1].isspace():
-            pos += 1
-        if data[pos: pos + 1] == b"#":
-            while pos < len(data) and data[pos: pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos: pos + 1].isspace():
-            pos += 1
-        fields_.append(data[start:pos])
-    if fields_[0] != b"P6" or fields_[3] != b"255":
+class PpmRaster(NamedTuple):
+    """Where a checked PPM file keeps its pixels: `shape` (H, W, 3) uint8
+    bytes at `offset`."""
+    path: str
+    offset: int
+    shape: tuple[int, int, int]
+
+
+# the four header fields (magic, width, height, maxval), each after any
+# whitespace (bytes.isspace's set) and `#` comments up to a newline
+_PPM_HEADER = re.compile(rb"(?:\s+|#[^\n]*)*(\S*)" * 4)
+
+
+def check_ppm(path: str) -> PpmRaster:
+    """Check the header and size of the binary P6 PPM at `path`, with
+    maxval 255, reading its header only (of any length): any other or
+    malformed file, or one shorter than its raster, is a DataError naming
+    `path`."""
+    head = b""
+    with open(path, "rb", buffering=0) as fh:
+        while True:  # until a whitespace byte ends the maxval, or the file
+            more = fh.read(max(len(head), 64))
+            head += more
+            header = _PPM_HEADER.match(head)
+            if header.end() < len(head) or not more:
+                break
+        size = os.fstat(fh.fileno()).st_size
+    magic, width, height, maxval = header.groups()
+    if magic != b"P6" or maxval != b"255":
         raise DataError(f"unsupported PPM header in {path}")
-    if not (fields_[1].isdigit() and fields_[2].isdigit()):
-        raise DataError(f"PPM size {fields_[1]!r} x {fields_[2]!r} is not "
+    if not (width.isdigit() and height.isdigit()):
+        raise DataError(f"PPM size {width!r} x {height!r} is not "
                         f"two numbers in {path}")
-    w, h = int(fields_[1]), int(fields_[2])
+    w, h = int(width), int(height)
     if w < 1 or h < 1:
         raise DataError(f"empty {w} x {h} PPM image in {path}")
-    pos += 1  # single whitespace byte after maxval
-    if len(data) - pos < w * h * 3:
-        raise DataError(f"PPM raster of {path} has {max(len(data) - pos, 0)} "
+    offset = header.end() + 1  # single whitespace byte after maxval
+    if size - offset < w * h * 3:
+        raise DataError(f"PPM raster of {path} has {max(size - offset, 0)} "
                         f"bytes; a {w} x {h} image needs {w * h * 3}")
-    raster = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
-    return raster.reshape(h, w, 3).copy()
+    return PpmRaster(path, offset, (h, w, 3))
+
+
+def read_raster(raster: PpmRaster) -> np.ndarray:
+    """The checked raster's read-only pixels, read with one pread at its
+    offset; a file cut since its check is a DataError naming it."""
+    n = raster.shape[0] * raster.shape[1] * 3
+    fd = os.open(raster.path, os.O_RDONLY)
+    try:
+        data = os.pread(fd, n, raster.offset)
+    finally:
+        os.close(fd)
+    if len(data) < n:
+        raise DataError(f"PPM raster of {raster.path} has {len(data)} bytes "
+                        f"since it was checked; its image needs {n}")
+    return np.frombuffer(data, dtype=np.uint8).reshape(raster.shape)
+
+
+def read_ppm(path: str) -> np.ndarray:
+    """The read-only pixels of the binary P6 PPM at `path` (`check_ppm`)."""
+    return read_raster(check_ppm(path))
+
+
+def sample_pixels(sample: RawSample) -> np.ndarray:
+    """A sample's (H, W, 3) uint8 pixels: the array it holds, or its
+    ingested raster read from disk, which nothing keeps."""
+    image = sample.image
+    return image if isinstance(image, np.ndarray) else read_raster(image)
 
 
 def write_dataset(path: str, samples: list[RawSample], image_dir: str) -> None:
@@ -91,8 +129,9 @@ def write_dataset(path: str, samples: list[RawSample], image_dir: str) -> None:
 
 def ingest(dataset_path: str, image_dir: str | None = None) -> list[RawSample]:
     """Parse and validate a dataset TSV; returns samples in id order.
-    Images are read from `image_dir`, if unset or empty from `images/`
-    next to the TSV."""
+    Images are checked in `image_dir`, if unset or empty in `images/`
+    next to the TSV: each file's header and size (`check_ppm`), not its
+    pixels. A sample holds where its raster is, for `sample_pixels`."""
     if not image_dir:
         image_dir = os.path.join(os.path.dirname(dataset_path), "images")
     samples = []
@@ -114,10 +153,14 @@ def ingest(dataset_path: str, image_dir: str | None = None) -> list[RawSample]:
             try:  # a DataError is a ValueError
                 labels = LabelVector(*(int(v) for v in parts[3:8]))
                 labels.validate()
-                if not os.path.exists(image_path):
+                try:
+                    image = check_ppm(image_path)
+                except (OSError, ValueError) as exc:
+                    if isinstance(exc, DataError) or \
+                            os.path.exists(image_path):  # not missing
+                        raise
                     raise DataError(f"missing image for sample {sid}: "
-                                    f"{image_path}")
-                image = read_ppm(image_path)
+                                    f"{image_path}") from None
             except ValueError as exc:
                 raise DataError(f"{dataset_path}:{lineno}: {exc}") from exc
             samples.append(RawSample(

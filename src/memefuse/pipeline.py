@@ -9,7 +9,9 @@ modality when it is first read and keeps it; it reads its own model's
 modality when it is built, and `train_model_cv` reads the trained
 model's before any fold worker forks, so no worker redoes it. The
 images are one shared mapping that the parent and, with `jobs` > 1,
-forked fill workers normalize into, each its own block of rows.
+forked fill workers normalize into, each its own block of rows, whose
+pixels it reads there (`dataio.sample_pixels`): an ingested sample holds
+where its raster is, not its pixels, so no other model reads a raster.
 A fold partitions the pool's rows into its train, val and test splits.
 Its FoldData holds the model inputs of every pool row, and each split
 its ids, labels and rows, through which one train and eval loop gathers
@@ -47,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .autodiff import Tensor, frozen
-from .dataio import MODEL_MEMBERS, RunConfig
+from .dataio import MODEL_MEMBERS, RunConfig, sample_pixels
 from .ensemble import FoldRun, kfold_split, task_scores
 from .fusion import FusionModel
 from .nn import AttentionConfig, GcanEncoder, ImageEncoder, ModelOutput, \
@@ -354,12 +356,13 @@ def _init_worker(*job) -> None:
 
 
 def _normalize_rows(rows: np.ndarray, job: tuple = ()) -> None:
-    """Normalize the images of pool rows `rows` into the pool; `job` is
-    (images, samples, cfg), in a fill worker the one it was started with."""
+    """Normalize the pixels of pool rows `rows`, read here, into the pool;
+    `job` is (images, samples, cfg), in a fill worker the one it was
+    started with."""
     images, samples, cfg = job or _worker_job
     for row in rows:
-        images[row] = normalize_image(samples[row].image, cfg.resize,
-                                      cfg.crop)
+        images[row] = normalize_image(sample_pixels(samples[row]),
+                                      cfg.resize, cfg.crop)
 
 
 def _train_worker_fold(fold: int) -> FoldArtifacts:

@@ -54,7 +54,7 @@ class RawSample:
     id: str
     ocr_text: str
     captions: list[str]
-    image: np.ndarray  # (H, W, 3) uint8
+    image: np.ndarray  # (H, W, 3) uint8, or ingest's dataio.PpmRaster
     labels: LabelVector
 
 

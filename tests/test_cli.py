@@ -15,7 +15,7 @@ from memefuse.checkpoint import file_hash
 from memefuse.cli import main
 from memefuse.dataio import (TSV_HEADER, RunConfig, emit_config, ingest,
                              load_config, parse_config, read_ppm,
-                             write_dataset, write_ppm)
+                             sample_pixels, write_dataset, write_ppm)
 from memefuse.preprocess import DataError
 from memefuse.synth import SynthSpec, bayes_accuracies, gen_synth, generate
 
@@ -47,14 +47,39 @@ MALFORMED_PPM = {
 }
 
 
-@pytest.mark.parametrize("content", MALFORMED_PPM.values(),
-                         ids=MALFORMED_PPM.keys())
-def test_ppm_malformed_names_the_file(tmp_path, content):
-    path = os.path.join(tmp_path, "x.ppm")
+@pytest.mark.parametrize("content, via", [
+    *(pytest.param(content, "read_ppm", id=name)
+      for name, content in MALFORMED_PPM.items()),
+    *(pytest.param(content, "ingest", id=f"ingest-{name}")
+      for name, content in MALFORMED_PPM.items())])
+def test_ppm_malformed_names_the_file(tmp_path, content, via):
+    # ingest refuses by the header and the file's size alone, with
+    # read_ppm's message after the TSV's `path:line`
+    os.makedirs(os.path.join(tmp_path, "images"))
+    path = os.path.join(tmp_path, "images", "x.ppm")
     with open(path, "wb") as fh:
         fh.write(content)
-    with pytest.raises(DataError, match="x.ppm"):
-        read_ppm(path)
+    if via == "read_ppm":
+        with pytest.raises(DataError, match="x.ppm"):
+            read_ppm(path)
+    else:
+        tsv = write_rows(tmp_path, ["x\ta\t\t0\t0\t0\t0\t0"])
+        with pytest.raises(DataError, match=re.escape(f"{tsv}:2: ") +
+                           ".*" + re.escape(path)):
+            ingest(tsv)
+
+
+def test_ppm_header_of_any_length(tmp_path):
+    # a comment runs past any fixed prefix that ingest might read
+    img = np.random.default_rng(1).integers(
+        0, 256, size=(3, 5, 3)).astype(np.uint8)
+    os.makedirs(os.path.join(tmp_path, "images"))
+    path = os.path.join(tmp_path, "images", "x.ppm")
+    with open(path, "wb") as fh:
+        fh.write(b"P6\n# " + b"c" * 5000 + b"\n5 3\n255\n" + img.tobytes())
+    sample, = ingest(write_rows(tmp_path, ["x\ta\t\t0\t0\t0\t0\t0"]))
+    assert np.array_equal(sample_pixels(sample), read_ppm(path))
+    assert np.array_equal(read_ppm(path), img)
 
 
 # -------------------------------------------------------------------- ingest
@@ -79,7 +104,7 @@ def test_ingest_roundtrip(tmp_path):
     by_id = {s.id: s for s in loaded}
     assert by_id["b1"].captions == ["a cat"]
     assert by_id["a2"].captions == []
-    assert np.array_equal(by_id["b1"].image, samples[0].image)
+    assert np.array_equal(sample_pixels(by_id["b1"]), samples[0].image)
     assert by_id["b1"].labels.mis == 1
 
 

@@ -11,10 +11,12 @@ import weakref
 import numpy as np
 import pytest
 
-from memefuse import autodiff, checkpoint, fusion, nn, pipeline, training
+from memefuse import autodiff, checkpoint, dataio, fusion, nn, pipeline, \
+    training
 from memefuse.autodiff import Tensor
 from memefuse.checkpoint import file_hash
-from memefuse.dataio import MODEL_MEMBERS, RunConfig, ingest
+from memefuse.cli import _test_labels
+from memefuse.dataio import MODEL_MEMBERS, RunConfig, ingest, sample_pixels
 from memefuse.ensemble import FoldRun
 from memefuse.fusion import FusionModel
 from memefuse.nn import GcanEncoder, ImageEncoder, ModelOutput, TextEncoder
@@ -38,13 +40,21 @@ CFG_KW = dict(folds=3, epochs=3, warmup_epochs=1, base_lr=3e-3,
               d_att=8, n_heads=2, n_layers=2, dropout=0.1, seed=4)
 
 
+def ingest_dir(root):
+    return (ingest(os.path.join(root, "train.tsv")),
+            ingest(os.path.join(root, "test.tsv")))
+
+
 @pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    root = tmp_path_factory.mktemp("pipe")
+def dataset_dir(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("pipe"))
     gen_synth(SynthSpec(n_train=24, n_test=6, seed=2, image_side=16), root)
-    train = ingest(os.path.join(root, "train.tsv"))
-    test = ingest(os.path.join(root, "test.tsv"))
-    return train, test
+    return root
+
+
+@pytest.fixture(scope="module")
+def dataset(dataset_dir):
+    return ingest_dir(dataset_dir)
 
 
 def make_ctx(dataset, **overrides):
@@ -288,7 +298,7 @@ def test_image_pool_same_bytes_whatever_the_fill_jobs(dataset, n_train,
     train, test = dataset[0][:n_train], dataset[1][:n_test]
     serial = make_ctx((train, test), model="vit", folds=2).images
     assert serial.tobytes() == narrowed(np.stack([
-        normalize_image(s.image, CFG_KW["resize"], CFG_KW["crop"])
+        normalize_image(sample_pixels(s), CFG_KW["resize"], CFG_KW["crop"])
         for s in train + test])).tobytes()
     ctx = make_ctx((train, test), model="vit", folds=2, jobs=jobs)
     assert multiprocessing.active_children() == []
@@ -298,19 +308,18 @@ def test_image_pool_same_bytes_whatever_the_fill_jobs(dataset, n_train,
 def test_image_pool_filled_once_by_parent_and_workers(dataset, tmp_path,
                                                       monkeypatch):
     # each row once, by the parent and one fill worker, none of which
-    # trains a fold; forked, a worker sees the samples' images at the
-    # parent's addresses
+    # trains a fold; each process reads the pixels of its own rows
     train, test = dataset
-    row_of = {id(s.image): row for row, s in enumerate(train + test)}
+    row_of = {s.id: row for row, s in enumerate(train + test)}
     calls = os.path.join(tmp_path, "calls")
-    normalize = pipeline.normalize_image
+    pixels = pipeline.sample_pixels
 
-    def logged(image, *args):
+    def logged(sample):
         with open(calls, "a") as fh:
-            fh.write(f"{os.getpid()} {row_of[id(image)]}\n")
-        return normalize(image, *args)
+            fh.write(f"{os.getpid()} {row_of[sample.id]}\n")
+        return pixels(sample)
 
-    monkeypatch.setattr(pipeline, "normalize_image", logged)
+    monkeypatch.setattr(pipeline, "sample_pixels", logged)
     ctx = make_ctx(dataset, model="vit", jobs=2)
     out = os.path.join(tmp_path, "runs")
     train_model_cv(ctx, "vit", out, jobs=2, log=None)
@@ -322,6 +331,42 @@ def test_image_pool_filled_once_by_parent_and_workers(dataset, tmp_path,
         fold_pids = {json.loads(line)["pid"] for line in fh}
     assert os.getpid() in pids and len(pids) == 2
     assert not pids & fold_pids
+
+
+def test_only_the_vit_pool_reads_rasters(dataset_dir, monkeypatch):
+    # ingest checks each image's header and size and keeps no pixels;
+    # the vit pool's fill reads each raster once, and nothing else does
+    raster_reads, read = [], dataio.read_raster
+
+    def counted(raster):
+        raster_reads.append(raster.path)
+        return read(raster)
+
+    monkeypatch.setattr(dataio, "read_raster", counted)
+    train, test = ingest_dir(dataset_dir)
+    assert raster_reads == []
+    assert not any(isinstance(s.image, np.ndarray) for s in train + test)
+    for model in ("bertc", "gcan", "gcan-vit"):
+        CvContext(train, test, RunConfig(**{**CFG_KW, "model": model}))
+    _test_labels(dataset_dir)  # evaluate's read of the test set
+    assert raster_reads == []
+    CvContext(train, test, RunConfig(**{**CFG_KW, "model": "vit"}))
+    assert sorted(raster_reads) == sorted(
+        os.path.join(dataset_dir, "images", f"{s.id}.ppm")
+        for s in train + test)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raster_cut_after_ingest_names_the_file(tmp_path, jobs):
+    gen_synth(SynthSpec(n_train=6, n_test=2, seed=3, image_side=8), tmp_path)
+    train, test = ingest_dir(tmp_path)
+    cut = os.path.join(tmp_path, "images", f"{test[1].id}.ppm")
+    with open(cut, "r+b") as fh:
+        fh.truncate(os.path.getsize(cut) - 1)
+    with pytest.raises(DataError, match=re.escape(cut)):
+        CvContext(train, test, RunConfig(**{**CFG_KW, "model": "vit",
+                                            "folds": 2, "jobs": jobs}))
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("bad_rows", [(25,), (3, 25), (12, 25), (20, 25)])
