@@ -1,15 +1,20 @@
 """Minimal reverse-mode automatic differentiation on float numpy arrays.
 
-A Tensor wraps an ndarray. Every op makes its result with `fused`, the one
-kind of tape node: the new tensor keeps the parents that lead to a
-trainable leaf and one backward that maps the output gradient to a
-gradient per kept parent. Layers that would otherwise chain many small
-ops are single `fused` nodes with hand-derived gradients. Each tensor
-takes a creation number, and a node is always created after its parents,
-so ``backward()`` on a scalar visits the reachable nodes newest-first and
-accumulates gradients into every leaf with ``requires_grad``. Ops compute
-in their inputs' float dtype (float64 for other data); any NaN/Inf
-produced by an op is treated as a hard error by the callers.
+A Tensor wraps an ndarray. `fused` is the one kind of tape node: the new
+tensor keeps the parents that lead to a trainable leaf and one backward
+that maps the output gradient to a gradient per kept parent. The
+package builds only kernel nodes: each embedding, encoder layer, head
+and loss, and the fusion network, is one `fused` node with a
+hand-derived gradient. A Tensor keeps only `*` and `.sum`: GCAN pools
+with `.sum`, and gradient checks compose with both. The rest of the
+operator algebra (add, matmul, indexing, reductions, nonlinearities) is
+a test oracle built on `fused`, in `tests/oracles.py`. Each tensor
+takes a creation number, and a node is always created after its
+parents, so ``backward()`` on a scalar visits the reachable nodes
+newest-first and accumulates gradients into every leaf with
+``requires_grad``. Ops compute in their inputs' float dtype (float64
+for other data); any NaN/Inf produced by an op is treated as a hard
+error by the callers.
 """
 
 from __future__ import annotations
@@ -55,69 +60,14 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
 
-    @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x)
-
-    # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return fused(self.data + other.data, (self, other),
-                     lambda g: (_unbroadcast(g, self.shape),
-                                _unbroadcast(g, other.shape)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return fused(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
     def __mul__(self, other):
-        other = self._lift(other)
+        """Elementwise product, broadcasting; `other` may be an array."""
+        other = other if isinstance(other, Tensor) else Tensor(other)
         return fused(self.data * other.data, (self, other),
                      lambda g: (_unbroadcast(g * other.data, self.shape),
                                 _unbroadcast(g * self.data, other.shape)))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return fused(self.data / other.data, (self, other),
-                     lambda g: (_unbroadcast(g / other.data, self.shape),
-                                _unbroadcast(-g * self.data / other.data ** 2,
-                                             other.shape)))
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __matmul__(self, other):
-        other = self._lift(other)
-        a, b = self.data, other.data
-        return fused(a @ b, (self, other),
-                     lambda g: (_unbroadcast(g @ np.swapaxes(b, -1, -2),
-                                             self.shape),
-                                _unbroadcast(np.swapaxes(a, -1, -2) @ g,
-                                             other.shape)))
-
-    # -- shape ops --------------------------------------------------------
-
-    def reshape(self, *shape):
-        old = self.shape
-        return fused(self.data.reshape(*shape), (self,),
-                     lambda g: (g.reshape(old),))
-
-    def __getitem__(self, idx):
-        def backward(g):
-            out = np.zeros(self.shape)
-            np.add.at(out, idx, g)
-            return (out,)
-
-        return fused(self.data[idx], (self,), backward)
-
-    # -- reductions --------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
         def backward(g):
@@ -127,37 +77,6 @@ class Tensor:
 
         return fused(self.data.sum(axis=axis, keepdims=keepdims), (self,),
                      backward)
-
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis):
-        """Max along one axis; gradient flows to the first argmax on ties."""
-        idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)
-
-        def backward(g):
-            out = np.zeros(self.shape)
-            np.put_along_axis(out, idx, np.expand_dims(g, axis), axis=axis)
-            return (out,)
-
-        return fused(np.take_along_axis(self.data, idx, axis=axis)
-                     .squeeze(axis), (self,), backward)
-
-    # -- nonlinearities ------------------------------------------------------
-
-    def relu(self):
-        mask = self.data > 0
-        return fused(self.data * mask, (self,), lambda g: (g * mask,))
-
-    def sigmoid(self):
-        s = 0.5 * (1.0 + np.tanh(0.5 * self.data))  # stable logistic
-        return fused(s, (self,), lambda g: (g * s * (1.0 - s),))
-
-    # -- backward ----------------------------------------------------------
 
     def backward(self):
         """Accumulate d self / d leaf into every reachable trainable leaf.
@@ -207,19 +126,6 @@ def fused(data, parents, backward) -> Tensor:
 
         out._backward = narrowed
     return out
-
-
-def rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Embedding lookup: gather rows of `table` by an integer id array."""
-    def backward(g):
-        # one bincount over flat (row, column) slots adds each slot's
-        # terms in the order np.add.at would, so the sums are bitwise equal
-        width = table.data.size // table.shape[0]
-        flat = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
-        acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
-        return (acc.astype(table.data.dtype, copy=False).reshape(table.shape),)
-
-    return fused(table.data[ids], (table,), backward)
 
 
 def parameter(data, rng: np.random.Generator | None = None,

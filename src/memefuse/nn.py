@@ -4,8 +4,10 @@ Every encoder produces a ModelOutput with class probabilities `p` and a
 classification feature vector `f`. Layers are built on the autodiff
 Tensor, so exact parameter gradients are available for any scalar loss.
 Array kernels over 2-D (rows, width) activations return an output and
-its hand-derived backward; a whole graph-attention layer and the whole
-classifier head are each one `fused` tape node composing kernels. The
+its hand-derived backward. Each embedding, each whole graph-attention
+layer and the whole classifier head is one `fused` tape node composing
+kernels; the only other op is GCAN's node-sum pooling, a `Tensor.sum`.
+The Tensor operator algebra is a test oracle, and no encoder uses it. The
 graph-attention layer reweights the merged attention heads with a
 per-document normalized adjacency block before the output projection;
 with an identity block it degenerates to a plain transformer layer.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, fused, parameter, rows
+from .autodiff import Tensor, fused, parameter
 
 
 class NumericError(ArithmeticError):
@@ -308,13 +310,29 @@ class TextEncoder:
         _init_encoder(self.params, cfg, n_classes, rng)
         self.positions = sinusoidal_positions(seq_len, cfg.d_att)
 
+    def embed(self, ids: np.ndarray) -> Tensor:
+        """Token rows plus the positions, cast to the table's dtype, as one
+        tape node, (B, L, d_att)."""
+        table = self.params["embed"]
+        x = table.data[ids]
+        np.add(x, self.positions, out=x, dtype=x.dtype)
+
+        def backward(g):
+            # one bincount over flat (row, column) slots adds each slot's
+            # terms in np.add.at's order, so the sums are bitwise equal
+            width = x.shape[-1]
+            flat = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
+            acc = np.bincount(flat, g.ravel(), table.data.size)
+            return (acc.astype(x.dtype, copy=False).reshape(table.shape),)
+
+        return fused(x, (table,), backward)
+
     def stack(self, ids: np.ndarray, adj: np.ndarray | None = None,
               cls_only: bool = False) -> Tensor:
         """Token embeddings through the layers, reweighted by `adj` if given;
         every row, or with `cls_only` the [cls] row alone."""
-        x = rows(self.params["embed"], ids)
-        x = x + Tensor(self.positions.astype(x.data.dtype, copy=False))
-        return _encoder_stack(x, adj, self.params, self.cfg, cls_only)
+        return _encoder_stack(self.embed(ids), adj, self.params, self.cfg,
+                              cls_only)
 
     def forward(self, ids: np.ndarray,
                 rng: np.random.Generator | None = None) -> ModelOutput:

@@ -3,8 +3,8 @@
 Word-word edges carry positive pointwise mutual information gathered with
 a sliding window; document-word edges carry TF-IDF; the diagonal is 1.
 The adjacency matrix is symmetrically normalized by inverse square-root
-degrees. Both matrices are `Csr`, a NumPy-only compressed sparse row
-container laid out as SciPy's `csr_matrix`. The graph-attention encoder
+degrees. Both matrices are `Csr`, a NumPy-only sparse matrix that keeps
+its entries in row-major order. The graph-attention encoder
 reads one L_S x L_S adjacency block per document, extracted for a whole
 split at once: sequence position 0 maps to the document node, the
 remaining positions map to their word nodes.
@@ -35,13 +35,12 @@ class WindowStats:
 
 @dataclass
 class Csr:
-    """A float64 sparse matrix in SciPy's compressed sparse row layout:
-    row r holds `data[indptr[r]:indptr[r + 1]]` at columns `indices[...]`,
-    ascending; both index arrays are int32 where the entry count and the
-    shape fit. Rows and columns given to it must be in range."""
+    """A float64 sparse matrix as its entries in row-major order: entry k
+    holds `data[k]` at row `keys[k] // shape[1]`, column `keys[k] %
+    shape[1]`, and the int64 `keys` ascend. Rows and columns given to it
+    must be in range."""
     data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    keys: np.ndarray
     shape: tuple[int, int]
 
     @classmethod
@@ -52,41 +51,33 @@ class Csr:
         key = key[order]
         if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate (row, col) entries")
-        index = np.int32 if max(len(key), *shape) < 2 ** 31 else np.int64
-        row_starts = np.searchsorted(key, np.arange(shape[0] + 1) * shape[1])
-        return cls(np.asarray(values, dtype=np.float64)[order],
-                   (key % shape[1]).astype(index), row_starts.astype(index),
-                   shape)
-
-    def entry_rows(self) -> np.ndarray:
-        """The row of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return cls(np.asarray(values, dtype=np.float64)[order], key, shape)
 
     def row_sums(self) -> np.ndarray:
         """Row sums as SciPy's `sum(axis=1)` adds them: `np.add.reduceat`
         over the nonempty rows, onto zeros (a -0.0 sum reads 0.0)."""
-        sums = np.zeros(self.shape[0])
-        nonempty = np.flatnonzero(np.diff(self.indptr))
-        sums[nonempty] += np.add.reduceat(self.data, self.indptr[nonempty])
+        n_rows, n_cols = self.shape
+        starts = np.searchsorted(self.keys, np.arange(n_rows + 1) * n_cols)
+        nonempty = np.flatnonzero(np.diff(starts))
+        sums = np.zeros(n_rows)
+        sums[nonempty] += np.add.reduceat(self.data, starts[nonempty])
         return sums
 
     def __getitem__(self, index) -> np.ndarray:
         """The entries at `[rows, cols]`, broadcast (a float for scalar
         indices); 0.0 where no entry is stored."""
         rows, cols = index
-        n_cols = self.shape[1]
-        # row-major keys ascend; a last key past every index matches none
-        keys = np.append(self.entry_rows() * n_cols + self.indices,
-                         self.shape[0] * n_cols)
-        wanted = np.asarray(rows, dtype=np.int64) * n_cols + cols
-        at = np.searchsorted(keys, wanted)
-        return np.where(keys[at] == wanted, np.append(self.data, 0.0)[at],
-                        0.0)[()]
+        wanted = np.asarray(rows, dtype=np.int64) * self.shape[1] + cols
+        if not len(self.keys):
+            return np.zeros(wanted.shape)[()]
+        # past the last key, the last entry stands in and does not match
+        at = np.minimum(np.searchsorted(self.keys, wanted), len(self.keys) - 1)
+        return np.where(self.keys[at] == wanted, self.data[at], 0.0)[()]
 
     def toarray(self) -> np.ndarray:
         """The dense matrix, entries added onto zeros as SciPy adds them."""
         dense = np.zeros(self.shape)
-        dense[self.entry_rows(), self.indices] += self.data
+        dense.reshape(-1)[self.keys] += self.data
         return dense
 
 
@@ -264,13 +255,14 @@ def build_adjacency(corpus: list[list[int]], stats: WindowStats,
 
 def _normalize(raw: Csr, degree: np.ndarray) -> Csr:
     """D^{-1/2} A D^{-1/2}, computed entrywise as v / sqrt(d_i * d_j),
-    on A's own index arrays.
+    on A's own keys.
 
     sqrt(d_i * d_j) is symmetric in (i, j), so the result is bitwise
     symmetric whenever A is.
     """
-    data = raw.data / np.sqrt(degree[raw.entry_rows()] * degree[raw.indices])
-    return Csr(data, raw.indices, raw.indptr, raw.shape)
+    rows, cols = np.divmod(raw.keys, raw.shape[1])
+    return Csr(raw.data / np.sqrt(degree[rows] * degree[cols]), raw.keys,
+               raw.shape)
 
 
 def _position_nodes(graph: CorpusGraph, seqs: np.ndarray,

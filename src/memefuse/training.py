@@ -120,7 +120,10 @@ def teacher_forcing_loss(p: Tensor, y_mis: np.ndarray) -> Tensor:
 
 def combined_loss(l1: Tensor, l2: Tensor,
                   mix: tuple[float, float] = LOSS_MIX) -> Tensor:
-    return l1 * mix[0] + l2 * mix[1]
+    """l1 * mix[0] + l2 * mix[1] as one tape node."""
+    w1, w2 = mix
+    return fused(np.asarray(l1.data * w1 + l2.data * w2), (l1, l2),
+                 lambda g: (g * w1, g * w2))
 
 
 def setup_loss(p: Tensor, y_mis: np.ndarray, y_sub: np.ndarray,

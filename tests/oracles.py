@@ -1,25 +1,30 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is written against the stated formulas only (no imports
-from memefuse internals beyond plain data), so that agreement with the
-package is a genuine cross-check rather than a tautology. Some
-exceptions keep earlier package code as references: the `unfused_*`
-layers, image embedding, head, loss and fusion network compose the
-autodiff tape node by node as the package did before each became one
-node, `member_outputs_by_inference` keeps the path fusion training
-used before members saved their outputs, which the saved outputs must
-reproduce bit for bit, `per_split_inputs` builds a fold's model
-inputs split by split, as folds did before they became partitions of
-the pool's rows, and `normalize_image_full_resize` resizes the whole
-image before it crops, as `normalize_image` did before it interpolated
-only the crop window. `concat`, `layer_norm` and `weighted_bce` are
-package nodes kept here because only tests call them.
+from memefuse internals beyond plain data and the autodiff tape), so
+that agreement with the package is a genuine cross-check rather than a
+tautology. Some exceptions keep earlier package code as references: the
+`unfused_*` layers, text and image embeddings, head, loss and fusion
+network compose the autodiff tape node by node as the package did
+before each became one node, `member_outputs_by_inference` keeps the
+path fusion training used before members saved their outputs, which
+the saved outputs must reproduce bit for bit, `per_split_inputs` builds
+a fold's model inputs split by split, as folds did before they became
+partitions of the pool's rows, and `normalize_image_full_resize`
+resizes the whole image before it crops, as `normalize_image` did
+before it interpolated only the crop window. `concat`, `layer_norm` and
+`weighted_bce` are package nodes kept here because only tests call
+them, and the operator algebra (`add` to `rows`) holds the autodiff
+Tensor's former operators, which only the tests and the `unfused_*`
+references compose.
 """
 
 import math
 from collections import Counter
 
 import numpy as np
+
+from memefuse.autodiff import Tensor, _unbroadcast, fused
 
 FIRST_WORD_ID = 3
 
@@ -430,12 +435,109 @@ def normalize_image_full_resize(image, resize=36, crop=32):
     return (tensor - mean) / std
 
 
+# ------------------------------------------------ the tape's operator algebra
+# The package's Tensor keeps only `*` and `.sum`. These are the rest of its
+# operators, as free functions over `fused` with the arithmetic they had as
+# methods; each lifts an array or number operand to a constant Tensor.
+
+def lift(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def add(a, b):
+    a, b = lift(a), lift(b)
+    return fused(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape),
+                            _unbroadcast(g, b.shape)))
+
+
+def neg(a):
+    return fused(-a.data, (a,), lambda g: (-g,))
+
+
+def sub(a, b):
+    return add(a, neg(lift(b)))
+
+
+def div(a, b):
+    a, b = lift(a), lift(b)
+    return fused(a.data / b.data, (a, b),
+                 lambda g: (_unbroadcast(g / b.data, a.shape),
+                            _unbroadcast(-g * a.data / b.data ** 2,
+                                         b.shape)))
+
+
+def matmul(a, b):
+    a, b = lift(a), lift(b)
+    ad, bd = a.data, b.data
+    return fused(ad @ bd, (a, b),
+                 lambda g: (_unbroadcast(g @ np.swapaxes(bd, -1, -2),
+                                         a.shape),
+                            _unbroadcast(np.swapaxes(ad, -1, -2) @ g,
+                                         b.shape)))
+
+
+def reshape(a, *shape):
+    old = a.shape
+    return fused(a.data.reshape(*shape), (a,), lambda g: (g.reshape(old),))
+
+
+def getitem(a, idx):
+    """a[idx]; the gradient scatters back with np.add.at."""
+    def backward(g):
+        out = np.zeros(a.shape)
+        np.add.at(out, idx, g)
+        return (out,)
+
+    return fused(a.data[idx], (a,), backward)
+
+
+def mean(a, axis=None, keepdims=False):
+    count = a.data.size if axis is None else a.shape[axis]
+    return a.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+
+def amax(a, axis):
+    """Max along one axis; gradient flows to the first argmax on ties."""
+    idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
+
+    def backward(g):
+        out = np.zeros(a.shape)
+        np.put_along_axis(out, idx, np.expand_dims(g, axis), axis=axis)
+        return (out,)
+
+    return fused(np.take_along_axis(a.data, idx, axis=axis).squeeze(axis),
+                 (a,), backward)
+
+
+def relu(a):
+    mask = a.data > 0
+    return fused(a.data * mask, (a,), lambda g: (g * mask,))
+
+
+def sigmoid(a):
+    s = 0.5 * (1.0 + np.tanh(0.5 * a.data))  # stable logistic
+    return fused(s, (a,), lambda g: (g * s * (1.0 - s),))
+
+
+def rows(table, ids):
+    """Embedding lookup: gather rows of `table` by an integer id array."""
+    def backward(g):
+        # one bincount over flat (row, column) slots adds each slot's
+        # terms in the order np.add.at would, so the sums are bitwise equal
+        width = table.data.size // table.shape[0]
+        flat = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
+        acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
+        return (acc.astype(table.data.dtype, copy=False).reshape(table.shape),)
+
+    return fused(table.data[ids], (table,), backward)
+
+
 # ------------------------------------------------ one-node package kernels
 
 def concat(tensors, axis=-1):
     """Tensors joined along `axis` as one tape node, which splits the
     gradient back into their widths."""
-    from memefuse.autodiff import fused
     datas = [t.data for t in tensors]
     cuts = np.cumsum([d.shape[axis] for d in datas[:-1]])
     return fused(np.concatenate(datas, axis=axis), tuple(tensors),
@@ -459,7 +561,6 @@ def weighted_bce(p, y, weights):
 
 def unfused_linear(x, weight, bias):
     """y = x W^T + b as one node over an input of any rank."""
-    from memefuse.autodiff import fused
     xd, w = x.data, weight.data
 
     def backward(g):
@@ -471,7 +572,6 @@ def unfused_linear(x, weight, bias):
 
 
 def unfused_layer_norm(x, gain, bias, eps=1e-5):
-    from memefuse.autodiff import fused
     xd, gd = x.data, gain.data
     centered = xd - xd.mean(axis=-1, keepdims=True)
     std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
@@ -491,7 +591,6 @@ def unfused_layer_norm(x, gain, bias, eps=1e-5):
 def unfused_attention(x, params, prefix, n_heads, adj=None, is_last=False):
     """Multi-head attention on (B, L, d) with per-head adjacency products,
     heads merged after them, as one node."""
-    from memefuse.autodiff import fused
     b, seq_len, d = x.shape
     h = n_heads
     d_k = d // h
@@ -541,38 +640,42 @@ def unfused_gcan_layer(x, adj, params, prefix, n_heads, is_last):
     merged = unfused_attention(x, params, prefix, n_heads, adj, is_last)
     branch = unfused_linear(merged, params[f"{prefix}.wo"],
                             params[f"{prefix}.bo"])
-    return unfused_layer_norm(x + branch, params[f"{prefix}.ln_g"],
+    return unfused_layer_norm(add(x, branch), params[f"{prefix}.ln_g"],
                               params[f"{prefix}.ln_b"])
+
+
+def unfused_text_embedding(encoder, ids):
+    """The row gather, then the positions, cast to the rows' dtype, added:
+    two nodes."""
+    x = rows(encoder.params["embed"], ids)
+    return add(x, encoder.positions.astype(x.data.dtype, copy=False))
 
 
 def unfused_image_embedding(encoder, images):
     """Patch projection, a zeros-plus-[cls] row, the concat and the
     positions add: five nodes with the [cls] reshape."""
-    from memefuse.autodiff import Tensor
     b, d = images.shape[0], encoder.cfg.d_att
     emb = unfused_linear(Tensor(encoder.patchify(images)),
                          encoder.params["proj_w"], encoder.params["proj_b"])
-    cls_row = Tensor(np.zeros((b, 1, d))) + \
-        encoder.params["cls"].reshape(1, 1, d)
-    return concat([cls_row, emb], axis=1) + Tensor(encoder.positions)
+    cls_row = add(Tensor(np.zeros((b, 1, d))),
+                  reshape(encoder.params["cls"], 1, 1, d))
+    return add(concat([cls_row, emb], axis=1), Tensor(encoder.positions))
 
 
 def unfused_classifier_head(f, params, prefix, drop_rate, rng):
     """Linear, ReLU, inverted dropout, linear and sigmoid: five nodes."""
-    from memefuse.autodiff import Tensor
-    hidden = unfused_linear(f, params[f"{prefix}.w1"],
-                            params[f"{prefix}.b1"]).relu()
+    hidden = relu(unfused_linear(f, params[f"{prefix}.w1"],
+                                 params[f"{prefix}.b1"]))
     if rng is not None and drop_rate > 0.0:
         mask = (rng.random(hidden.shape) >= drop_rate) / (1.0 - drop_rate)
         hidden = hidden * Tensor(mask)
-    return unfused_linear(hidden, params[f"{prefix}.w2"],
-                          params[f"{prefix}.b2"]).sigmoid()
+    return sigmoid(unfused_linear(hidden, params[f"{prefix}.w2"],
+                                  params[f"{prefix}.b2"]))
 
 
 def unfused_setup_b_loss(p, y_mis, y_sub, w, mix, eps=1e-12):
     """mix[0] * support-weighted BCE + mix[1] * teacher forcing, built as
     the BCE node, a max, a difference, its square, a mean and the mix."""
-    from memefuse.autodiff import Tensor, fused
     pd = p.data
     weights = w / pd.shape[0]
     pc = np.clip(pd, eps, 1.0 - eps)
@@ -585,9 +688,10 @@ def unfused_setup_b_loss(p, y_mis, y_sub, w, mix, eps=1e-12):
                 * inside,)
 
     l1 = fused(np.asarray(value), (p,), backward)
-    diff = p.max(axis=-1) - Tensor(np.asarray(y_mis, dtype=np.float64))
-    l2 = (diff * diff).mean()
-    return l1 * mix[0] + l2 * mix[1]
+    diff = sub(amax(p, axis=-1),
+               Tensor(np.asarray(y_mis, dtype=np.float64)))
+    l2 = mean(diff * diff)
+    return add(l1 * mix[0], l2 * mix[1])
 
 
 def unfused_fusion(outputs, params, drop_rate, rng):
@@ -599,14 +703,14 @@ def unfused_fusion(outputs, params, drop_rate, rng):
         raise ValueError("fusion needs at least two member models")
     joint = concat([t for out in outputs for t in (out.p, out.f)], axis=-1)
     s = classifier_head(joint, params, "wp", drop_rate, rng)
-    weights = s / s.sum(axis=-1, keepdims=True)
+    weights = div(s, s.sum(axis=-1, keepdims=True))
     p_list = [out.p for out in outputs]
     if any(p.shape[-1] != p_list[0].shape[-1] for p in p_list):
         raise ValueError("member probability vectors differ in length")
-    p_sw = p_list[0] * weights[:, 0:1]
+    p_sw = p_list[0] * getitem(weights, np.s_[:, 0:1])
     for i in range(1, len(p_list)):
-        p_sw = p_sw + p_list[i] * weights[:, i:i + 1]
+        p_sw = add(p_sw, p_list[i] * getitem(weights, np.s_[:, i:i + 1]))
     p_rf = classifier_head(joint, params, "rf", drop_rate, rng)
     if p_sw.shape != p_rf.shape:
         raise ValueError("branch probability shapes differ")
-    return (p_sw + p_rf) * 0.5
+    return add(p_sw, p_rf) * 0.5

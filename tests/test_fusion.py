@@ -15,7 +15,7 @@ from memefuse.autodiff import Tensor, parameter
 from memefuse.fusion import FusionModel, _fusion
 from memefuse.nn import _HEAD_PARAMS, ModelOutput, NumericError
 from memefuse.training import TrainConfig, class_weights, setup_loss
-from oracles import numeric_gradient, rel_error, unfused_fusion
+from oracles import div, numeric_gradient, rel_error, unfused_fusion
 
 
 def make_outputs(rng, m=2, n=4, d=6, batch=3):
@@ -81,7 +81,7 @@ def test_weight_predictor_zero_params_uniform(rng):
 
 def test_weight_normalization_arithmetic():
     s = Tensor(np.array([[0.8, 0.2]]))
-    w = (s / s.sum(axis=-1, keepdims=True)).data
+    w = div(s, s.sum(axis=-1, keepdims=True)).data
     assert np.allclose(w, [[0.8, 0.2]])
 
 

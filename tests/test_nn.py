@@ -12,9 +12,11 @@ from memefuse.nn import (AttentionConfig, GcanEncoder, ImageEncoder,
                          _init_layer)
 from memefuse.training import (LOSS_MIX, TrainConfig, class_weights,
                                setup_loss, teacher_forcing_loss)
-from oracles import (layer_norm, naive_attention_layer, numeric_gradient,
-                     rel_error, unfused_classifier_head, unfused_gcan_layer,
-                     unfused_image_embedding, unfused_setup_b_loss)
+from oracles import (add, getitem, layer_norm, naive_attention_layer,
+                     numeric_gradient, rel_error, rows_gradient_add_at, sub,
+                     unfused_classifier_head, unfused_gcan_layer,
+                     unfused_image_embedding, unfused_setup_b_loss,
+                     unfused_text_embedding)
 
 CFG = AttentionConfig(d_att=8, n_heads=2, n_layers=3, dropout=0.0)
 
@@ -382,24 +384,24 @@ def setup_b_loss(out):
 
 def test_gcan_train_step_tape_stays_fused():
     # 26 parameter leaves (embed, 3 x 7 per layer, 4 in the head), then
-    # the embedding lookup and the positions add (2), three layers (3), sum
+    # the embedding (1: row gather and positions), three layers (3), sum
     # pooling (1), the classifier head (1) and the setup-B loss (1): a
     # layer that falls back to a chain of small ops makes this grow
     enc = GcanEncoder(10, 4, 4, CFG, seed=0)
     ids = np.array([[1, 3, 4, 0], [2, 5, 6, 7]])
     adj = np.broadcast_to(np.eye(4), (2, 4, 4)).copy()
     out = enc.forward(ids, adj, rng=np.random.default_rng(0))
-    assert tape_nodes(setup_b_loss(out)) <= 34
+    assert tape_nodes(setup_b_loss(out)) <= 33
 
 
 def test_text_train_step_tape_stays_fused():
-    # 26 parameter leaves, then the embedding lookup and the positions add
-    # (2), three layers whose last one returns the [cls] row itself (3),
-    # the classifier head (1) and the setup-B loss (1): no row-0 slice
+    # 26 parameter leaves, then the embedding (1), three layers whose last
+    # one returns the [cls] row itself (3), the classifier head (1) and
+    # the setup-B loss (1): no row-0 slice
     enc = TextEncoder(10, 4, 4, CFG, seed=0)
     out = enc.forward(np.array([[1, 3, 4, 0], [2, 5, 6, 7]]),
                       rng=np.random.default_rng(0))
-    assert tape_nodes(setup_b_loss(out)) <= 33
+    assert tape_nodes(setup_b_loss(out)) <= 32
 
 
 def test_vit_train_step_tape_stays_fused():
@@ -460,8 +462,8 @@ def test_cls_only_layer_matches_full_layer_row_zero():
         assert_matches_unfused(
             lambda: (gcan_layer(x, None, params, "l", CFG, is_last,
                                 cls_only=True) * w).sum(),
-            lambda: (gcan_layer(x, None, params, "l", CFG, is_last)[:, 0]
-                     * w).sum(),
+            lambda: (getitem(gcan_layer(x, None, params, "l", CFG, is_last),
+                             np.s_[:, 0]) * w).sum(),
             [x, *params.values()])
 
 
@@ -482,9 +484,10 @@ def test_cls_forward_matches_full_stack(drop_rate):
 
         def build(key, full):
             rngs[key] = np.random.default_rng(7)
-            out = _classify(enc, enc.stack(inputs)[:, 0, :], rngs[key]) \
+            out = _classify(enc, getitem(enc.stack(inputs), np.s_[:, 0, :]),
+                            rngs[key]) \
                 if full else enc.forward(inputs, rngs[key])
-            return (out.p * w_p).sum() + (out.f * w_f).sum()
+            return add((out.p * w_p).sum(), (out.f * w_f).sum())
 
         assert_matches_unfused(lambda: build("cls", False),
                                lambda: build("full", True),
@@ -502,6 +505,31 @@ def test_cls_layer_non_finite_names_the_layer():
         with np.errstate(invalid="ignore"), pytest.raises(
                 NumericError, match="in layer2 attention logits$"):
             enc.forward(inputs)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_text_embedding_equals_unfused_composition_bitwise(dtype):
+    # one node for the row gather and the positions add: the same bytes as
+    # the two nodes, forward and backward, with ids repeated in a batch
+    for seed in range(6):
+        enc = TextEncoder(7, 5, 2, CFG, seed=seed)
+        table = enc.params["embed"]
+        table.data = table.data.astype(dtype)
+        gen = np.random.default_rng(seed)
+        ids = gen.integers(0, 7, size=(4, 5))
+        w = Tensor(gen.standard_normal((4, 5, CFG.d_att)).astype(dtype))
+        results = []
+        for embed in (enc.embed, lambda i: unfused_text_embedding(enc, i)):
+            table.grad = None
+            out = embed(ids)
+            (out * w).sum().backward()
+            results.append((out.data, table.grad))
+        (x, g), (ref_x, ref_g) = results
+        assert x.dtype == ref_x.dtype == dtype and g.dtype == dtype
+        assert x.tobytes() == ref_x.tobytes()
+        assert g.tobytes() == ref_g.tobytes()
+        scattered = rows_gradient_add_at(table.shape, ids, w.data)
+        assert g.tobytes() == scattered.astype(dtype).tobytes()
 
 
 def test_image_embedding_matches_unfused_composition():
@@ -596,7 +624,7 @@ def test_text_encoder_end_to_end_gradients():
         y = np.random.default_rng(seed + 1).integers(0, 2, size=(2, 2))
 
         def build(enc=enc, ids=ids, y=y):
-            diff = enc.forward(ids).p - Tensor(y.astype(float))
+            diff = sub(enc.forward(ids).p, y.astype(float))
             return (diff * diff).sum()
 
         grads_ok(build, enc.params, MODEL_TOL)

@@ -88,6 +88,17 @@ def test_count_windows_matches_pair_loop_in_order(corpus_tokens, window_len):
     assert list(stats.per_pair.items()) == list(per_pair.items())
 
 
+def assert_same_entries(got, want):
+    """A `Csr` holds a SciPy CSR matrix's values in its order, at the
+    row-major keys of its (row, column) pairs."""
+    rows = np.repeat(np.arange(want.shape[0]), np.diff(want.indptr))
+    keys = rows * want.shape[1] + want.indices
+    assert got.shape == want.shape
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.keys.tobytes() == keys.astype(np.int64).tobytes()
+
+
 @given(token_lists, st.integers(min_value=1, max_value=6),
        st.integers(min_value=1, max_value=2))
 @settings(max_examples=150, deadline=None)
@@ -98,9 +109,7 @@ def test_graph_equals_loop_reference_bitwise(corpus_tokens, window_len,
     raw, normalized, degree, idf = graph_loop(ids, per_token, per_pair,
                                               stats.total, vocab.n_W)
     for got, want in ((graph.raw, raw), (graph.normalized, normalized)):
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert_same_entries(got, want)
     assert graph.degree.tobytes() == degree.tobytes()
     assert graph.idf.tobytes() == idf.tobytes()
 
@@ -195,15 +204,13 @@ def sparse_coords(draw):
 @given(sparse_coords())
 @settings(max_examples=200, deadline=None)
 def test_csr_equals_scipy_bitwise(coords):
-    # SciPy is the oracle only: the layout, the row sums, every element
-    # gathered (absent ones included) and the dense form
+    # SciPy is the oracle only: the entries in order, the row sums, every
+    # element gathered (absent ones included) and the dense form
     sp = pytest.importorskip("scipy.sparse")
     values, rows, cols, shape = coords
     got = Csr.from_coords(values, rows, cols, shape)
     want = sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert_same_entries(got, want)
     with np.errstate(over="ignore", invalid="ignore"):  # huge values
         sums = got.row_sums(), np.asarray(want.sum(axis=1)).ravel()
     assert sums[0].tobytes() == sums[1].tobytes()

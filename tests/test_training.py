@@ -16,8 +16,9 @@ from memefuse.training import (AdamW, EpochRecord, LossWeights, TrainConfig,
                                restore, select_top2, setup_loss, snapshot,
                                teacher_forcing_loss, train_model,
                                validation_f1)
-from oracles import (adamw_reference_step, column_weighted_bce,
-                     numeric_gradient, rel_error, weighted_bce)
+from oracles import (adamw_reference_step, column_weighted_bce, matmul,
+                     numeric_gradient, rel_error, reshape, sigmoid,
+                     weighted_bce)
 
 # Table 1 training-split counts: 10000 misogynous memes total
 TABLE1_COUNTS = (1274, 2810, 2202, 953)
@@ -79,7 +80,8 @@ def test_weighted_bce_uniform_equals_sum_of_means():
     p = Tensor(rng.random((3, 4)) * 0.9 + 0.05)
     y = rng.integers(0, 2, size=(3, 4)).astype(float)
     w = LossWeights(np.full(4, 0.25))
-    total = sum(0.25 * float(bce(p[:, c], y[:, c]).data) for c in range(4))
+    total = sum(0.25 * float(bce(Tensor(p.data[:, c]), y[:, c]).data)
+                for c in range(4))
     assert abs(float(weighted_bce(p, y, w).data) - total) < 1e-12
 
 
@@ -359,8 +361,8 @@ class ScriptedTrainable:
 
     def forward_batch(self, idx, rng):
         ones = Tensor(np.ones((len(idx), 1)))
-        logits = ones @ self.params["w"].reshape(1, 4)
-        return ModelOutput(p=logits.sigmoid(), f=ones)
+        logits = matmul(ones, reshape(self.params["w"], 1, 4))
+        return ModelOutput(p=sigmoid(logits), f=ones)
 
     def eval_val(self):
         return np.full((self.n_val, 4), 0.6)
@@ -445,7 +447,7 @@ def test_training_loss_decreases_on_separable_data():
         def forward_batch(self, idx, rng_):
             logits = linear(Tensor(self.x[idx]), self.params["w"],
                             self.params["b"])
-            return ModelOutput(p=logits.sigmoid(), f=Tensor(self.x[idx]))
+            return ModelOutput(p=sigmoid(logits), f=Tensor(self.x[idx]))
 
         def eval_val(self):
             logits = self.x[:4] @ self.params["w"].data.T \
