@@ -19,14 +19,14 @@ the batches of every model. `train_fold` builds a uni-modal fold with
 only what its model reads, and drops it once trained: the context's own
 images for `vit`, token ids under the fold's vocabulary for `bertc`,
 those and their adjacency blocks for `gcan`. A `gcan` fold's corpus
-graph comes from its training rows only, whose blocks are extracted in
-one batch; the other rows' blocks are synthesized in another, against
-the training statistics. After training, a uni-modal fold saves its
-eval-mode outputs over its splits. A fusion fold's inputs are those
-saved outputs of its members, (p_1, f_1, ..., p_m, f_m), in pool order:
-fusion trains only its two heads, one tape node over those constant
-outputs, and runs no member model. `rundir` writes and reads run
-directories.
+graph comes from its training rows only, whose blocks are gathered a
+chunk of rows at a time into the fold's array; the other rows' blocks
+are synthesized likewise, against the training statistics. After
+training, a uni-modal fold saves its eval-mode outputs over its splits.
+A fusion fold's inputs are those saved outputs of its members, (p_1,
+f_1, ..., p_m, f_m), in pool order: fusion trains only its two heads,
+one tape node over those constant outputs, and runs no member model.
+`rundir` writes and reads run directories.
 
 Models train in float32, which DTYPE picks here alone: the kernels
 compute in their inputs' dtype, and every model's parameters and inputs
@@ -195,12 +195,12 @@ class CvContext:
         train_docs = [id_docs[i] for i in train]
         graph = build_adjacency(
             train_docs, count_windows(train_docs, cfg.window_len), vocab)
-        block = extract_document_adjacency(graph, seqs[train], lengths[train])
-        # allocated after that extraction, the memory peak of a fold build
-        adj = np.empty((len(seqs),) + block.shape[1:], DTYPE)
-        adj[train] = block
-        adj[unseen] = extract_unseen_adjacency(
-            graph, seqs[unseen], lengths[unseen], [id_docs[i] for i in unseen])
+        # each block written into the fold's array as it is gathered
+        adj = np.empty((len(seqs), cfg.seq_len, cfg.seq_len), DTYPE)
+        extract_document_adjacency(graph, seqs[train], lengths[train], adj,
+                                   train)
+        extract_unseen_adjacency(graph, seqs[unseen], lengths[unseen],
+                                 [id_docs[i] for i in unseen], adj, unseen)
         return self.fold_data(fold, (seqs, adj), len(vocab.id_to_token))
 
 

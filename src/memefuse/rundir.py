@@ -3,10 +3,11 @@
 A run directory holds per-fold checkpoints, member outputs and
 predictions, runs.tsv, train_log.tsv and a manifest.tsv of their
 SHA-256 hashes. Readers verify what they read against the manifest:
-`load_fold_runs` the scores and predictions, fusion training each
-member's checkpoint and outputs, whose sample ids must be the fusion
-fold's. A predictions file records its own setup: setup A leaves the
-sub-category columns empty.
+`load_fold_runs` the scores and predictions, and a fusion run's member
+hashes against the manifest of each member in the same tree; fusion
+training each member's checkpoint and outputs, whose sample ids must be
+the fusion fold's. A predictions file records its own setup: setup A
+leaves the sub-category columns empty.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import checkpoint as ckpt
-from .dataio import open_text
+from .dataio import MODEL_MEMBERS, open_text
 from .ensemble import FoldRun, derive_taskA_labels, derive_taskA_probs
 from .preprocess import DataError
 
@@ -253,7 +254,9 @@ def load_fold_runs(out_root: str, model_name: str) -> list[FoldRun]:
     """Reassemble FoldRuns (validation F1, test ids and probabilities).
 
     runs.tsv and each fold's predictions are verified against the
-    manifest before they are read; the predictions carry the setup.
+    manifest before they are read; the predictions carry the setup. A
+    fusion run whose members in `out_root` were retrained since is
+    refused.
     """
     model_dir = os.path.join(out_root, model_name)
     runs_tsv = os.path.join(model_dir, "runs.tsv")
@@ -265,8 +268,32 @@ def load_fold_runs(out_root: str, model_name: str) -> list[FoldRun]:
                          "best_val_f1")
     runs = []
     for fold, best in enumerate(scores):
+        if MODEL_MEMBERS[model_name] is not None:
+            _check_member_hashes(out_root, model_name, fold, manifest)
         ids, probs, _ = read_predictions(_verified(
             model_dir, fold_file("predictions", fold), manifest))
         runs.append(FoldRun(model_name=model_name, fold=fold, best_f1=best,
                             test_probs=probs, test_ids=ids))
     return runs
+
+
+def _check_member_hashes(out_root: str, fusion: str, fold: int,
+                         manifest: dict[str, str]) -> None:
+    """Refuses a fusion fold whose recorded hash of a member's checkpoint
+    differs from the one in that member's manifest, for each member whose
+    directory is in `out_root`: a member retrained since leaves the
+    fusion run stale."""
+    name = fold_file("checkpoint", fold)
+    fusion_dir = os.path.join(out_root, fusion)
+    _, meta = ckpt.load_checkpoint(_verified(fusion_dir, name, manifest))
+    for member in MODEL_MEMBERS[fusion]:
+        member_dir = os.path.join(out_root, member)
+        if not os.path.isdir(member_dir):
+            continue
+        recorded = meta.get(f"member_hash:{member}")
+        current = read_manifest(member_dir).get(name)
+        if recorded != current:
+            raise DependencyError(
+                f"{fusion_dir} fold {fold} was trained on member {member!r} "
+                f"with {name} SHA-256 {recorded}, but {member_dir} now "
+                f"lists {current}; retrain {fusion!r}")

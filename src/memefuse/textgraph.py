@@ -1,13 +1,14 @@
 """Corpus graph over document and word nodes.
 
 Word-word edges carry positive pointwise mutual information gathered with
-a sliding window; document-word edges carry TF-IDF; the diagonal is 1.
-The adjacency matrix is symmetrically normalized by inverse square-root
-degrees. Both matrices are `Csr`, a NumPy-only sparse matrix that keeps
-its entries in row-major order. The graph-attention encoder
-reads one L_S x L_S adjacency block per document, extracted for a whole
-split at once: sequence position 0 maps to the document node, the
-remaining positions map to their word nodes.
+a sliding window, counted over chunks of windows merged in first-seen
+order; document-word edges carry TF-IDF; the diagonal is 1. The adjacency
+matrix is symmetrically normalized by inverse square-root degrees. Both
+matrices are `Csr`, a NumPy-only sparse matrix that keeps its entries in
+row-major order. The graph-attention encoder reads one L_S x L_S
+adjacency block per document, gathered a chunk of documents at a time
+into the caller's array: sequence position 0 maps to the document node,
+the remaining positions map to their word nodes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .preprocess import Vocabulary
 
 NEG_INF = float("-inf")
 _FIRST_WORD_ID = 3  # ids 0..2 are PAD/CLS/UNK and never become word nodes
+_WINDOW_CHUNK = 512  # windows counted at once by `count_windows`
+_DOC_CHUNK = 128  # documents whose adjacency blocks are gathered at once
 
 
 @dataclass
@@ -97,48 +100,53 @@ def count_windows(corpus: list[list[int]], window_len: int) -> WindowStats:
     """Sliding-window co-occurrence counts with step size 1.
 
     A document shorter than the window contributes one whole-document
-    window. Counts are window membership, not occurrences. Both counters
-    are keyed in first-seen order, windows in corpus order and each
-    window's members and pairs ascending, as a loop over the windows
-    would insert them; `build_adjacency` relies on that order.
+    window. Counts are window membership, not occurrences. Windows are
+    counted a chunk at a time, so the per-window arrays are bounded by
+    the chunk, not the corpus. Both counters are keyed in first-seen order,
+    windows in corpus order and each window's members and pairs
+    ascending, as a loop over the windows would insert them (each chunk
+    merges after those before it); `build_adjacency` relies on that
+    order.
     """
     if window_len < 1:
         raise ValueError("window length must be >= 1")
     flat, lengths = _flatten(corpus)
     n_windows = np.maximum(1, lengths - window_len + 1)
     total = int(n_windows.sum())
-    # one row of window_len slots per window; slots past the document's
-    # end hold the sentinel, which sorts last
-    doc = np.repeat(np.arange(len(corpus)), n_windows)
-    doc_start = (np.cumsum(lengths) - lengths)[doc]
-    window_in_doc = np.arange(total) - (np.cumsum(n_windows) - n_windows)[doc]
-    pos = (doc_start + window_in_doc)[:, None] + np.arange(window_len)
-    inside = pos < (doc_start + lengths[doc])[:, None]
-    # int32 slots when every id fits below the sentinel: the pair arrays
-    # below are the call's largest temporaries
-    slot_type = np.int32 if flat.max(initial=0) < np.iinfo(np.int32).max \
-        else np.int64
-    sentinel = np.iinfo(slot_type).max
-    members = np.full(pos.shape, sentinel, dtype=slot_type)
-    members[inside] = flat[pos[inside]]
-    members.sort(axis=1)
-    distinct = members != sentinel
-    distinct[:, 1:] &= members[:, 1:] != members[:, :-1]
-
-    tokens = members[distinct]
-    firsts, counts = _first_seen(tokens)
-    per_token = Counter(dict(zip(tokens[firsts].tolist(), counts.tolist())))
-    a, b = np.triu_indices(window_len, k=1)  # itertools.combinations order
-    both = distinct[:, a] & distinct[:, b]
-    low, high = members[:, a][both], members[:, b][both]
-    base = int(low.min()) if len(low) else 0
-    span = int(high.max()) - base + 1 if len(high) else 1
-    key_type = np.int32 if span * span <= np.iinfo(np.int32).max else np.int64
-    firsts, counts = _first_seen((low - base).astype(key_type) * span
-                                 + (high - base))
-    per_pair = Counter(dict(zip(zip(low[firsts].tolist(),
-                                    high[firsts].tolist()),
-                                counts.tolist())))
+    ends, doc_end = np.cumsum(n_windows), np.cumsum(lengths)
+    # window w of document d starts at token first_token[d] + w
+    first_token = doc_end - lengths - (ends - n_windows)
+    # every id is below the span, which fills the slots past a document's
+    # end and sorts last; int32 slots and keys while every key fits
+    span = int(flat.max(initial=0)) + 1
+    key_type = np.int32 if (span + 1) ** 2 <= 2 ** 31 else np.int64
+    # a window's member pairs i <= j as keys i * span + j; (i, i) is i
+    a, b = np.triu_indices(window_len)
+    keys, counts = np.empty(0, key_type), np.empty(0, np.int64)
+    for start in range(0, total, _WINDOW_CHUNK):
+        window = np.arange(start, min(start + _WINDOW_CHUNK, total))
+        doc = np.searchsorted(ends, window, "right")
+        pos = (first_token[doc] + window)[:, None] + np.arange(window_len)
+        inside = pos < doc_end[doc][:, None]
+        members = np.full(pos.shape, span, dtype=key_type)
+        members[inside] = flat[pos[inside]]
+        members.sort(axis=1)
+        distinct = members != span
+        distinct[:, 1:] &= members[:, 1:] != members[:, :-1]
+        both = distinct[:, a] & distinct[:, b]
+        keys = np.concatenate([keys, (members[:, a] * span
+                                      + members[:, b])[both]])
+        firsts, n_seen = _first_seen(keys)
+        # a key counted before is first seen among those carried over
+        old = firsts < len(counts)
+        n_seen[old] += counts[firsts[old]] - 1
+        keys, counts = keys[firsts], n_seen
+    low, high = np.divmod(keys, span)
+    alone = low == high  # each counter's keys keep their first-seen order
+    per_token = Counter(dict(zip(low[alone].tolist(), counts[alone].tolist())))
+    per_pair = Counter(dict(zip(zip(low[~alone].tolist(),
+                                    high[~alone].tolist()),
+                                counts[~alone].tolist())))
     return WindowStats(total=total, per_token=per_token, per_pair=per_pair,
                        window_len=window_len)
 
@@ -153,16 +161,19 @@ def _flatten(corpus: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of each distinct key's first occurrence, in order of first
-    occurrence, and the key's number of occurrences."""
-    # an unstable sort and a min per run of equal keys: several times
-    # faster than np.unique's stable sort for its first indices
-    order = np.argsort(keys)
-    ranked = keys[order]
+    occurrence, and the key's number of occurrences. Keys are integers
+    from 0."""
+    n = len(keys)
+    ranked = np.sort(keys)
     runs = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] - 1))
-    firsts = np.minimum.reduceat(order, runs)
-    counts = np.diff(runs, append=len(keys))
+    # each run's first occurrence: the keys packed above their indices
+    # sort as a stable argsort orders them, several times faster, where
+    # the packing fits an int64
+    wide = n and int(ranked[-1]) >= np.iinfo(np.int64).max // n
+    firsts = (np.argsort(keys, kind="stable") if wide else np.sort(
+        keys.astype(np.int64) * n + np.arange(n)))[runs] % n
     seen = np.argsort(firsts)
-    return firsts[seen], counts[seen]
+    return firsts[seen], np.diff(runs, append=n)[seen]
 
 
 def pmi(stats: WindowStats, i: int, j: int) -> float:
@@ -277,28 +288,34 @@ def _position_nodes(graph: CorpusGraph, seqs: np.ndarray,
     return np.where(valid, nodes, -1)
 
 
-def _gather_blocks(graph: CorpusGraph, nodes: np.ndarray) -> np.ndarray:
-    """(N, L, L) normalized entries between every pair of positions with a
-    node, in one sparse gather of the lower triangles mirrored (the
-    normalized matrix is bitwise symmetric); a position without a node
-    keeps a unit self-loop only."""
-    n, seq_len = nodes.shape
-    has_node = nodes >= 0
+def _gather_blocks(graph: CorpusGraph, nodes: np.ndarray, out: np.ndarray,
+                   rows: np.ndarray) -> None:
+    """Writes to `out[rows[k]]` the (L, L) normalized entries between every
+    pair of document k's positions with a node, rounded once to `out`'s
+    dtype; a position without a node keeps a unit self-loop only. Each
+    chunk of documents is one sparse gather of the lower triangles,
+    mirrored (the normalized matrix is bitwise symmetric)."""
+    seq_len = nodes.shape[1]
     p, q = np.tril_indices(seq_len)
-    values = np.where(has_node[:, p] & has_node[:, q], graph.normalized[
-        np.maximum(nodes[:, p], 0), np.maximum(nodes[:, q], 0)], 0.0)
-    blocks = np.empty((n, seq_len, seq_len))
-    blocks[:, p, q] = values
-    blocks[:, q, p] = values
     diag = np.arange(seq_len)
-    blocks[:, diag, diag] = np.where(has_node, blocks[:, diag, diag], 1.0)
-    return blocks
+    for start in range(0, len(nodes), _DOC_CHUNK):
+        chunk = nodes[start:start + _DOC_CHUNK]
+        has_node = chunk >= 0
+        values = np.where(has_node[:, p] & has_node[:, q], graph.normalized[
+            np.maximum(chunk[:, p], 0), np.maximum(chunk[:, q], 0)], 0.0)
+        blocks = np.empty((len(chunk), seq_len, seq_len))
+        blocks[:, p, q] = values
+        blocks[:, q, p] = values
+        blocks[:, diag, diag] = np.where(has_node, blocks[:, diag, diag], 1.0)
+        out[rows[start:start + _DOC_CHUNK]] = blocks
 
 
 def extract_document_adjacency(graph: CorpusGraph, seqs: np.ndarray,
-                               lengths: np.ndarray) -> np.ndarray:
-    """Dense (N, L_S, L_S) blocks of the normalized adjacency for the
-    graph's own documents, given in graph order.
+                               lengths: np.ndarray, out: np.ndarray,
+                               rows: np.ndarray) -> None:
+    """Dense (L_S, L_S) blocks of the normalized adjacency for the graph's
+    own documents, given in graph order: document k's goes to
+    `out[rows[k]]`.
 
     Row/column 0 is the document node (its edges carry normalized TF-IDF),
     the other positions are word nodes; PAD and out-of-vocabulary
@@ -309,13 +326,14 @@ def extract_document_adjacency(graph: CorpusGraph, seqs: np.ndarray,
                          f"{graph.n_D}")
     nodes = _position_nodes(graph, seqs, lengths)
     nodes[:, 0] = np.arange(graph.n_D)
-    return _gather_blocks(graph, nodes)
+    _gather_blocks(graph, nodes, out, rows)
 
 
 def extract_unseen_adjacency(graph: CorpusGraph, seqs: np.ndarray,
-                             lengths: np.ndarray,
-                             doc_ids: list[list[int]]) -> np.ndarray:
-    """Adjacency blocks for documents that are not nodes of the graph.
+                             lengths: np.ndarray, doc_ids: list[list[int]],
+                             out: np.ndarray, rows: np.ndarray) -> None:
+    """Adjacency blocks for documents that are not nodes of the graph:
+    document k's goes to `out[rows[k]]`.
 
     `doc_ids` holds each document's full token-id list. The document row
     is synthesized: TF-IDF against the training IDF values, pseudo-degree
@@ -324,7 +342,7 @@ def extract_unseen_adjacency(graph: CorpusGraph, seqs: np.ndarray,
     training graph.
     """
     nodes = _position_nodes(graph, seqs, lengths)
-    blocks = _gather_blocks(graph, nodes)
+    _gather_blocks(graph, nodes, out, rows)
     n_docs, n_w = len(doc_ids), graph.n_W
     flat, doc_lengths = _flatten(doc_ids)
     word = flat - _FIRST_WORD_ID
@@ -351,7 +369,6 @@ def extract_unseen_adjacency(graph: CorpusGraph, seqs: np.ndarray,
     # tfidf_at is 0 wherever a position has no node
     row0 = tfidf_at / np.sqrt(pseudo_degree[:, None]
                               * graph.degree[np.maximum(nodes, 0)])
-    blocks[:, 0, :] = row0
-    blocks[:, :, 0] = row0
-    blocks[:, 0, 0] = 1.0 / pseudo_degree
-    return blocks
+    out[rows, 0, :] = row0
+    out[rows, :, 0] = row0
+    out[rows, 0, 0] = 1.0 / pseudo_degree

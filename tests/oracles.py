@@ -396,12 +396,23 @@ def per_split_inputs(ctx, fold, model_name, out_root=None):
     if model_name == "gcan":
         stats = count_windows(id_docs["train"], cfg.window_len)
         graph = build_adjacency(id_docs["train"], stats, vocab)
-        inputs["train"] += (extract_document_adjacency(
-            graph, inputs["train"][0], lengths["train"]),)
+        inputs["train"] += (extracted(
+            extract_document_adjacency, graph, inputs["train"][0],
+            lengths["train"]),)
         for split in ("val", "test"):
-            inputs[split] += (extract_unseen_adjacency(
-                graph, inputs[split][0], lengths[split], id_docs[split]),)
+            inputs[split] += (extracted(
+                extract_unseen_adjacency, graph, inputs[split][0],
+                lengths[split], id_docs[split]),)
     return inputs
+
+
+def extracted(extract, graph, seqs, *args):
+    """The adjacency blocks that `extract` (`extract_document_adjacency`
+    or `extract_unseen_adjacency`) writes for `seqs`, as a new float64
+    array in their order."""
+    out = np.empty((len(seqs),) + 2 * seqs.shape[1:])
+    extract(graph, seqs, *args, out, np.arange(len(seqs)))
+    return out
 
 
 def normalize_image_full_resize(image, resize=36, crop=32):

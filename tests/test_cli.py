@@ -749,6 +749,38 @@ def test_cli_hard_ensemble_refuses_directories_over_other_samples(
                  os.path.join(member_runs, "vit")]) == 0
 
 
+def test_cli_readers_refuse_fusion_run_over_retrained_member(
+        tiny_run, member_runs, tmp_path, capsys):
+    # gcan retrained (2 epochs instead of 3) under an existing gcan-vit:
+    # the fusion run's checkpoints record the hash of a gcan checkpoint
+    # that is gone, so evaluate and ensemble refuse to read it
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    assert main(["train", "--config", tiny_run["cfg"], "--data",
+                 tiny_run["data"], "--model", "gcan-vit", "--out", runs]) == 0
+    gcan, fusion = (os.path.join(runs, m) for m in ("gcan", "gcan-vit"))
+    recorded = file_hash(os.path.join(gcan, "fold0.ckpt"))
+    cfg = load_config(tiny_run["cfg"])
+    cfg.epochs = 2
+    cfg_path = os.path.join(tmp_path, "two_epochs.cfg")
+    with open(cfg_path, "w") as fh:
+        fh.write(emit_config(cfg))
+    assert main(["train", "--config", cfg_path, "--data", tiny_run["data"],
+                 "--model", "gcan", "--out", runs]) == 0
+    retrained = file_hash(os.path.join(gcan, "fold0.ckpt"))
+    assert retrained != recorded
+    capsys.readouterr()
+    out = os.path.join(tmp_path, "hard.tsv")
+    for args in (["evaluate", "--runs", runs, "--test", tiny_run["data"]],
+                 ["ensemble", "--mode", "hard", "--out", out, "--runs", gcan,
+                  fusion]):
+        assert main(args) == 2, args[0]
+        err = capsys.readouterr().err
+        for part in (fusion, "'gcan'", "fold 0", recorded, retrained):
+            assert part in err, (args[0], part)
+    assert not os.path.exists(out)
+
+
 def test_cli_fusion_refuses_tampered_member(tiny_run, member_runs, tmp_path,
                                             capsys):
     runs = os.path.join(tmp_path, "runs")

@@ -229,6 +229,32 @@ def test_vit_fold_holds_no_copy_of_the_image_pool(dataset):
     assert peak < ctx.images.nbytes / 10
 
 
+def test_gcan_fold_build_memory_beyond_its_outputs_is_bounded(tmp_path):
+    import tracemalloc
+    # the same samples 4 times over: 4 times the windows and the blocks.
+    # The corpus graph and the token lists grow with the rows, about as
+    # fast as the fold's own arrays; the windows' pair arrays (at 45 slot
+    # pairs a window) and float64 blocks beside the fold's float32 ones
+    # would grow several times faster, but they are bounded by chunks
+    gen_synth(SynthSpec(n_train=250, n_test=50, seed=3, image_side=8),
+              str(tmp_path))
+    train, test = ingest_dir(str(tmp_path))
+    cfg = RunConfig(**{**CFG_KW, "seq_len": 12, "window_len": 10})
+    outputs, beyond = [], []
+    for times in (1, 4):
+        ctx = CvContext(train * times, test * times, cfg)
+        ctx._build_fold(0, "gcan")  # lazy imports are no part of a build
+        tracemalloc.start()
+        try:
+            data = ctx._build_fold(0, "gcan")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs.append(sum(a.nbytes for a in data.inputs))
+        beyond.append(peak - outputs[-1])
+    assert beyond[1] - beyond[0] <= 2 * (outputs[1] - outputs[0])
+
+
 def resident_kib():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh

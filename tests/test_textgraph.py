@@ -1,18 +1,22 @@
 """Window statistics, PMI/TF-IDF, adjacency assembly, block extraction."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memefuse import textgraph
 from memefuse.preprocess import build_vocabulary, encode_document
-from memefuse.textgraph import (NEG_INF, Csr, WindowStats, build_adjacency,
-                                count_windows, extract_document_adjacency,
+from memefuse.textgraph import (NEG_INF, Csr, WindowStats, _first_seen,
+                                build_adjacency, count_windows,
+                                extract_document_adjacency,
                                 extract_unseen_adjacency, pmi, tfidf)
 from oracles import (count_windows_loop, dense_graph, document_block,
-                     graph_loop, unseen_block)
+                     extracted, graph_loop, unseen_block)
 
 token_lists = st.lists(
     st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]),
@@ -34,11 +38,23 @@ def batch(seqs):
 
 
 def doc_blocks(graph, seqs):
-    return extract_document_adjacency(graph, *batch(seqs))
+    return extracted(extract_document_adjacency, graph, *batch(seqs))
 
 
 def unseen_blocks(graph, seqs, doc_ids):
-    return extract_unseen_adjacency(graph, *batch(seqs), doc_ids)
+    return extracted(extract_unseen_adjacency, graph, *batch(seqs), doc_ids)
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak over `fn(*args)`, called once before to warm it
+    up (lazy imports and caches are no part of the call)."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -------------------------------------------------------------- window stats
@@ -75,17 +91,48 @@ def test_count_windows_rejects_bad_length():
         count_windows([[1]], 0)
 
 
-@given(token_lists, st.integers(min_value=1, max_value=6))
+@given(token_lists, st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=3))
 @settings(max_examples=100, deadline=None)
-def test_count_windows_matches_pair_loop_in_order(corpus_tokens, window_len):
+def test_count_windows_matches_pair_loop_in_order(corpus_tokens, window_len,
+                                                  chunk):
     # build_adjacency walks per_pair in insertion order, so the order of
-    # the graph's entries (and its degree sums) depends on it
+    # the graph's entries (and its degree sums) depends on it; windows
+    # counted 1-3 at a time must merge into the same counters, in the
+    # same order, as windows counted all at once
     vocab = build_vocabulary(corpus_tokens)
     ids = [[vocab.lookup(t) for t in doc] for doc in corpus_tokens]
-    stats = count_windows(ids, window_len)
     per_token, per_pair = count_windows_loop(ids, window_len)
-    assert list(stats.per_token.items()) == list(per_token.items())
-    assert list(stats.per_pair.items()) == list(per_pair.items())
+    whole = count_windows(ids, window_len)
+    with mock.patch.object(textgraph, "_WINDOW_CHUNK", chunk):
+        chunked = count_windows(ids, window_len)
+    for stats in (whole, chunked):
+        assert list(stats.per_token.items()) == list(per_token.items())
+        assert list(stats.per_pair.items()) == list(per_pair.items())
+    assert chunked.total == whole.total
+
+
+@given(st.lists(st.integers(0, 9)) | st.lists(st.integers(0, 2 ** 62)))
+@settings(max_examples=100, deadline=None)
+def test_first_seen_matches_first_occurrences(keys):
+    # small keys pack above their indices into one int64 sort; keys too
+    # wide to pack take a stable argsort
+    firsts, counts = _first_seen(np.array(keys, dtype=np.int64))
+    distinct = list(dict.fromkeys(keys))
+    assert firsts.tolist() == [keys.index(k) for k in distinct]
+    assert counts.tolist() == [keys.count(k) for k in distinct]
+
+
+def test_count_windows_memory_is_bounded_by_its_chunk():
+    # 1,237 windows of 10 over 200 documents, then the corpus repeated 8
+    # times: 8 times the windows and the same distinct pairs. Counting it
+    # may take more memory for its token ids, but not for 8 times the
+    # (window, slot pair) arrays
+    gen = np.random.default_rng(5)
+    corpus = [(3 + gen.zipf(1.5, size=n) % 300).tolist()
+              for n in gen.integers(5, 25, size=200)]
+    once = traced_peak(count_windows, corpus, 10)
+    assert traced_peak(count_windows, corpus * 8, 10) <= 2 * once
 
 
 def assert_same_entries(got, want):
@@ -116,15 +163,18 @@ def test_graph_equals_loop_reference_bitwise(corpus_tokens, window_len,
 
 @pytest.mark.parametrize("offset", [0, 50_000, 2 ** 31])
 def test_count_windows_wide_ids_match_pair_loop(offset):
-    # ids past 46,340 need 64-bit pair keys, ids past 2**31 - 2 64-bit
-    # window slots
+    # ids past 46,338 need 64-bit pair keys, ids past 2**31 - 2 64-bit
+    # window slots, and pair keys past 2**31 a stable argsort to find
+    # their first occurrences; counted at once and 2 windows at a time
     gen = np.random.default_rng(offset % 97)
     ids = [(gen.integers(3, 12, size=n) + np.where(
         gen.random(n) < 0.5, offset, 0)).tolist() for n in (9, 1, 14, 4)]
-    stats = count_windows(ids, 4)
     per_token, per_pair = count_windows_loop(ids, 4)
-    assert list(stats.per_token.items()) == list(per_token.items())
-    assert list(stats.per_pair.items()) == list(per_pair.items())
+    for chunk in (textgraph._WINDOW_CHUNK, 2):
+        with mock.patch.object(textgraph, "_WINDOW_CHUNK", chunk):
+            stats = count_windows(ids, 4)
+        assert list(stats.per_token.items()) == list(per_token.items())
+        assert list(stats.per_pair.items()) == list(per_pair.items())
 
 
 @given(token_lists, st.integers(min_value=1, max_value=6))
@@ -318,7 +368,9 @@ def test_extract_refuses_batch_that_is_not_the_graph_documents():
     for seqs in ([seq, seq], []):
         ids = np.zeros((len(seqs), 3), dtype=np.int64)
         with pytest.raises(ValueError, match="graph of 1"):
-            extract_document_adjacency(graph, ids, np.ones(len(seqs)))
+            extract_document_adjacency(graph, ids, np.ones(len(seqs)),
+                                       np.empty((len(seqs), 3, 3)),
+                                       np.arange(len(seqs)))
 
 
 def test_extract_commutes_with_vocab_permutation():
@@ -360,29 +412,45 @@ words = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 unseen_words = st.sampled_from(["a", "b", "c", "x", "y"])
 
 
+def assert_written_as(extract, graph, seqs, *args, ref):
+    """`extract` writes float64 blocks equal to `ref`, and into float32
+    rows given in reverse, with a row left between, `ref` rounded once."""
+    ids, lengths = batch(seqs)
+    assert extracted(extract, graph, ids, lengths, *args).tobytes() \
+        == ref.tobytes()
+    out = np.zeros((2 * len(seqs),) + ref.shape[1:], np.float32)
+    rows = 2 * np.arange(len(seqs))[::-1]
+    extract(graph, ids, lengths, *args, out, rows)
+    assert out[rows].tobytes() == ref.astype(np.float32).tobytes()
+    assert not out[1::2].any()
+
+
 @given(st.lists(st.lists(words, max_size=14), min_size=1, max_size=6),
        st.lists(st.lists(unseen_words, max_size=14), min_size=1, max_size=4),
        st.integers(min_value=2, max_value=9),
-       st.integers(min_value=1, max_value=2))
+       st.integers(min_value=1, max_value=2),
+       st.integers(min_value=1, max_value=3))
 @settings(max_examples=150, deadline=None)
 def test_batched_blocks_equal_per_document_reference(corpus, unseen, seq_len,
-                                                     min_freq):
+                                                     min_freq, chunk):
     # PAD and truncation (documents up to 14 tokens against seq_len 2..9),
     # UNK (min_freq 2, words x/y), repeated tokens, empty and all-OOV
-    # documents, for the graph's own documents and for unseen ones
+    # documents, for the graph's own documents and for unseen ones,
+    # gathered 1-3 documents at a time
     vocab, id_corpus, _, graph = make_graph(corpus, 2, min_freq)
     seqs = [encode_document(doc, vocab, seq_len) for doc in corpus]
-    blocks = doc_blocks(graph, seqs)
     ref = np.stack([document_block(graph, k, seq.ids, seq.true_length)
                     for k, seq in enumerate(seqs)])
-    assert blocks.tobytes() == ref.tobytes()
+    with mock.patch.object(textgraph, "_DOC_CHUNK", chunk):
+        assert_written_as(extract_document_adjacency, graph, seqs, ref=ref)
 
     seqs = [encode_document(doc, vocab, seq_len) for doc in unseen]
     doc_ids = [[vocab.lookup(t) for t in doc] for doc in unseen]
-    blocks = unseen_blocks(graph, seqs, doc_ids)
     ref = np.stack([unseen_block(graph, ids, seq.ids, seq.true_length)
                     for ids, seq in zip(doc_ids, seqs)])
-    assert blocks.tobytes() == ref.tobytes()
+    with mock.patch.object(textgraph, "_DOC_CHUNK", chunk):
+        assert_written_as(extract_unseen_adjacency, graph, seqs, doc_ids,
+                          ref=ref)
 
 
 def test_unseen_blocks_with_long_rows_equal_per_document_reference():
