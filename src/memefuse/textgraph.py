@@ -1,8 +1,8 @@
 """Corpus graph over document and word nodes.
 
 Word-word edges carry positive pointwise mutual information gathered with
-a sliding window, counted over chunks of windows merged in first-seen
-order; document-word edges carry TF-IDF; the diagonal is 1. The adjacency
+a sliding window, counted over chunks of windows merged in key order;
+document-word edges carry TF-IDF; the diagonal is 1. The adjacency
 matrix is symmetrically normalized by inverse square-root degrees. Both
 matrices are `Csr`, a NumPy-only sparse matrix that keeps its entries in
 row-major order. The graph-attention encoder reads one L_S x L_S
@@ -102,11 +102,7 @@ def count_windows(corpus: list[list[int]], window_len: int) -> WindowStats:
     A document shorter than the window contributes one whole-document
     window. Counts are window membership, not occurrences. Windows are
     counted a chunk at a time, so the per-window arrays are bounded by
-    the chunk, not the corpus. Both counters are keyed in first-seen order,
-    windows in corpus order and each window's members and pairs
-    ascending, as a loop over the windows would insert them (each chunk
-    merges after those before it); `build_adjacency` relies on that
-    order.
+    the chunk, not the corpus. Both counters are keyed in ascending order.
     """
     if window_len < 1:
         raise ValueError("window length must be >= 1")
@@ -122,7 +118,7 @@ def count_windows(corpus: list[list[int]], window_len: int) -> WindowStats:
     key_type = np.int32 if (span + 1) ** 2 <= 2 ** 31 else np.int64
     # a window's member pairs i <= j as keys i * span + j; (i, i) is i
     a, b = np.triu_indices(window_len)
-    keys, counts = np.empty(0, key_type), np.empty(0, np.int64)
+    keys, counts = np.empty(0, key_type), np.empty(0)
     for start in range(0, total, _WINDOW_CHUNK):
         window = np.arange(start, min(start + _WINDOW_CHUNK, total))
         doc = np.searchsorted(ends, window, "right")
@@ -134,15 +130,16 @@ def count_windows(corpus: list[list[int]], window_len: int) -> WindowStats:
         distinct = members != span
         distinct[:, 1:] &= members[:, 1:] != members[:, :-1]
         both = distinct[:, a] & distinct[:, b]
-        keys = np.concatenate([keys, (members[:, a] * span
-                                      + members[:, b])[both]])
-        firsts, n_seen = _first_seen(keys)
-        # a key counted before is first seen among those carried over
-        old = firsts < len(counts)
-        n_seen[old] += counts[firsts[old]] - 1
-        keys, counts = keys[firsts], n_seen
+        new, n_new = np.unique((members[:, a] * span + members[:, b])[both],
+                               return_counts=True)
+        # float64 counts are exact below 2**53
+        keys, merged = np.unique(np.concatenate([keys, new]),
+                                 return_inverse=True)
+        counts = np.bincount(merged, weights=np.concatenate([counts, n_new]),
+                             minlength=len(keys))
+    counts = counts.astype(np.int64)
     low, high = np.divmod(keys, span)
-    alone = low == high  # each counter's keys keep their first-seen order
+    alone = low == high
     per_token = Counter(dict(zip(low[alone].tolist(), counts[alone].tolist())))
     per_pair = Counter(dict(zip(zip(low[~alone].tolist(),
                                     high[~alone].tolist()),
@@ -157,23 +154,6 @@ def _flatten(corpus: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     flat = np.fromiter(itertools.chain.from_iterable(corpus), dtype=np.int64,
                        count=int(lengths.sum()))
     return flat, lengths
-
-
-def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each distinct key's first occurrence, in order of first
-    occurrence, and the key's number of occurrences. Keys are integers
-    from 0."""
-    n = len(keys)
-    ranked = np.sort(keys)
-    runs = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] - 1))
-    # each run's first occurrence: the keys packed above their indices
-    # sort as a stable argsort orders them, several times faster, where
-    # the packing fits an int64
-    wide = n and int(ranked[-1]) >= np.iinfo(np.int64).max // n
-    firsts = (np.argsort(keys, kind="stable") if wide else np.sort(
-        keys.astype(np.int64) * n + np.arange(n)))[runs] % n
-    seen = np.argsort(firsts)
-    return firsts[seen], np.diff(runs, append=n)[seen]
 
 
 def pmi(stats: WindowStats, i: int, j: int) -> float:
@@ -237,10 +217,8 @@ def build_adjacency(corpus: list[list[int]], stats: WindowStats,
     is_word = flat >= _FIRST_WORD_ID
     doc = np.repeat(np.arange(n_D), lengths)[is_word]
     word = flat[is_word] - _FIRST_WORD_ID
-    # each document's distinct words in first-occurrence order, as a
-    # Counter over the document would list them
-    firsts, tf = _first_seen(doc * n_W + word)
-    doc, word = doc[firsts], word[firsts]
+    pair, tf = np.unique(doc * n_W + word, return_counts=True)
+    doc, word = np.divmod(pair, n_W)
     df = np.bincount(word, minlength=n_W)
     idf = np.where(df > 0, np.log(n_D / np.maximum(df, 1)), 0.0)
     tfidf_value = tf * idf[word]
@@ -248,7 +226,7 @@ def build_adjacency(corpus: list[list[int]], stats: WindowStats,
 
     # each edge as (r, c) and (c, r), then the unit diagonal. No (r, c)
     # repeats: word pairs are distinct with i < j (per_pair's keys),
-    # document-word pairs distinct (first occurrences), and no edge joins
+    # document-word pairs distinct (np.unique), and no edge joins
     # a node to itself or a document to a document
     edges = np.concatenate([word_nodes,
                             np.stack([doc, n_D + word], axis=1)[nonzero]])
@@ -354,7 +332,9 @@ def extract_unseen_adjacency(graph: CorpusGraph, seqs: np.ndarray,
     # in first-occurrence order, as Python's sum over a Counter of the
     # document adds them (bincount adds sequentially; a pairwise sum
     # would round otherwise, and the blocks' bytes depend on it)
-    firsts, tf = _first_seen(key)
+    _, firsts, tf = np.unique(key, return_index=True, return_counts=True)
+    seen = np.argsort(firsts)
+    firsts, tf = firsts[seen], tf[seen]
     pseudo_degree = 1.0 + np.bincount(
         doc[firsts], weights=tf * graph.idf[word[firsts]], minlength=n_docs)
     # each position's entry: its token's count in its own document times

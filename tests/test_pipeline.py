@@ -651,12 +651,15 @@ def manifest_names(model_dir):
 
 
 def test_cv_deterministic_and_parallel_equivalent(dataset, tmp_path):
-    # gcan carries the adjacency blocks; jobs=5 asks for more workers
-    # than the 3 folds
-    for model, jobs in (("vit", 2), ("gcan", 2), ("vit", 5)):
-        serial = os.path.join(tmp_path, f"{model}-{jobs}-serial")
-        parallel = os.path.join(tmp_path, f"{model}-{jobs}-parallel")
+    # every model at jobs 1 and 2, each fusion after its members in the
+    # same root; gcan carries the adjacency blocks, and vit at jobs=5 asks
+    # for more workers than the 3 folds
+    runs = [(model, 2) for model in MODEL_MEMBERS] + [("vit", 5)]
+    serial = os.path.join(tmp_path, "serial")
+    for model in MODEL_MEMBERS:
         train_model_cv(make_ctx(dataset), model, serial, jobs=1, log=None)
+    for model, jobs in runs:
+        parallel = os.path.join(tmp_path, f"jobs{jobs}")
         train_model_cv(make_ctx(dataset), model, parallel, jobs=jobs,
                        log=None)
         assert multiprocessing.active_children() == []

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from memefuse import textgraph
 from memefuse.preprocess import build_vocabulary, encode_document
-from memefuse.textgraph import (NEG_INF, Csr, WindowStats, _first_seen,
+from memefuse.textgraph import (NEG_INF, Csr, WindowStats,
                                 build_adjacency, count_windows,
                                 extract_document_adjacency,
                                 extract_unseen_adjacency, pmi, tfidf)
@@ -91,15 +92,22 @@ def test_count_windows_rejects_bad_length():
         count_windows([[1]], 0)
 
 
+def assert_counts_equal(stats, per_token, per_pair):
+    """`stats` holds the loop's counts as Python ints, each counter keyed
+    in ascending order."""
+    for got, want in ((stats.per_token, per_token),
+                      (stats.per_pair, per_pair)):
+        assert list(got.items()) == sorted(want.items())
+        assert all(type(n) is int for n in got.values())
+
+
 @given(token_lists, st.integers(min_value=1, max_value=6),
        st.integers(min_value=1, max_value=3))
 @settings(max_examples=100, deadline=None)
 def test_count_windows_matches_pair_loop_in_order(corpus_tokens, window_len,
                                                   chunk):
-    # build_adjacency walks per_pair in insertion order, so the order of
-    # the graph's entries (and its degree sums) depends on it; windows
-    # counted 1-3 at a time must merge into the same counters, in the
-    # same order, as windows counted all at once
+    # windows counted 1-3 at a time must merge into the same counts as
+    # windows counted all at once, both in ascending key order
     vocab = build_vocabulary(corpus_tokens)
     ids = [[vocab.lookup(t) for t in doc] for doc in corpus_tokens]
     per_token, per_pair = count_windows_loop(ids, window_len)
@@ -107,20 +115,8 @@ def test_count_windows_matches_pair_loop_in_order(corpus_tokens, window_len,
     with mock.patch.object(textgraph, "_WINDOW_CHUNK", chunk):
         chunked = count_windows(ids, window_len)
     for stats in (whole, chunked):
-        assert list(stats.per_token.items()) == list(per_token.items())
-        assert list(stats.per_pair.items()) == list(per_pair.items())
+        assert_counts_equal(stats, per_token, per_pair)
     assert chunked.total == whole.total
-
-
-@given(st.lists(st.integers(0, 9)) | st.lists(st.integers(0, 2 ** 62)))
-@settings(max_examples=100, deadline=None)
-def test_first_seen_matches_first_occurrences(keys):
-    # small keys pack above their indices into one int64 sort; keys too
-    # wide to pack take a stable argsort
-    firsts, counts = _first_seen(np.array(keys, dtype=np.int64))
-    distinct = list(dict.fromkeys(keys))
-    assert firsts.tolist() == [keys.index(k) for k in distinct]
-    assert counts.tolist() == [keys.count(k) for k in distinct]
 
 
 def test_count_windows_memory_is_bounded_by_its_chunk():
@@ -161,11 +157,33 @@ def test_graph_equals_loop_reference_bitwise(corpus_tokens, window_len,
     assert graph.idf.tobytes() == idf.tobytes()
 
 
+@given(token_lists, st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=2), st.randoms())
+@settings(max_examples=100, deadline=None)
+def test_graph_bytes_do_not_depend_on_count_order(corpus_tokens, window_len,
+                                                  min_freq, random):
+    # the graph's entries and degree sums follow the keys of the pairs,
+    # not the order the counters list them in
+    vocab, ids, stats, graph = make_graph(corpus_tokens, window_len, min_freq)
+    shuffled = []
+    for counter in (stats.per_token, stats.per_pair):
+        items = list(counter.items())
+        random.shuffle(items)
+        shuffled.append(Counter(dict(items)))
+    other = build_adjacency(ids, WindowStats(stats.total, *shuffled,
+                                             window_len), vocab)
+    for got, want in ((other.raw, graph.raw),
+                      (other.normalized, graph.normalized)):
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.keys.tobytes() == want.keys.tobytes()
+    assert other.degree.tobytes() == graph.degree.tobytes()
+    assert other.idf.tobytes() == graph.idf.tobytes()
+
+
 @pytest.mark.parametrize("offset", [0, 50_000, 2 ** 31])
 def test_count_windows_wide_ids_match_pair_loop(offset):
-    # ids past 46,338 need 64-bit pair keys, ids past 2**31 - 2 64-bit
-    # window slots, and pair keys past 2**31 a stable argsort to find
-    # their first occurrences; counted at once and 2 windows at a time
+    # ids past 46,338 need 64-bit pair keys, and ids past 2**31 - 2 64-bit
+    # window slots; counted at once and 2 windows at a time
     gen = np.random.default_rng(offset % 97)
     ids = [(gen.integers(3, 12, size=n) + np.where(
         gen.random(n) < 0.5, offset, 0)).tolist() for n in (9, 1, 14, 4)]
@@ -173,8 +191,7 @@ def test_count_windows_wide_ids_match_pair_loop(offset):
     for chunk in (textgraph._WINDOW_CHUNK, 2):
         with mock.patch.object(textgraph, "_WINDOW_CHUNK", chunk):
             stats = count_windows(ids, 4)
-        assert list(stats.per_token.items()) == list(per_token.items())
-        assert list(stats.per_pair.items()) == list(per_pair.items())
+        assert_counts_equal(stats, per_token, per_pair)
 
 
 @given(token_lists, st.integers(min_value=1, max_value=6))
@@ -194,21 +211,18 @@ def test_count_windows_invariants(corpus_tokens, window_len):
 # ----------------------------------------------------------------- pmi/tfidf
 
 def test_pmi_ln2_case():
-    from collections import Counter
     stats = WindowStats(total=8, per_token=Counter({1: 2, 2: 4}),
                         per_pair=Counter({(1, 2): 2}), window_len=3)
     assert abs(pmi(stats, 1, 2) - math.log(2)) < 1e-12
 
 
 def test_pmi_independence_is_zero():
-    from collections import Counter
     stats = WindowStats(total=8, per_token=Counter({1: 2, 2: 4}),
                         per_pair=Counter({(1, 2): 1}), window_len=3)
     assert abs(pmi(stats, 1, 2)) < 1e-12
 
 
 def test_pmi_sentinel_on_no_cooccurrence():
-    from collections import Counter
     stats = WindowStats(total=4, per_token=Counter({1: 2, 2: 1}),
                         per_pair=Counter(), window_len=3)
     assert pmi(stats, 1, 2) == NEG_INF
