@@ -103,11 +103,6 @@ def read_raster(raster: PpmRaster) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(raster.shape)
 
 
-def read_ppm(path: str) -> np.ndarray:
-    """The read-only pixels of the binary P6 PPM at `path` (`check_ppm`)."""
-    return read_raster(check_ppm(path))
-
-
 def sample_pixels(sample: RawSample) -> np.ndarray:
     """A sample's (H, W, 3) uint8 pixels: the array it holds, or its
     ingested raster read from disk, which nothing keeps."""
@@ -201,6 +196,10 @@ class RunConfig:
     max_vocab: int = 5000
     jobs: int = 1
 
+    @property
+    def n_outputs(self) -> int:
+        return 1 if self.setup == "A" else 4
+
     def validate(self) -> None:
         if self.model not in MODEL_MEMBERS:
             raise ValueError(f"unknown model {self.model!r}; choose from "
@@ -208,7 +207,8 @@ class RunConfig:
         if self.setup not in ("A", "B"):
             raise ValueError(f"setup must be A or B, got {self.setup!r}")
         for name in ("jobs", "batch_size", "fusion_batch_size", "d_att",
-                     "n_layers", "window_len", "crop", "max_vocab"):
+                     "n_layers", "window_len", "crop", "max_vocab",
+                     "patience", "min_freq"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got "
                                  f"{getattr(self, name)}")

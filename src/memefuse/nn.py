@@ -299,8 +299,6 @@ def _classify(encoder, f: Tensor,
 class TextEncoder:
     """Transformer-encoder classifier; the [cls] row is the feature vector."""
 
-    kind = "text"
-
     def __init__(self, vocab_size: int, seq_len: int, n_classes: int,
                  cfg: AttentionConfig, seed: int = 0):
         self.cfg = cfg
@@ -342,8 +340,6 @@ class TextEncoder:
 class GcanEncoder(TextEncoder):
     """Graph-attention text classifier; features are the node-sum pooling."""
 
-    kind = "gcan"
-
     def forward(self, ids: np.ndarray, adj: np.ndarray,
                 rng: np.random.Generator | None = None) -> ModelOutput:
         return _classify(self, self.stack(ids, adj).sum(axis=1), rng)
@@ -351,8 +347,6 @@ class GcanEncoder(TextEncoder):
 
 class ImageEncoder:
     """Patch-embedding transformer over non-overlapping image patches."""
-
-    kind = "image"
 
     def __init__(self, crop: int, patch: int, n_classes: int,
                  cfg: AttentionConfig, seed: int = 0):

@@ -43,7 +43,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -60,7 +60,7 @@ from .rundir import SPLITS, DependencyError, SplitOutputs, member_outputs, \
     write_run
 from .textgraph import build_adjacency, count_windows, \
     extract_document_adjacency, extract_unseen_adjacency
-from .training import EpochRecord, TrainConfig, train_model
+from .training import EpochRecord, train_model
 
 EVAL_BATCH = 64
 DTYPE = np.float32  # models' parameters and inputs
@@ -268,14 +268,6 @@ class FusionTrainable(UnimodalTrainable):
         return self.eval_split(self.data.val)[0]
 
 
-def _train_config(cfg: RunConfig, fold: int, fusion: bool) -> TrainConfig:
-    return TrainConfig(
-        setup=cfg.setup, epochs=cfg.epochs, seed=cfg.seed + fold,
-        batch_size=cfg.fusion_batch_size if fusion else cfg.batch_size,
-        base_lr=cfg.fusion_lr if fusion else cfg.base_lr,
-        warmup_epochs=cfg.warmup_epochs, patience=cfg.patience)
-
-
 @dataclass
 class FoldArtifacts:
     run: FoldRun
@@ -297,13 +289,17 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
     start, cpu_start = time.perf_counter(), time.process_time()
     cfg = ctx.cfg
     members = MODEL_MEMBERS[model_name]
-    tconf = _train_config(cfg, fold, fusion=members is not None)
+    fusion = members is not None  # fusion heads: their own batch and rate
+    fold_cfg = replace(
+        cfg, seed=cfg.seed + fold,
+        batch_size=cfg.fusion_batch_size if fusion else cfg.batch_size,
+        base_lr=cfg.fusion_lr if fusion else cfg.base_lr)
     meta = {"model": model_name, "fold": str(fold), "setup": cfg.setup}
 
     if members is None:
         data = ctx._build_fold(fold, model_name)
         model = make_unimodal(model_name, cfg, data.vocab_size,
-                              tconf.n_outputs, seed=tconf.seed)
+                              cfg.n_outputs, seed=fold_cfg.seed)
         trainable = UnimodalTrainable(model, data)
     else:
         if out_root is None:
@@ -312,7 +308,7 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
         saved = []
         for member in members:
             digest, outputs = member_outputs(ctx, out_root, member,
-                                             model_name, fold, tconf.n_outputs)
+                                             model_name, fold, cfg.n_outputs)
             meta[f"member_hash:{member}"] = digest
             saved.append(outputs)
         # each part's split rows in split order, put back in pool order
@@ -324,11 +320,11 @@ def train_fold(ctx: CvContext, model_name: str, fold: int,
             for out in saved for part in ("p", "f")))
         model = _narrowed(FusionModel(
             [(out["train"].p.shape[1], out["train"].f.shape[1])
-             for out in saved], tconf.n_outputs, cfg.dropout, seed=tconf.seed))
+             for out in saved], cfg.n_outputs, cfg.dropout, seed=fold_cfg.seed))
         trainable = FusionTrainable(model, data)
     best_f1, params, records = train_model(
         trainable, data.train.y_mis, data.train.y_sub, data.val.y_mis,
-        data.val.y_sub, tconf)
+        data.val.y_sub, fold_cfg)
     evaluated = data.splits() if members is None else {"test": data.test}
     outputs = {name: SplitOutputs(split.ids, *trainable.eval_split(split))
                for name, split in evaluated.items()}

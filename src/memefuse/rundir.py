@@ -201,10 +201,13 @@ def _verified(directory: str, name: str, manifest: dict[str, str]) -> str:
 
 def read_scores(path: str, column: str) -> list[float]:
     """A runs.tsv column, one score per fold in fold order; a row whose
-    score is not a number in [0, 1] is a DataError naming `path:line`."""
+    score is not a number in [0, 1] is a DataError naming `path:line`, and
+    a file that lists no fold one naming `path`."""
     header, rows = _read_tsv(path)
     if column not in header:
         raise DataError(f"{path} has no {column} column")
+    if not rows:
+        raise DataError(f"{path} lists no fold")
     at = header.index(column)
     for lineno, row in enumerate(rows, start=2):
         try:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, fused, zero_grads
+from .dataio import RunConfig
 from .ensemble import task_scores
 from .nn import NumericError
 
@@ -30,27 +31,6 @@ class LossWeights:
         self.w = np.asarray(self.w, dtype=np.float64)
         if self.w.shape != (4,) or np.any(self.w <= 0):
             raise ValueError("need four strictly positive class weights")
-
-
-@dataclass
-class TrainConfig:
-    setup: str = "B"                 # "A" or "B"
-    epochs: int = 50
-    batch_size: int = 16             # 32 for fusion models
-    base_lr: float = 2e-5            # 5e-6 for fusion models
-    warmup_epochs: int = 4
-    patience: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.setup not in ("A", "B"):
-            raise ValueError(f"unknown setup {self.setup!r}")
-        if not 0 < self.warmup_epochs < self.epochs:
-            raise ValueError("need 0 < warmup epochs < total epochs")
-
-    @property
-    def n_outputs(self) -> int:
-        return 1 if self.setup == "A" else 4
 
 
 @dataclass
@@ -127,7 +107,7 @@ def combined_loss(l1: Tensor, l2: Tensor,
 
 
 def setup_loss(p: Tensor, y_mis: np.ndarray, y_sub: np.ndarray,
-               config: TrainConfig,
+               config: RunConfig,
                weights: LossWeights | None) -> Tensor:
     """The setup's training loss as one tape node."""
     if config.setup == "A":
@@ -234,15 +214,17 @@ def validation_f1(probs: np.ndarray, y_mis: np.ndarray,
 
 def train_model(trainable, y_mis: np.ndarray, y_sub: np.ndarray,
                 val_y_mis: np.ndarray, val_y_sub: np.ndarray,
-                config: TrainConfig) -> tuple[float, dict[str, np.ndarray],
-                                              list[EpochRecord]]:
+                config: RunConfig) -> tuple[float, dict[str, np.ndarray],
+                                            list[EpochRecord]]:
     """Run one fold: epochs with early stopping and top-2 averaging.
 
     `trainable` exposes `params` (name -> Tensor), `forward_batch(indices,
     rng)` over the training split, and `eval_val()` returning eval-mode
-    validation probabilities. Returns (best validation F1, final averaged
+    validation probabilities. `config` holds the fold's settings and is
+    validated first. Returns (best validation F1, final averaged
     parameters, per-epoch records).
     """
+    config.validate()
     n_train = len(y_mis)
     if n_train == 0:
         raise ValueError("empty training fold")

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from conftest import make_sample
 from memefuse.checkpoint import file_hash
 from memefuse.cli import main
-from memefuse.dataio import (TSV_HEADER, RunConfig, emit_config, ingest,
-                             load_config, parse_config, read_ppm,
+from memefuse.dataio import (TSV_HEADER, RunConfig, check_ppm, emit_config,
+                             ingest, load_config, parse_config, read_raster,
                              sample_pixels, write_dataset, write_ppm)
 from memefuse.preprocess import DataError
 from memefuse.synth import SynthSpec, bayes_accuracies, gen_synth, generate
@@ -27,7 +27,7 @@ def test_ppm_roundtrip(tmp_path):
         0, 256, size=(5, 7, 3)).astype(np.uint8)
     path = os.path.join(tmp_path, "x.ppm")
     write_ppm(path, img)
-    assert np.array_equal(read_ppm(path), img)
+    assert np.array_equal(read_raster(check_ppm(path)), img)
 
 
 def test_ppm_rejects_other_formats(tmp_path):
@@ -35,7 +35,7 @@ def test_ppm_rejects_other_formats(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"P5\n2 2\n255\n....")
     with pytest.raises(DataError):
-        read_ppm(path)
+        read_raster(check_ppm(path))
 
 
 MALFORMED_PPM = {
@@ -48,20 +48,20 @@ MALFORMED_PPM = {
 
 
 @pytest.mark.parametrize("content, via", [
-    *(pytest.param(content, "read_ppm", id=name)
+    *(pytest.param(content, "check_ppm", id=name)
       for name, content in MALFORMED_PPM.items()),
     *(pytest.param(content, "ingest", id=f"ingest-{name}")
       for name, content in MALFORMED_PPM.items())])
 def test_ppm_malformed_names_the_file(tmp_path, content, via):
     # ingest refuses by the header and the file's size alone, with
-    # read_ppm's message after the TSV's `path:line`
+    # check_ppm's message after the TSV's `path:line`
     os.makedirs(os.path.join(tmp_path, "images"))
     path = os.path.join(tmp_path, "images", "x.ppm")
     with open(path, "wb") as fh:
         fh.write(content)
-    if via == "read_ppm":
+    if via == "check_ppm":
         with pytest.raises(DataError, match="x.ppm"):
-            read_ppm(path)
+            read_raster(check_ppm(path))
     else:
         tsv = write_rows(tmp_path, ["x\ta\t\t0\t0\t0\t0\t0"])
         with pytest.raises(DataError, match=re.escape(f"{tsv}:2: ") +
@@ -78,8 +78,9 @@ def test_ppm_header_of_any_length(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"P6\n# " + b"c" * 5000 + b"\n5 3\n255\n" + img.tobytes())
     sample, = ingest(write_rows(tmp_path, ["x\ta\t\t0\t0\t0\t0\t0"]))
-    assert np.array_equal(sample_pixels(sample), read_ppm(path))
-    assert np.array_equal(read_ppm(path), img)
+    pixels = read_raster(check_ppm(path))
+    assert np.array_equal(sample_pixels(sample), pixels)
+    assert np.array_equal(pixels, img)
 
 
 # -------------------------------------------------------------------- ingest
@@ -311,7 +312,8 @@ def test_config_validation():
     ("warmup_epochs", 50), ("warmup_epochs", 60), ("dropout", 1.0),
     ("dropout", -0.5), ("crop", 0), ("seed", -1), ("max_vocab", -1),
     ("max_vocab", 0), ("n_layers", 0), ("n_layers", -1), ("base_lr", 0.0),
-    ("base_lr", -1.0), ("fusion_lr", 0.0), ("fusion_lr", -1e-3)])
+    ("base_lr", -1.0), ("fusion_lr", 0.0), ("fusion_lr", -1e-3),
+    ("patience", 0), ("patience", -1), ("min_freq", 0)])
 def test_config_validation_numeric_fields(field, value):
     # defaults: resize 36, crop 32, patch 8, d_att 32, n_heads 4, epochs 50
     RunConfig().validate()
@@ -691,6 +693,40 @@ def test_cli_evaluate_refuses_tampered_predictions(tiny_run, member_runs,
     capsys.readouterr()
     assert main(["evaluate", "--runs", runs, "--test", tiny_run["data"]]) == 2
     assert preds in capsys.readouterr().err
+
+
+def test_cli_readers_refuse_runs_tsv_without_a_fold(tiny_run, member_runs,
+                                                    tmp_path, capsys):
+    # a runs.tsv cut to its header, with its hash re-recorded: each reader
+    # exits 2 naming it, before it writes any output
+    from memefuse.rundir import write_manifest
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    vit = os.path.join(runs, "vit")
+    runs_tsv = os.path.join(vit, "runs.tsv")
+    with open(runs_tsv) as fh:
+        header = fh.readline()
+    with open(runs_tsv, "w") as fh:
+        fh.write(header)
+    with open(os.path.join(vit, "manifest.tsv")) as fh:
+        fh.readline()
+        roles = [tuple(line.split("\t")[:2]) for line in fh]
+    write_manifest(vit, roles)
+    gcan = os.path.join(runs, "gcan")
+    out = os.path.join(tmp_path, "votes.tsv")
+    for argv in (["evaluate", "--runs", runs, "--test", tiny_run["data"]],
+                 ["ensemble", "--mode", "soft", "--runs", vit, "--out", out],
+                 ["ensemble", "--mode", "hard", "--runs", gcan, vit,
+                  "--out", out],
+                 ["significance", "--a", runs_tsv,
+                  "--b", os.path.join(gcan, "runs.tsv")]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert runs_tsv in captured.err, argv
+        assert "Traceback" not in captured.err, argv
+    assert not os.path.exists(out)
 
 
 def rename_ids(text: str) -> str:

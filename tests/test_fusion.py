@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import tape_nodes
 from memefuse.autodiff import Tensor, parameter
+from memefuse.dataio import RunConfig
 from memefuse.fusion import FusionModel, _fusion
 from memefuse.nn import _HEAD_PARAMS, ModelOutput, NumericError
-from memefuse.training import TrainConfig, class_weights, setup_loss
+from memefuse.training import class_weights, setup_loss
 from oracles import div, numeric_gradient, rel_error, unfused_fusion
 
 
@@ -209,7 +210,7 @@ def test_fusion_train_step_tape_stays_fused(m, rng):
                         rng=np.random.default_rng(0))
     y_sub = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
     loss = setup_loss(out.p, y_sub.max(axis=1), y_sub,
-                      TrainConfig(epochs=5, warmup_epochs=1),
+                      RunConfig(epochs=5, warmup_epochs=1),
                       class_weights([1, 1, 1, 1], 2))
     assert tape_nodes(loss) <= 10
 

@@ -5,13 +5,14 @@ import pytest
 
 from conftest import tape_nodes
 from memefuse.autodiff import Tensor, parameter
+from memefuse.dataio import RunConfig
 from memefuse.nn import (AttentionConfig, GcanEncoder, ImageEncoder,
                          NumericError, TextEncoder, classifier_head,
                          gcan_layer, linear, multi_head_attention,
                          sinusoidal_positions, _classify, _init_head,
                          _init_layer)
-from memefuse.training import (LOSS_MIX, TrainConfig, class_weights,
-                               setup_loss, teacher_forcing_loss)
+from memefuse.training import (LOSS_MIX, class_weights, setup_loss,
+                               teacher_forcing_loss)
 from oracles import (add, getitem, layer_norm, naive_attention_layer,
                      numeric_gradient, rel_error, rows_gradient_add_at, sub,
                      unfused_classifier_head, unfused_gcan_layer,
@@ -378,7 +379,7 @@ Y_SUB = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
 
 def setup_b_loss(out):
     return setup_loss(out.p, Y_SUB.max(axis=1), Y_SUB,
-                      TrainConfig(epochs=5, warmup_epochs=1),
+                      RunConfig(epochs=5, warmup_epochs=1),
                       class_weights([1, 1, 1, 1], 2))
 
 
@@ -413,7 +414,7 @@ def test_vit_train_step_tape_stays_fused():
     images = np.random.default_rng(0).standard_normal((2, 3, 4, 4))
     out = enc.forward(images, rng=np.random.default_rng(0))
     loss = setup_loss(out.p, np.array([1.0, 0.0]), Y_SUB,
-                      TrainConfig(setup="A", epochs=5, warmup_epochs=1), None)
+                      RunConfig(setup="A", epochs=5, warmup_epochs=1), None)
     assert tape_nodes(loss) <= 34
 
 
@@ -578,7 +579,7 @@ def test_fused_classifier_head_matches_unfused_composition():
 
 
 def test_fused_setup_b_loss_matches_unfused_composition():
-    cfg = TrainConfig(epochs=5, warmup_epochs=1)
+    cfg = RunConfig(epochs=5, warmup_epochs=1)
     weights = class_weights([3, 1, 2, 5], 8)
     for seed in range(8):
         gen = np.random.default_rng(seed)
@@ -601,7 +602,7 @@ def test_fused_setup_b_loss_matches_unfused_composition():
 
 
 def test_setup_b_loss_gradients():
-    cfg = TrainConfig(epochs=5, warmup_epochs=1)
+    cfg = RunConfig(epochs=5, warmup_epochs=1)
     weights = class_weights([3, 1, 2, 5], 8)
     for seed in range(5):
         gen = np.random.default_rng(seed)

@@ -29,8 +29,7 @@ from memefuse.rundir import (DependencyError, SplitOutputs, load_fold_runs,
 from memefuse.preprocess import DataError, build_vocabulary, \
     encode_document, normalize_image
 from memefuse.textgraph import Csr, build_adjacency, count_windows
-from memefuse.training import (AdamW, EpochRecord, TrainConfig, class_weights,
-                               setup_loss)
+from memefuse.training import AdamW, EpochRecord, class_weights, setup_loss
 from memefuse.synth import SynthSpec, gen_synth
 from oracles import document_block, member_outputs_by_inference, \
     per_split_inputs, unseen_block
@@ -591,7 +590,7 @@ def test_training_step_reaches_every_parameter(dataset, model, setup):
     out = trainable.forward_batch(idx, np.random.default_rng(1))
     weights = class_weights([3, 1, 2, 5], 8) if setup == "B" else None
     setup_loss(out.p, ctx.y_mis[rows], ctx.y_sub[rows],
-               TrainConfig(setup=setup, epochs=5, warmup_epochs=1),
+               RunConfig(setup=setup, epochs=5, warmup_epochs=1),
                weights).backward()
     for name, p in trainable.params.items():
         assert isinstance(p.grad, np.ndarray), name
@@ -642,6 +641,40 @@ def test_fusion_requires_members(dataset, tmp_path):
         train_fold(ctx, "gcan-vit", 0, str(tmp_path))
     with pytest.raises(DependencyError):
         train_fold(ctx, "gcan-vit", 0, None)
+
+
+def test_each_fold_trains_with_the_runs_settings(dataset, tmp_path,
+                                                 monkeypatch):
+    # a fold's seed is the run's plus the fold; a fusion fold takes the
+    # fusion batch size and learning rate, a uni-modal fold the others
+    overrides = dict(batch_size=8, fusion_batch_size=12, patience=2)
+    for member in ("gcan", "vit"):
+        train_model_cv(make_ctx(dataset, **overrides), member, str(tmp_path),
+                       log=None)
+    received = []
+
+    class Received(Exception):
+        pass
+
+    def spy(*args, **kwargs):
+        received.append(kwargs.get("config", args[5] if len(args) > 5
+                                   else None))
+        raise Received
+
+    monkeypatch.setattr(pipeline, "train_model", spy)
+    ctx = make_ctx(dataset, **overrides)
+    cfg = ctx.cfg
+    for model, fold, batch_size, base_lr in (
+            ("vit", 2, cfg.batch_size, cfg.base_lr),
+            ("gcan-vit", 1, cfg.fusion_batch_size, cfg.fusion_lr)):
+        with pytest.raises(Received):
+            train_fold(ctx, model, fold, str(tmp_path))
+        got = received.pop()
+        assert (got.batch_size, got.base_lr, got.seed) == \
+            (batch_size, base_lr, cfg.seed + fold), model
+        assert (got.setup, got.epochs, got.warmup_epochs, got.patience) == \
+            (cfg.setup, cfg.epochs, cfg.warmup_epochs, cfg.patience), model
+        assert got.n_outputs == 4, model
 
 
 def manifest_names(model_dir):
@@ -908,7 +941,7 @@ def test_saturated_float32_head_keeps_gradients_finite(dataset, setup):
     # label 0 for every sample, so sample 0's p needs 1 - p
     y_mis, y_sub = np.zeros(4), np.zeros((4, 4))
     setup_loss(out.p, y_mis, y_sub,
-               TrainConfig(setup=setup, epochs=5, warmup_epochs=1),
+               RunConfig(setup=setup, epochs=5, warmup_epochs=1),
                class_weights([1, 1, 1, 1], 4)).backward()
     for name, p in model.params.items():
         assert np.isfinite(p.grad).all(), name

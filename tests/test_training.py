@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 import memefuse.training as training
 from memefuse.autodiff import Tensor, parameter
 from memefuse.checkpoint import average_checkpoints
+from memefuse.dataio import RunConfig
 from memefuse.nn import ModelOutput, NumericError, linear
-from memefuse.training import (AdamW, EpochRecord, LossWeights, TrainConfig,
-                               bce, class_weights, combined_loss, lr_at,
+from memefuse.training import (AdamW, EpochRecord, LossWeights, bce,
+                               class_weights, combined_loss, lr_at,
                                restore, select_top2, setup_loss, snapshot,
                                teacher_forcing_loss, train_model,
                                validation_f1)
@@ -175,8 +176,8 @@ def test_combined_loss_monotone():
 
 
 def test_setup_loss_dispatch():
-    cfg_a = TrainConfig(setup="A", epochs=5, warmup_epochs=1)
-    cfg_b = TrainConfig(setup="B", epochs=5, warmup_epochs=1)
+    cfg_a = RunConfig(setup="A", epochs=5, warmup_epochs=1)
+    cfg_b = RunConfig(setup="B", epochs=5, warmup_epochs=1)
     assert cfg_a.n_outputs == 1
     assert cfg_b.n_outputs == 4
     y_mis = np.array([1.0])
@@ -387,7 +388,7 @@ def scripted_run(monkeypatch, trace, epochs=20, patience=4):
     n = 8
     y_sub = np.tile([1.0, 0.0, 1.0, 0.0], (n, 1))
     y_mis = np.ones(n)
-    cfg = TrainConfig(setup="B", epochs=epochs, batch_size=4, base_lr=1e-2,
+    cfg = RunConfig(setup="B", epochs=epochs, batch_size=4, base_lr=1e-2,
                       warmup_epochs=1, patience=patience, seed=0)
     best, final, records = train_model(trainable, y_mis, y_sub,
                                        y_mis[:4], y_sub[:4], cfg)
@@ -431,7 +432,7 @@ def test_train_model_empty_fold():
     with pytest.raises(ValueError):
         train_model(ScriptedTrainable(), np.array([]), np.zeros((0, 4)),
                     np.array([1.0]), np.ones((1, 4)),
-                    TrainConfig(epochs=5, warmup_epochs=1))
+                    RunConfig(epochs=5, warmup_epochs=1))
 
 
 def test_training_loss_decreases_on_separable_data():
@@ -457,7 +458,7 @@ def test_training_loss_decreases_on_separable_data():
     x = rng.standard_normal((n, d))
     y_sub = (x[:, :4] > 0).astype(float)  # linearly separable targets
     y_mis = y_sub.max(axis=1)
-    cfg = TrainConfig(setup="B", epochs=8, batch_size=n, base_lr=0.05,
+    cfg = RunConfig(setup="B", epochs=8, batch_size=n, base_lr=0.05,
                       warmup_epochs=2, patience=8, seed=0)
     _, _, records = train_model(LinearTrainable(x), y_mis, y_sub,
                                 y_mis[:4], y_sub[:4], cfg)
@@ -466,9 +467,15 @@ def test_training_loss_decreases_on_separable_data():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(setup="C")
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=4, warmup_epochs=4)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=4, warmup_epochs=0)
+    # train_model checks its config before it reads the trainable
+    class Untouchable:
+        def __getattr__(self, name):
+            raise AssertionError(f"read trainable.{name}")
+
+    y_sub = np.tile([1.0, 0.0, 1.0, 0.0], (8, 1))
+    for bad, field in ((dict(setup="C"), "setup"),
+                       (dict(epochs=4, warmup_epochs=4), "warmup_epochs"),
+                       (dict(epochs=4, warmup_epochs=0), "warmup_epochs")):
+        with pytest.raises(ValueError, match=field):
+            train_model(Untouchable(), np.ones(8), y_sub, np.ones(4),
+                        y_sub[:4], RunConfig(**bad))
