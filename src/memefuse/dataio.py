@@ -7,7 +7,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -110,7 +110,8 @@ def sample_pixels(sample: RawSample) -> np.ndarray:
     return image if isinstance(image, np.ndarray) else read_raster(image)
 
 
-def write_dataset(path: str, samples: list[RawSample], image_dir: str) -> None:
+def write_dataset(path: str, samples: Iterable[RawSample],
+                  image_dir: str) -> None:
     os.makedirs(image_dir, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(TSV_HEADER) + "\n")

@@ -156,7 +156,7 @@ def mann_whitney_u(x, y) -> tuple[float, float]:
               + 0.5 * np.sum(x[:, None] == y[None, :]))
 
     pooled = np.concatenate([x, y])
-    has_ties = len(np.unique(pooled)) < n + m
+    has_ties = np.unique(pooled, return_counts=True)[1].max() > 1
     if n + m <= EXACT_LIMIT and not has_ties:
         return u, _exact_p(u, n, m)
     return u, _normal_p(u, n, m, pooled)

@@ -39,10 +39,8 @@ probabilities, losses and prediction files stay float64.
 from __future__ import annotations
 
 import mmap
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -138,11 +136,8 @@ class CvContext:
         job = (images, samples, cfg)
         own, *rest = np.array_split(np.arange(len(samples)),
                                     min(cfg.jobs, len(samples)))
-        if rest:  # fork: the workers inherit the mapping and the samples
-            with ProcessPoolExecutor(
-                    max_workers=len(rest),
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_init_worker, initargs=job) as pool:
+        if rest:  # the workers inherit the mapping and the samples
+            with _fork_pool(len(rest), *job) as pool:
                 filled = pool.map(_normalize_rows, rest)
                 _normalize_rows(own, job)
                 list(filled)  # raises a worker's error, first block first
@@ -160,7 +155,7 @@ class CvContext:
     def split_indices(self, fold: int) -> dict[str, np.ndarray]:
         """Pool rows of a fold's train, val and test splits."""
         n_train, val = len(self.train_samples), self.folds[fold]
-        return {"train": np.setdiff1d(np.arange(n_train), val), "val": val,
+        return {"train": np.delete(np.arange(n_train), val), "val": val,
                 "test": np.arange(n_train, len(self.ids))}
 
     def fold_data(self, fold: int, inputs: tuple[np.ndarray, ...],
@@ -191,7 +186,7 @@ class CvContext:
         lengths = np.array([seq.true_length for seq in encoded])
         del encoded  # not held through the graph build's memory peak
         id_docs = [[vocab.lookup(t) for t in doc] for doc in self.tokens]
-        unseen = np.setdiff1d(np.arange(len(seqs)), train)  # val, test
+        unseen = np.delete(np.arange(len(seqs)), train)  # val, test
         train_docs = [id_docs[i] for i in train]
         graph = build_adjacency(
             train_docs, count_windows(train_docs, cfg.window_len), vocab)
@@ -351,6 +346,15 @@ def _init_worker(*job) -> None:
     _worker_job = job
 
 
+def _fork_pool(workers: int, *job):
+    """A pool of `workers` processes forked with `job`, which they inherit
+    unpickled; a run that starts no pool imports none of its modules."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=job)
+
+
 def _normalize_rows(rows: np.ndarray, job: tuple = ()) -> None:
     """Normalize the pixels of pool rows `rows`, read here, into the pool;
     `job` is (images, samples, cfg), in a fill worker the one it was
@@ -392,13 +396,9 @@ def train_model_cv(ctx: CvContext, model_name: str, out_root: str,
     try:
         ctx.prepare(model_name)  # here, so forked workers inherit it
         start = time.perf_counter()
-        if jobs > 1:
-            # fork: workers inherit the context instead of unpickling a copy
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, cfg.folds),
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_init_worker,
-                    initargs=(ctx, model_name, out_root)) as pool:
+        if jobs > 1:  # the workers inherit the context
+            with _fork_pool(min(jobs, cfg.folds), ctx, model_name,
+                            out_root) as pool:
                 artifacts = [logged(art) for art in
                              pool.map(_train_worker_fold, range(cfg.folds))]
         else:

@@ -2,7 +2,8 @@
 
 A run directory holds per-fold checkpoints, member outputs and
 predictions, runs.tsv, train_log.tsv and a manifest.tsv of their
-SHA-256 hashes. Readers verify what they read against the manifest:
+SHA-256 hashes. Readers refuse a directory that holds a file its
+manifest does not list, and verify what they read against the manifest:
 `load_fold_runs` the scores and predictions, and a fusion run's member
 hashes against the manifest of each member in the same tree; fusion
 training each member's checkpoint and outputs, whose sample ids must be
@@ -28,6 +29,7 @@ if TYPE_CHECKING:
     from .pipeline import CvContext, FoldArtifacts
 
 SPLITS = ("train", "val", "test")
+UNLISTED = {"manifest.tsv", "events.jsonl"}  # the files no manifest lists
 FOLD_FILES = {"checkpoint": "fold{}.ckpt", "outputs": "fold{}_outputs.ckpt",
               "predictions": "fold{}_preds.tsv"}  # by manifest role
 
@@ -181,12 +183,20 @@ def write_manifest(directory: str, files) -> None:
 
 
 def read_manifest(directory: str) -> dict[str, str]:
-    """File name -> SHA-256 recorded in the directory's manifest.tsv."""
+    """File name -> SHA-256 recorded in the directory's manifest.tsv; a
+    file there that it does not list (but UNLISTED), such as a fold that
+    an earlier run of more folds left, is a DataError naming it."""
     path = os.path.join(directory, "manifest.tsv")
     if not os.path.exists(path):
         raise DataError(f"{path} is missing, so {directory} cannot be "
                         f"verified")
-    return {name: digest for name, _, digest in _read_tsv(path)[1]}
+    manifest = {name: digest for name, _, digest in _read_tsv(path)[1]}
+    unlisted = sorted(set(os.listdir(directory)) - set(manifest) - UNLISTED)
+    if unlisted:
+        raise DataError(f"{os.path.join(directory, unlisted[0])} has no entry "
+                        f"in manifest.tsv; remove it or train into a new "
+                        f"directory")
+    return manifest
 
 
 def _verified(directory: str, name: str, manifest: dict[str, str]) -> str:

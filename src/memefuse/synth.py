@@ -85,39 +85,38 @@ def _make_text(rng: np.random.Generator, spec: SynthSpec,
     return " ".join(words)
 
 
+def _samples(rng: np.random.Generator, spec: SynthSpec, split: str, n: int):
+    """`n` samples of `split`, each drawn from `rng` as it is read."""
+    for i in range(n):
+        triggers = rng.random(4) < spec.keyword_prob
+        motifs = rng.random(4) < spec.motif_prob
+        sub = (triggers & motifs).astype(int)
+        caption = CAPTION_TEMPLATES[rng.integers(len(CAPTION_TEMPLATES))]
+        yield RawSample(id=f"{split}{i:05d}",
+                        ocr_text=_make_text(rng, spec, triggers),
+                        captions=[caption] if caption else [],
+                        image=_make_image(rng, spec, motifs),
+                        labels=LabelVector(int(sub.max()), *sub))
+
+
+def _draw(spec: SynthSpec):
+    """The train and the test samples of one RNG; read the train first."""
+    rng = np.random.default_rng(spec.seed)
+    return (_samples(rng, spec, "train", spec.n_train),
+            _samples(rng, spec, "test", spec.n_test))
+
+
 def generate(spec: SynthSpec) -> tuple[list[RawSample], list[RawSample]]:
     """Train and test sample lists, deterministic per seed."""
-    rng = np.random.default_rng(spec.seed)
-    splits = []
-    for split, count in (("train", spec.n_train), ("test", spec.n_test)):
-        samples = []
-        for i in range(count):
-            triggers = rng.random(4) < spec.keyword_prob
-            motifs = rng.random(4) < spec.motif_prob
-            sub = (triggers & motifs).astype(int)
-            labels = LabelVector(mis=int(sub.max()), shm=sub[0], ste=sub[1],
-                                 obj=sub[2], vio=sub[3])
-            caption = CAPTION_TEMPLATES[rng.integers(len(CAPTION_TEMPLATES))]
-            samples.append(RawSample(
-                id=f"{split}{i:05d}",
-                ocr_text=_make_text(rng, spec, triggers),
-                captions=[caption] if caption else [],
-                image=_make_image(rng, spec, motifs),
-                labels=labels))
-        splits.append(samples)
-    return splits[0], splits[1]
+    return tuple(map(list, _draw(spec)))
 
 
 def gen_synth(spec: SynthSpec, out_dir: str) -> tuple[str, str]:
-    """Write train.tsv, test.tsv, and the shared images directory."""
-    os.makedirs(out_dir, exist_ok=True)
-    image_dir = os.path.join(out_dir, "images")
-    train, test = generate(spec)
-    train_path = os.path.join(out_dir, "train.tsv")
-    test_path = os.path.join(out_dir, "test.tsv")
-    dataio.write_dataset(train_path, train, image_dir)
-    dataio.write_dataset(test_path, test, image_dir)
-    return train_path, test_path
+    """Write train.tsv, test.tsv and images/, each sample as it is drawn."""
+    paths = tuple(os.path.join(out_dir, f"{s}.tsv") for s in ("train", "test"))
+    for path, samples in zip(paths, _draw(spec)):
+        dataio.write_dataset(path, samples, os.path.join(out_dir, "images"))
+    return paths
 
 
 def bayes_accuracies(spec: SynthSpec) -> tuple[float, float, float]:

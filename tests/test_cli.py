@@ -351,6 +351,46 @@ def test_gen_synth_byte_identical(tmp_path):
             file_hash(os.path.join(dir2, "images", name))
 
 
+def test_gen_synth_writes_the_bytes_of_the_generated_samples(tmp_path):
+    # gen_synth writes each sample as it is drawn: the files of the
+    # samples that generate returns, written whole
+    spec = SynthSpec(n_train=12, n_test=4, seed=9)
+    streamed = os.path.join(tmp_path, "streamed")
+    listed = os.path.join(tmp_path, "listed")
+    gen_synth(spec, streamed)
+    for name, samples in zip(("train.tsv", "test.tsv"), generate(spec)):
+        write_dataset(os.path.join(listed, name), samples,
+                      os.path.join(listed, "images"))
+    names = ["train.tsv", "test.tsv"] + [
+        os.path.join("images", name)
+        for name in sorted(os.listdir(os.path.join(listed, "images")))]
+    assert len(names) == 2 + 16
+    assert sorted(os.listdir(os.path.join(streamed, "images"))) == \
+        sorted(os.listdir(os.path.join(listed, "images")))
+    for name in names:
+        with open(os.path.join(streamed, name), "rb") as fh:
+            got = fh.read()
+        with open(os.path.join(listed, name), "rb") as fh:
+            assert got == fh.read(), name
+
+
+def test_gen_synth_memory_does_not_grow_with_the_corpus(tmp_path):
+    # no sample is held once written: ten times the samples take about
+    # the same traced peak, where a corpus held whole takes ten times it
+    import tracemalloc
+    gen_synth(SynthSpec(n_train=2, n_test=1), os.path.join(tmp_path, "warm"))
+    peaks = []
+    for n in (50, 500):
+        tracemalloc.start()
+        try:
+            gen_synth(SynthSpec(n_train=n - n // 5, n_test=n // 5),
+                      os.path.join(tmp_path, str(n)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_gen_synth_ingestable(tmp_path):
     gen_synth(SynthSpec(n_train=10, n_test=3, seed=0), tmp_path)
     train = ingest(os.path.join(tmp_path, "train.tsv"))
@@ -817,6 +857,26 @@ def test_cli_readers_refuse_fusion_run_over_retrained_member(
     assert not os.path.exists(out)
 
 
+def test_cli_readers_refuse_stale_fold_files(tiny_run, member_runs, tmp_path,
+                                             capsys):
+    # gcan and vit retrained with 2 folds over their 3-fold runs: fold 2's
+    # files stay behind, listed in no manifest, and no reader takes them
+    runs = os.path.join(tmp_path, "runs")
+    shutil.copytree(member_runs, runs)
+    train = ["train", "--config", tiny_run["cfg"], "--data", tiny_run["data"],
+             "--folds", "2", "--out", runs]
+    for model in ("gcan", "vit"):
+        assert main(train + ["--model", model]) == 0
+    stale = os.path.join(runs, "gcan", "fold2.ckpt")
+    assert os.path.exists(stale)
+    for argv in (["evaluate", "--runs", runs, "--test", tiny_run["data"]],
+                 train + ["--model", "gcan-vit"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        assert stale in capsys.readouterr().err, argv[0]
+    assert not os.path.exists(os.path.join(runs, "gcan-vit"))
+
+
 def test_cli_fusion_refuses_tampered_member(tiny_run, member_runs, tmp_path,
                                             capsys):
     runs = os.path.join(tmp_path, "runs")
@@ -1051,6 +1111,46 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_jobs_1_run_imports_no_process_pool(tmp_path):
+    # a run that forks nothing loads neither the process pool's modules
+    # nor numpy.ma: each command of the quick start, at --jobs 1, in one
+    # fresh interpreter
+    import subprocess
+    import sys
+
+    import memefuse
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(memefuse.__file__)))
+    spec, cfg = (os.path.join(tmp_path, name) for name in ("synth.spec",
+                                                           "run.cfg"))
+    with open(spec, "w") as fh:
+        fh.write("n_train = 20\nn_test = 6\nimage_side = 16\n")
+    with open(cfg, "w") as fh:
+        fh.write(emit_config(RunConfig(
+            folds=2, epochs=2, warmup_epochs=1, seq_len=8, resize=12, crop=8,
+            patch=4, d_att=8, n_heads=2, n_layers=1)))
+    data, runs = (os.path.join(tmp_path, name) for name in ("data", "runs"))
+    gcan, vit = (os.path.join(runs, model) for model in ("gcan", "vit"))
+    commands = [["gen-synth", "--spec", spec, "--out", data]] + [
+        ["train", "--config", cfg, "--data", data, "--model", model,
+         "--jobs", "1", "--out", runs] for model in ("gcan", "vit", "gcan-vit")
+    ] + [["evaluate", "--runs", runs, "--test", data],
+         ["ensemble", "--mode", "soft", "--runs", gcan,
+          "--out", os.path.join(tmp_path, "soft.tsv")],
+         ["ensemble", "--mode", "hard", "--runs", gcan, vit,
+          "--out", os.path.join(tmp_path, "hard.tsv")],
+         ["significance", "--a", os.path.join(gcan, "runs.tsv"),
+          "--b", os.path.join(vit, "runs.tsv")]]
+    code = ("import sys\nfrom memefuse.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures',"
+            " 'numpy.ma') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

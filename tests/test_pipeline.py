@@ -215,9 +215,6 @@ def test_vit_fold_holds_no_copy_of_the_image_pool(dataset):
     import tracemalloc
     # images large enough that a copy of them would dwarf the fold's ids
     ctx = make_ctx(dataset, model="vit", resize=32, crop=32)
-    # the first np.setdiff1d in a process imports numpy.ma, a 1.2 MB peak
-    # that is no part of the fold: make it before the window opens
-    ctx.split_indices(0)
     tracemalloc.start()
     try:
         data = ctx._build_fold(0, "vit")
